@@ -2,14 +2,18 @@
 
 Each checker draws seeded samples, builds the orthogonality hypotheses
 constructively (projection, never rejection sampling), queries a comparison
-oracle, and reports violations with the first counterexample found.
+oracle, and reports violations with the first counterexample found. One
+driver, _run_trials, owns the seeded loop and the report for every checker.
 
 Two kinds of oracle are supported. A bare comparison oracle is a black box
 (x, y) -> ordering. An oracle that also exposes its utility lets a checker
-classify all the orderings inside one trial with a shared tie tolerance,
-which removes spurious boundary flips in float mode; exact-mode oracles are
-classified by true sign. For black-box oracles the absence of violations is
-reported as "no violation found in N trials", never as the axiom holding.
+classify all the orderings inside one trial under one tie rule: the cuts of
+preference.tie_cuts, TIE_REL wide for ties and STRICT_REL wide for strict
+claims, shared by the whole trial, which removes spurious boundary flips in
+float mode; exact mode uses the true sign. Pairwise comparisons (the oracles
+built here and preference.compare) follow preference.rank. For black-box
+oracles the absence of violations is reported as "no violation found in N
+trials", never as the axiom holding.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .formats import scalar_to_json, vec_to_json
 from .geometry import (
     EXACT,
     FLOAT,
@@ -39,6 +44,9 @@ from .preference import (
     SphericalParams,
     classify,
     compare,
+    ordering_from_diff,
+    rank,
+    tie_cuts,
     utility,
 )
 
@@ -73,27 +81,23 @@ def params_oracle(params: SphericalParams) -> ComparisonOracle:
 
 def utility_comparison_oracle(fn: Callable[[Vec], Scalar], dim: int, name: str = "utility") -> ComparisonOracle:
     """Oracle that ranks by an arbitrary utility function."""
+    return ComparisonOracle(dim=dim, compare=lambda x, y: rank(fn(x), fn(y)), utility=fn, name=name)
 
-    def cmp(x: Vec, y: Vec) -> Ordering:
-        ux, uy = fn(x), fn(y)
-        diff = ux - uy
-        if isinstance(diff, float):
-            tol = TIE_REL * (1.0 + abs(ux) + abs(uy))
-            if abs(diff) <= tol:
-                return Ordering.INDIFFERENT
-            return Ordering.BETTER if diff > 0 else Ordering.WORSE
-        if diff == 0:
-            return Ordering.INDIFFERENT
-        return Ordering.BETTER if diff > 0 else Ordering.WORSE
 
-    return ComparisonOracle(dim=dim, compare=cmp, utility=fn, name=name)
+def cubic_function(dim: int) -> Callable[[Vec], Scalar]:
+    """The built-in non-spherical fixture x1^3 + x2 on R^dim (x1^3 alone when n = 1)."""
+    if dim < 1:
+        raise ValueError("the cubic fixture needs dimension >= 1")
+    if dim == 1:
+        return lambda x: x[0] ** 3
+    return lambda x: x[0] ** 3 + x[1]
 
 
 def cubic_oracle(dim: int) -> ComparisonOracle:
     """Built-in non-spherical test oracle ranking by x1^3 + x2."""
     if dim < 2:
         raise ValueError("the cubic oracle needs dimension >= 2")
-    return utility_comparison_oracle(lambda x: x[0] ** 3 + x[1], dim, name="cubic1")
+    return utility_comparison_oracle(cubic_function(dim), dim, name="cubic1")
 
 
 BUILTIN_ORACLES = {"cubic1": cubic_oracle}
@@ -111,8 +115,6 @@ class AxiomReport:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        from .formats import scalar_to_json, vec_to_json
-
         ce = None
         if self.counterexample is not None:
             ce = {
@@ -125,6 +127,26 @@ class AxiomReport:
             "violations": self.violations,
             "counterexample": ce,
         }
+
+
+def _run_trials(axiom: str, trials: int, rng_seed: int, trial: Callable) -> AxiomReport:
+    """The seeded trial loop of every checker.
+
+    ``trial(rng, t)`` runs trial number t on the shared generator and returns
+    its counterexample dict, or None when the trial finds no violation.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    rng = random.Random(rng_seed)
+    violations = 0
+    first = None
+    for t in range(trials):
+        found = trial(rng, t)
+        if found is not None:
+            violations += 1
+            if first is None:
+                first = found
+    return AxiomReport(axiom, trials, violations, first)
 
 
 def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float = 1.0) -> Vec:
@@ -151,19 +173,21 @@ def random_orthonormal_plane(rng: random.Random, dim: int) -> tuple:
             return e1, normalize(e2)
 
 
-def _orderings(margins: list, values: list, mode: str, tie_rel: Optional[float] = None) -> list:
-    """Classify utility differences, sharing one tie tolerance per trial."""
-    if mode == EXACT:
-        return [Ordering.BETTER if m > 0 else Ordering.WORSE if m < 0 else Ordering.INDIFFERENT for m in margins]
-    tol = (TIE_REL if tie_rel is None else tie_rel) * (1.0 + max(abs(float(v)) for v in values))
-    out = []
-    for m in margins:
-        m = float(m)
-        if abs(m) <= tol:
-            out.append(Ordering.INDIFFERENT)
-        else:
-            out.append(Ordering.BETTER if m > 0 else Ordering.WORSE)
-    return out
+def _ranks_alike(oracle: ComparisonOracle, mode: str, rel: float, a: Vec, b: Vec, c: Vec, d: Vec) -> bool:
+    """Whether a vs b ranks like c vs d.
+
+    With a utility both differences are ranked under the trial's one tie
+    cut; a bare oracle answers each comparison itself.
+    """
+    u = oracle.utility
+    if u is None:
+        return oracle.compare(a, b) == oracle.compare(c, d)
+    vals = (u(a), u(b), u(c), u(d))
+    (cut,) = tie_cuts(vals, mode, rel)
+    m1, m2 = vals[0] - vals[1], vals[2] - vals[3]
+    if mode != EXACT:
+        m1, m2 = float(m1), float(m2)
+    return ordering_from_diff(m1, cut) == ordering_from_diff(m2, cut)
 
 
 def check_oioi(
@@ -181,27 +205,19 @@ def check_oioi(
     orthogonal to x and y, and require the ranking of w+x vs w+y to equal
     the ranking of w+x+z vs w+y+z.
     """
-    _require_trials(trials)
-    rng = random.Random(rng_seed)
-    violations = 0
-    first = None
-    for _ in range(trials):
-        w = sample_vector(rng, oracle.dim, mode, radius)
-        x = sample_vector(rng, oracle.dim, mode, radius)
-        y = sample_vector(rng, oracle.dim, mode, radius)
-        z = project_out(sample_vector(rng, oracle.dim, mode, radius), [x, y])
+    n, rel = oracle.dim, TIE_REL if tie_rel is None else tie_rel
+
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
+        w = sample_vector(rng, n, mode, radius)
+        x = sample_vector(rng, n, mode, radius)
+        y = sample_vector(rng, n, mode, radius)
+        z = project_out(sample_vector(rng, n, mode, radius), [x, y])
         wx, wy = add(w, x), add(w, y)
-        wxz, wyz = add(wx, z), add(wy, z)
-        if oracle.utility is not None:
-            vals = [oracle.utility(v) for v in (wx, wy, wxz, wyz)]
-            o1, o2 = _orderings([vals[0] - vals[1], vals[2] - vals[3]], vals, mode, tie_rel)
-        else:
-            o1, o2 = oracle.compare(wx, wy), oracle.compare(wxz, wyz)
-        if o1 != o2:
-            violations += 1
-            if first is None:
-                first = {"w": w, "x": x, "y": y, "z": z}
-    return AxiomReport("oioi", trials, violations, first)
+        if _ranks_alike(oracle, mode, rel, wx, wy, add(wx, z), add(wy, z)):
+            return None
+        return {"w": w, "x": x, "y": y, "z": z}
+
+    return _run_trials("oioi", trials, rng_seed, trial)
 
 
 def check_perp_diff(
@@ -216,25 +232,17 @@ def check_perp_diff(
     not alter their ranking: for d orthogonal to x - y, x vs y ranks like
     x + d vs y + d.
     """
-    _require_trials(trials)
-    rng = random.Random(rng_seed)
-    violations = 0
-    first = None
-    for _ in range(trials):
-        x = sample_vector(rng, oracle.dim, mode, radius)
-        y = sample_vector(rng, oracle.dim, mode, radius)
-        d = project_out(sample_vector(rng, oracle.dim, mode, radius), [sub(x, y)])
-        xd, yd = add(x, d), add(y, d)
-        if oracle.utility is not None:
-            vals = [oracle.utility(v) for v in (x, y, xd, yd)]
-            o1, o2 = _orderings([vals[0] - vals[1], vals[2] - vals[3]], vals, mode, tie_rel)
-        else:
-            o1, o2 = oracle.compare(x, y), oracle.compare(xd, yd)
-        if o1 != o2:
-            violations += 1
-            if first is None:
-                first = {"x": x, "y": y, "d": d}
-    return AxiomReport("perp_diff", trials, violations, first)
+    n, rel = oracle.dim, TIE_REL if tie_rel is None else tie_rel
+
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
+        x = sample_vector(rng, n, mode, radius)
+        y = sample_vector(rng, n, mode, radius)
+        d = project_out(sample_vector(rng, n, mode, radius), [sub(x, y)])
+        if _ranks_alike(oracle, mode, rel, x, y, add(x, d), add(y, d)):
+            return None
+        return {"x": x, "y": y, "d": d}
+
+    return _run_trials("perp_diff", trials, rng_seed, trial)
 
 
 def check_soioi(
@@ -253,28 +261,21 @@ def check_soioi(
     strictly when either antecedent is strict. In float mode an antecedent
     only counts as strict when its margin clears STRICT_REL.
     """
-    _require_trials(trials)
-    rng = random.Random(rng_seed)
-    violations = 0
-    first = None
-    for _ in range(trials):
-        w = sample_vector(rng, oracle.dim, mode, radius)
-        x = sample_vector(rng, oracle.dim, mode, radius)
-        y = project_out(sample_vector(rng, oracle.dim, mode, radius), [x])
-        a = sample_vector(rng, oracle.dim, mode, radius)
-        b = project_out(sample_vector(rng, oracle.dim, mode, radius), [a])
+    n, rel = oracle.dim, TIE_REL if tie_rel is None else tie_rel
+
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
+        w = sample_vector(rng, n, mode, radius)
+        x = sample_vector(rng, n, mode, radius)
+        y = project_out(sample_vector(rng, n, mode, radius), [x])
+        a = sample_vector(rng, n, mode, radius)
+        b = project_out(sample_vector(rng, n, mode, radius), [a])
         wx, wa, wy, wb = add(w, x), add(w, a), add(w, y), add(w, b)
         wxy, wab = add(wx, y), add(wa, b)
         bad = False
         if oracle.utility is not None:
             vals = [oracle.utility(v) for v in (wx, wa, wy, wb, wxy, wab)]
             m1, m2, m3 = vals[0] - vals[1], vals[2] - vals[3], vals[4] - vals[5]
-            if mode == EXACT:
-                weak_cut = strict_cut = 0
-            else:
-                scale_ = 1.0 + max(abs(float(v)) for v in vals)
-                weak_cut = (TIE_REL if tie_rel is None else tie_rel) * scale_
-                strict_cut = STRICT_REL * scale_
+            weak_cut, strict_cut = tie_cuts(vals, mode, rel, STRICT_REL)
             if m1 >= -weak_cut and m2 >= -weak_cut:
                 if m3 < -weak_cut:
                     bad = True
@@ -286,11 +287,9 @@ def check_soioi(
                 o3 = oracle.compare(wxy, wab)
                 if o3 < 0 or ((o1 > 0 or o2 > 0) and o3 <= 0):
                     bad = True
-        if bad:
-            violations += 1
-            if first is None:
-                first = {"w": w, "x": x, "y": y, "a": a, "b": b}
-    return AxiomReport("soioi", trials, violations, first)
+        return {"w": w, "x": x, "y": y, "a": a, "b": b} if bad else None
+
+    return _run_trials("soioi", trials, rng_seed, trial)
 
 
 def _equal_norm_partner(rng: random.Random, x: Vec, mode: str) -> Vec:
@@ -327,30 +326,21 @@ def check_homotheticity(
     scale beta in (0, 10], and require w+x vs w+y to rank like
     w+beta*x vs w+beta*y.
     """
-    _require_trials(trials)
-    rng = random.Random(rng_seed)
-    violations = 0
-    first = None
-    for _ in range(trials):
-        w = sample_vector(rng, oracle.dim, mode, radius)
-        x = sample_vector(rng, oracle.dim, mode, radius)
+    n, rel = oracle.dim, TIE_REL if tie_rel is None else tie_rel
+
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
+        w = sample_vector(rng, n, mode, radius)
+        x = sample_vector(rng, n, mode, radius)
         y = _equal_norm_partner(rng, x, mode)
         if mode == EXACT:
             beta = Fraction(rng.randint(1, 160), 16)
         else:
             beta = rng.uniform(0.0, 10.0) or 10.0
-        wx, wy = add(w, x), add(w, y)
-        wbx, wby = add(w, scale(beta, x)), add(w, scale(beta, y))
-        if oracle.utility is not None:
-            vals = [oracle.utility(v) for v in (wx, wy, wbx, wby)]
-            o1, o2 = _orderings([vals[0] - vals[1], vals[2] - vals[3]], vals, mode, tie_rel)
-        else:
-            o1, o2 = oracle.compare(wx, wy), oracle.compare(wbx, wby)
-        if o1 != o2:
-            violations += 1
-            if first is None:
-                first = {"w": w, "x": x, "y": y, "beta": beta}
-    return AxiomReport("homotheticity", trials, violations, first)
+        if _ranks_alike(oracle, mode, rel, add(w, x), add(w, y), add(w, scale(beta, x)), add(w, scale(beta, y))):
+            return None
+        return {"w": w, "x": x, "y": y, "beta": beta}
+
+    return _run_trials("homotheticity", trials, rng_seed, trial)
 
 
 def find_monotone_direction(params: SphericalParams) -> Optional[Vec]:
@@ -381,25 +371,21 @@ def check_strict_convexity(
     when c != 0, a shift orthogonal to the gradient when c = 0), which is
     where the linear and anti-Euclidean classes fail.
     """
-    _require_trials(trials)
-    rng = random.Random(rng_seed)
     n = params.dim
-    violations = 0
-    first = None
     half = Fraction(1, 2) if params.is_exact and mode == EXACT else 0.5
-    for t in range(trials):
+    center = classify(params).center
+
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
         if t % 2 == 0:
             x = sample_vector(rng, n, mode, radius)
             y = sample_vector(rng, n, mode, radius)
-            order = compare(params, x, y)
-            if order is Ordering.WORSE:
+            if compare(params, x, y) is Ordering.WORSE:
                 x, y = y, x
         else:
             s = sample_vector(rng, n, mode, radius)
             if is_zero(s):
-                continue
+                return None
             if params.c != 0:
-                center = classify(params).center
                 x, y = add(center, s), sub(center, s)
             elif not is_zero(params.d):
                 x = sample_vector(rng, n, mode, radius)
@@ -408,13 +394,13 @@ def check_strict_convexity(
                 x = sample_vector(rng, n, mode, radius)
                 y = sample_vector(rng, n, mode, radius)
         if x == y:
-            continue
+            return None
         mid = tuple(half * (x[i] + y[i]) for i in range(n))
         if compare(params, x, y) is not Ordering.WORSE and compare(params, mid, y) is not Ordering.BETTER:
-            violations += 1
-            if first is None:
-                first = {"x": x, "y": y}
-    return AxiomReport("strict_convexity", trials, violations, first)
+            return {"x": x, "y": y}
+        return None
+
+    return _run_trials("strict_convexity", trials, rng_seed, trial)
 
 
 def antipodal_indifference(
@@ -469,8 +455,3 @@ def antipodal_indifference(
         else:
             lo, glo = mid, gmid
     raise RuntimeError("bisection failed to meet the indifference tolerance")  # pragma: no cover
-
-
-def _require_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError("trials must be at least 1")

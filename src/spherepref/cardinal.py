@@ -22,8 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .axioms import AxiomReport
+from .axioms import AxiomReport, _run_trials, cubic_function, sample_vector
+from .formats import scalar_to_json, vec_to_json
 from .geometry import EXACT, FLOAT, DimensionMismatch, Scalar, Vec, add, basis_vector, dot, neg, scale, sub, zeros
+from .preference import tie_cuts
 
 # Reconstruction residual above RESIDUAL_REL*(1 + max |U|) rejects the oracle.
 RESIDUAL_REL = 1e-6
@@ -96,9 +98,7 @@ def coefficient_oracle(matrix: Sequence[Sequence[Scalar]], linear: Vec, name: st
 
 def cubic_utility(dim: int) -> UtilityOracle:
     """Built-in rejection fixture: U(x) = x1^3 + x2 (x1^3 alone when n = 1)."""
-    if dim < 2:
-        return UtilityOracle(dim, lambda x: x[0] ** 3, name="cubic1")
-    return UtilityOracle(dim, lambda x: x[0] ** 3 + x[1], name="cubic1")
+    return UtilityOracle(dim, cubic_function(dim), name="cubic1")
 
 
 BUILTIN_UTILITIES = {"cubic1": cubic_utility}
@@ -132,8 +132,6 @@ class QuadLinDecomposition:
         return self.quadratic_form(x, x) + dot(self.linear, x)
 
     def to_dict(self) -> dict:
-        from .formats import scalar_to_json, vec_to_json
-
         return {
             "S": [vec_to_json(row) for row in self.bilinear],
             "g": vec_to_json(self.linear),
@@ -236,27 +234,20 @@ def check_status_quo_independence(
     """
     if trials < 2:
         raise ValueError("trials must be at least 2")
-    from .axioms import sample_vector
 
-    rng = random.Random(rng_seed)
-    violations = 0
-    first = None
-    for _ in range(trials):
+    def trial(rng: random.Random, t: int) -> Optional[dict]:
         x = sample_vector(rng, u.dim, mode, radius)
         quos = [zeros(u.dim)] + [sample_vector(rng, u.dim, mode, radius) for _ in range(3)]
         values = [extract_f(u, x, z) for z in quos]
         spread = max(values) - min(values)
-        if mode == EXACT:
-            bad = spread != 0
-        else:
-            bad = float(spread) > tol * (1.0 + max(abs(float(v)) for v in values))
-        if bad:
-            violations += 1
-            if first is None:
-                hi = values.index(max(values))
-                lo = values.index(min(values))
-                first = {"x": x, "w": quos[hi], "w2": quos[lo], "spread": spread}
-    return AxiomReport("status_quo_independence", trials, violations, first)
+        (cut,) = tie_cuts(values, mode, tol)
+        if (spread if mode == EXACT else float(spread)) > cut:
+            hi = values.index(max(values))
+            lo = values.index(min(values))
+            return {"x": x, "w": quos[hi], "w2": quos[lo], "spread": spread}
+        return None
+
+    return _run_trials("status_quo_independence", trials, rng_seed, trial)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,13 @@
 Rationals serialize as ``"p/q"`` strings (integers as plain JSON numbers),
 floats as their shortest round-trip decimal. Parsing is the inverse: JSON
 integers stay exact, ``"p/q"`` strings become fractions, everything else is
-a float.
+a float. Non-finite floats and zero denominators are rejected.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .geometry import Scalar, Vec
@@ -34,10 +35,15 @@ def scalar_from_json(v) -> Scalar:
     if isinstance(v, int):
         return v
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"not a finite number: {v!r}")
         return v
     if isinstance(v, str):
         num, _, den = v.partition("/")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        try:
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {v!r}") from None
     raise ValueError(f"not a scalar: {v!r}")
 
 

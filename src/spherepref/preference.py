@@ -22,6 +22,7 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Optional
 
+from .formats import scalar_from_json, scalar_to_json, vec_from_json, vec_to_json
 from .geometry import (
     EXACT,
     FLOAT,
@@ -72,14 +73,10 @@ class SphericalParams:
         return is_exact((self.c,) + self.d)
 
     def to_dict(self) -> dict:
-        from .formats import scalar_to_json, vec_to_json
-
         return {"c": scalar_to_json(self.c), "d": vec_to_json(self.d)}
 
     @staticmethod
     def from_dict(doc: dict) -> "SphericalParams":
-        from .formats import scalar_from_json, vec_from_json
-
         return SphericalParams(scalar_from_json(doc["c"]), vec_from_json(doc["d"]))
 
 
@@ -96,8 +93,6 @@ class PreferenceClass:
     center: Optional[Vec] = None
 
     def to_dict(self) -> dict:
-        from .formats import vec_to_json
-
         doc = {"class": self.tag}
         if self.u is not None:
             doc["u"] = vec_to_json(self.u)
@@ -107,8 +102,6 @@ class PreferenceClass:
 
     @staticmethod
     def from_dict(doc: dict) -> "PreferenceClass":
-        from .formats import vec_from_json
-
         return PreferenceClass(
             doc["class"],
             u=vec_from_json(doc["u"]) if "u" in doc else None,
@@ -123,10 +116,6 @@ def utility(p: SphericalParams, x: Vec) -> Scalar:
     return p.c * dot(x, x) + dot(p.d, x)
 
 
-def tie_tolerance(ua: float, ub: float) -> float:
-    return TIE_REL * (1.0 + abs(ua) + abs(ub))
-
-
 def ordering_from_diff(diff: Scalar, tol: Scalar = 0) -> Ordering:
     """Sign of a utility difference; |diff| <= tol counts as a tie."""
     if diff > tol:
@@ -136,18 +125,41 @@ def ordering_from_diff(diff: Scalar, tol: Scalar = 0) -> Ordering:
     return Ordering.INDIFFERENT
 
 
-def compare(p: SphericalParams, x: Vec, y: Vec) -> Ordering:
-    """Rank x against y under p.
+def rank(ux: Scalar, uy: Scalar) -> Ordering:
+    """The pairwise tie rule: utility ux against utility uy.
 
-    Exact entries give the true sign; float entries use the relative tie
-    tolerance TIE_REL*(1+|u(x)|+|u(y)|).
+    An exact difference gives the true sign; a float one ties within the
+    relative band TIE_REL*(1+|ux|+|uy|).
     """
-    ux = utility(p, x)
-    uy = utility(p, y)
     diff = ux - uy
     if isinstance(diff, float):
-        return ordering_from_diff(diff, tie_tolerance(ux, uy))
+        return ordering_from_diff(diff, TIE_REL * (1.0 + abs(ux) + abs(uy)))
     return ordering_from_diff(diff)
+
+
+def tie_cuts(values, mode: str, *rels: float) -> list:
+    """The per-trial tie rule: one cut for each relative width in rels.
+
+    Exact mode cuts at 0 (the true sign); float mode at
+    rel*(1 + max |v|) over all the utility values of the trial, so every
+    comparison inside one trial shares the same band.
+    """
+    if mode == EXACT:
+        return [0] * len(rels)
+    scale_ = 1.0 + max(map(abs, map(float, values)))
+    return [rel * scale_ for rel in rels]
+
+
+def compare(p: SphericalParams, x: Vec, y: Vec) -> Ordering:
+    """Rank x against y under p: rank(u(x), u(y)).
+
+    rank is the pairwise half of the package's one tie rule (the true sign
+    when exact, a TIE_REL*(1+|u(x)|+|u(y)|) band in floats). The axiom
+    checkers, which see all the utilities of a trial, use its per-trial
+    half, tie_cuts, with TIE_REL for ties and axioms.STRICT_REL for strict
+    claims.
+    """
+    return rank(utility(p, x), utility(p, y))
 
 
 def classify(p: SphericalParams) -> PreferenceClass:

@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import lp
+from .formats import scalar_to_json, vec_from_json, vec_to_json
 from .geometry import EXACT, DimensionMismatch, Scalar, Vec, dot, sub
 from .preference import Ordering, SphericalParams, compare, utility
 
@@ -92,8 +93,6 @@ class ObservationSet:
         return list(self.weak) + list(self.strict)
 
     def to_dict(self) -> dict:
-        from .formats import vec_to_json
-
         return {
             "dimension": self.dimension,
             "weak": [{"better": vec_to_json(x), "worse": vec_to_json(y)} for x, y in self.weak],
@@ -102,8 +101,6 @@ class ObservationSet:
 
     @staticmethod
     def from_dict(doc: dict) -> "ObservationSet":
-        from .formats import vec_from_json
-
         def pairs(items):
             return tuple((vec_from_json(p["better"]), vec_from_json(p["worse"])) for p in items)
 
@@ -136,8 +133,6 @@ class RationalizabilityVerdict:
     note: Optional[str] = None
 
     def to_dict(self) -> dict:
-        from .formats import scalar_to_json
-
         doc = {"rationalizable": self.rationalizable}
         if self.witness is not None:
             doc["witness"] = self.witness.to_dict()
@@ -258,13 +253,6 @@ def rationalize(
         restriction_weight=search.restriction_weight,
         note=note,
     )
-
-
-def rationalize_restricted(data: ObservationSet, restriction: str, mode: str = EXACT) -> RationalizabilityVerdict:
-    """Rationalizability within one class of the family; see rationalize."""
-    if restriction not in _RESTRICTIONS:
-        raise ValueError(f"unknown restriction {restriction!r}")
-    return rationalize(data, restriction=restriction, mode=mode)
 
 
 def certificate_lp(data: ObservationSet, mode: str = EXACT) -> CertificateSearch:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -19,6 +20,8 @@ from spherepref.axioms import (
     random_orthonormal_plane,
     utility_comparison_oracle,
 )
+from spherepref.cardinal import check_status_quo_independence, coefficient_oracle, cubic_utility
+from spherepref.formats import dumps
 from spherepref.geometry import EXACT, FLOAT, add, dot, sub
 from spherepref.preference import (
     Ordering,
@@ -255,3 +258,73 @@ def test_utility_comparison_oracle_tie_handling():
     assert oracle.compare((1.0, 0.0), (1.0, 5.0)) is Ordering.INDIFFERENT
     assert oracle.compare((2.0, 0.0), (1.0, 0.0)) is Ordering.BETTER
     assert oracle.compare((F(1), 0), (F(1), 5)) is Ordering.INDIFFERENT
+
+
+# Seeded reports captured before the checkers shared one trial driver and one
+# tie rule; any change to the RNG draw order or to a tie band shows up here.
+GOLDEN_EXACT_CUBIC = {
+    check_oioi: (60, {
+        "axiom": "oioi", "trials": 60, "violations": 3,
+        "counterexample": {"w": ["3/16", "11/16", 1], "x": ["3/8", "1/4", -1], "y": ["-9/16", "3/4", "3/4"],
+                           "z": ["1095/2068", "657/4136", "1971/8272"]},
+    }),
+    check_perp_diff: (60, {
+        "axiom": "perp_diff", "trials": 60, "violations": 9,
+        "counterexample": {"x": ["1/8", "-15/16", "5/8"], "y": ["-5/8", "-5/16", "1/8"],
+                           "d": ["-603/1232", "155/616", "323/308"]},
+    }),
+    check_soioi: (400, {
+        "axiom": "soioi", "trials": 400, "violations": 4,
+        "counterexample": {"w": ["3/4", "13/16", -1], "x": ["9/16", "5/16", "-3/8"],
+                           "y": ["-1485/2272", "1305/2272", "-285/568"], "a": ["5/8", "-15/16", "-13/16"],
+                           "b": ["31/1976", "77/1976", "-5/152"]},
+    }),
+    check_homotheticity: (60, {
+        "axiom": "homotheticity", "trials": 60, "violations": 10,
+        "counterexample": {"w": ["1/16", "-1/16", "1/16"], "x": ["-9/16", "-5/16", "3/8"],
+                           "y": ["3/8", "-9/16", "5/16"], "beta": "17/2"},
+    }),
+}
+
+
+def test_golden_exact_reports():
+    cubic = cubic_oracle(3)
+    blind = ComparisonOracle(dim=3, compare=cubic.compare)
+    for checker, (trials, expected) in GOLDEN_EXACT_CUBIC.items():
+        for oracle in (cubic, blind):
+            assert checker(oracle, trials, rng_seed=1, mode=EXACT).to_dict() == expected, checker.__name__
+    anti = SphericalParams(F(1, 2), (F(1, 3), F(-1, 4), 0))
+    assert check_strict_convexity(anti, 40, rng_seed=3, mode=EXACT).to_dict() == {
+        "axiom": "strict_convexity", "trials": 40, "violations": 31,
+        "counterexample": {"x": ["13/24", "1/4", "-1/8"], "y": ["-29/24", "1/4", "1/8"]},
+    }
+    assert check_status_quo_independence(cubic_utility(3), 10, rng_seed=1).to_dict() == {
+        "axiom": "status_quo_independence", "trials": 10, "violations": 10,
+        "counterexample": {
+            "x": [-0.7312715117751976, 0.6948674738744653, 0.5275492379532281],
+            "w": [0.3031859454455259, 0.5774467022710263, -0.8122808264515302],
+            "w2": [-0.9433050469559874, 0.6715302078397394, -0.13446586418989326],
+            "spread": 1.9997131798444276,
+        },
+    }
+
+
+def test_golden_float_reports():
+    cubic = cubic_oracle(3)
+    sphere = SphericalParams(-0.6, (0.3, -0.5, 0.55))
+    oracles = (
+        (cubic, {}),
+        (ComparisonOracle(dim=3, compare=cubic.compare), {}),
+        (cubic, {"tie_rel": 1e-6}),
+        (params_oracle(sphere), {}),
+        (ComparisonOracle(dim=3, compare=params_oracle(sphere).compare), {}),
+    )
+    reports = [checker(oracle, 300, rng_seed=4, **kw) for oracle, kw in oracles for checker in NECESSITY_CHECKERS]
+    reports.append(check_strict_convexity(sphere, 200, rng_seed=4))
+    reports.append(check_strict_convexity(SphericalParams(0.5, (0.25, 0.0, -1.0)), 200, rng_seed=4))
+    reports.append(check_status_quo_independence(cubic_utility(3), 50, rng_seed=4))
+    quad = coefficient_oracle(((1.0, 0.5, 0.0), (0.5, -2.0, 0.0), (0.0, 0.0, 0.25)), (1.0, 0.0, -3.0))
+    reports.append(check_status_quo_independence(quad, 50, rng_seed=4))
+    assert [r.violations for r in reports] == [15, 40, 3, 51] * 3 + [0] * 9 + [133, 50, 0]
+    digest = hashlib.sha256(dumps([r.to_dict() for r in reports]).encode()).hexdigest()
+    assert digest == "0126841164f06c0d7cc04531fd690ac9a37208c8ec89425d2451bf876999fcd7"

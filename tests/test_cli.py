@@ -181,6 +181,26 @@ def test_decompose_builtin_cubic_rejected(capsys):
     assert doc["residual"] > doc["threshold"]
 
 
+def test_decompose_builtin_cubic_rejects_dimension_zero(capsys):
+    code, out, err = run(capsys, "decompose", "cubic1", "--dim", "0")
+    assert code == 2
+    assert out == ""
+    assert "dimension" in err
+
+
+def test_unusable_numbers_exit_two(capsys, tmp_path):
+    # a zero denominator and non-finite floats are unusable input, not a verdict
+    for command, doc in (
+        ("classify", {"c": "1/0", "d": [1, 0, 0]}),
+        ("classify", {"c": float("nan"), "d": [1, 0, 0]}),
+        ("generate", {"c": float("inf"), "d": [1, 0, 0]}),
+    ):
+        code, out, err = run(capsys, command, write(tmp_path, "bad.json", doc))
+        assert code == 2, (command, doc)
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_low_dimension_warning_on_stderr(capsys, tmp_path):
     path = write(tmp_path, "d2.json", {"dimension": 2, "weak": [], "strict": [
         {"better": [1, 0], "worse": [0, 0]}]})

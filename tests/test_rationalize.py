@@ -15,7 +15,6 @@ from spherepref.rationalize import (
     certificate_lp,
     generate_dataset,
     rationalize,
-    rationalize_restricted,
     verify_certificate,
     verify_witness,
 )
@@ -94,14 +93,14 @@ def test_bliss_point_coarse_grid_oracle():
 
 
 def test_bliss_point_restrictions():
-    linear = rationalize_restricted(BLISS, RESTRICT_LINEAR)
+    linear = rationalize(BLISS, restriction=RESTRICT_LINEAR)
     assert not linear.rationalizable
     assert verify_certificate(BLISS, linear.certificate, RESTRICT_LINEAR, linear.restriction_weight)
-    euclid = rationalize_restricted(BLISS, RESTRICT_EUCLIDEAN)
+    euclid = rationalize(BLISS, restriction=RESTRICT_EUCLIDEAN)
     assert euclid.rationalizable
     assert classify(euclid.witness).tag == "euclidean"
     assert classify(euclid.witness).center == (0, 0, 0)
-    anti = rationalize_restricted(BLISS, RESTRICT_ANTI_EUCLIDEAN)
+    anti = rationalize(BLISS, restriction=RESTRICT_ANTI_EUCLIDEAN)
     assert not anti.rationalizable
     assert verify_certificate(BLISS, anti.certificate, RESTRICT_ANTI_EUCLIDEAN, anti.restriction_weight)
 
@@ -111,7 +110,7 @@ def test_restriction_is_not_lexicographic():
     # a Euclidean witness still exists with a smaller margin; the restricted
     # question must answer yes
     data = ObservationSet(3, (), ((E1, ORIGIN),))
-    verdict = rationalize_restricted(data, RESTRICT_EUCLIDEAN)
+    verdict = rationalize(data, restriction=RESTRICT_EUCLIDEAN)
     assert verdict.rationalizable
     assert verdict.witness.c < 0
     assert verify_witness(data, verdict.witness)
