@@ -396,7 +396,9 @@ def check_strict_convexity(
         if x == y:
             return None
         mid = tuple(half * (x[i] + y[i]) for i in range(n))
-        if compare(params, x, y) is not Ordering.WORSE and compare(params, mid, y) is not Ordering.BETTER:
+        # an even trial's pair is oriented already: rank is antisymmetric
+        weakly_better = t % 2 == 0 or compare(params, x, y) is not Ordering.WORSE
+        if weakly_better and compare(params, mid, y) is not Ordering.BETTER:
             return {"x": x, "y": y}
         return None
 

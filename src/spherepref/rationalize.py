@@ -56,6 +56,17 @@ _ROWGEN_INITIAL = 80
 _ROWGEN_BATCH = 60
 
 
+class FloatUndecided(ValueError):
+    """Float arithmetic could not decide the data (overflow or rounding)."""
+
+
+def _undecided(mode: str, what: str) -> Exception:
+    """The error for an LP outcome that exact duality rules out."""
+    if mode == EXACT:  # pragma: no cover - exact duality rules it out
+        return RuntimeError(what)
+    return FloatUndecided(f"float arithmetic could not decide these data ({what}); use exact mode (--exact)")
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Finite weak and strict comparison data over points of R^n."""
@@ -170,7 +181,9 @@ def rationalize(
     rationalizable (within the class) iff the optimum is positive; then the
     optimal (c, u) is returned as a witness. Otherwise the certificate
     search runs and its optimizer is attached. In float mode an optimum
-    below ``float_margin`` counts as zero; exact mode ignores it.
+    below ``float_margin`` counts as zero; exact mode ignores it. Float mode
+    raises :class:`FloatUndecided` when rounding or overflow leaves neither
+    a witness nor a certificate.
     """
     if restriction is not None and restriction not in _RESTRICTIONS:
         raise ValueError(f"unknown restriction {restriction!r}")
@@ -205,8 +218,8 @@ def rationalize(
     def solve_with(active: list) -> lp.LpOutcome:
         cons = tuple(lp.Constraint(pair_rows[i], lp.GE, 0) for i in active) + tuple(always)
         outcome = lp.solve(lp.LinearProgram(objective, cons, bounds), mode=mode)
-        if outcome.status != lp.OPTIMAL:  # pragma: no cover - 0 is always feasible
-            raise RuntimeError(f"margin LP terminated with status {outcome.status}")
+        if outcome.status != lp.OPTIMAL:  # 0 is feasible and the box bounds it
+            raise _undecided(mode, f"margin LP terminated with status {outcome.status}")
         return outcome
 
     total = len(pair_rows)
@@ -242,8 +255,8 @@ def rationalize(
             note=note,
         )
     search = _certificate_search(data, restriction, mode=mode, float_margin=float_margin)
-    if search.weights is None:  # pragma: no cover - duality guarantees a witness
-        raise RuntimeError("margin LP found no strict solution but no certificate exists")
+    if search.weights is None:  # duality guarantees a witness or a certificate
+        raise _undecided(mode, "margin LP found no strict solution but no certificate exists")
     return RationalizabilityVerdict(
         False,
         epsilon=eps,
@@ -305,8 +318,8 @@ def _certificate_search(
     outcome = lp.solve(program, mode=mode)
     if outcome.status == lp.INFEASIBLE:
         return CertificateSearch(p_mass=0, weights=None)
-    if outcome.status != lp.OPTIMAL:  # pragma: no cover - the simplex is bounded
-        raise RuntimeError(f"certificate LP terminated with status {outcome.status}")
+    if outcome.status != lp.OPTIMAL:  # the total mass bounds the weights
+        raise _undecided(mode, f"certificate LP terminated with status {outcome.status}")
     zero_cut = 0 if mode == EXACT else float_margin
     if outcome.objective_value <= zero_cut:
         return CertificateSearch(p_mass=outcome.objective_value, weights=None)

@@ -200,6 +200,23 @@ def test_strict_convexity_zero_violations_iff_euclidean():
     assert {"euclidean", "anti_euclidean"} <= seen
 
 
+def test_strict_convexity_orients_each_even_pair_once(monkeypatch):
+    # an even trial's pair is oriented by one compare call; asking again in
+    # the test cannot return WORSE, so each trial costs at most two calls
+    import spherepref.axioms as ax
+
+    calls = []
+
+    def counting(params, x, y):
+        calls.append(1)
+        return compare(params, x, y)
+
+    monkeypatch.setattr(ax, "compare", counting)
+    report = check_strict_convexity(SphericalParams(-1, (0, 0, 0)), 200, rng_seed=0, mode=EXACT, radius=0.01)
+    assert report.violations == 0
+    assert len(calls) <= 400
+
+
 def test_antipodal_indifference_linear_case():
     p = SphericalParams(0.0, (1.0, 0.0, 0.0))
     plane = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))

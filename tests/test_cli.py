@@ -201,6 +201,21 @@ def test_unusable_numbers_exit_two(capsys, tmp_path):
         assert err.startswith("error:")
 
 
+def test_rationalize_float_undecided_exits_two(capsys, tmp_path):
+    # 1e308 squared overflows, so float mode cannot decide; that is not a
+    # verdict, while exact mode still decides the same file
+    path = write(tmp_path, "huge.json", {"dimension": 3, "weak": [], "strict": [
+        {"better": [1e308, 0, 0], "worse": [0, 0, 0]},
+        {"better": [0, 1, 0], "worse": [0, 0, 0]}]})
+    code, out, err = run(capsys, "rationalize", "--float", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--exact" in err
+    code, out, _ = run(capsys, "rationalize", "--exact", path)
+    assert code == 0
+    assert json.loads(out)["rationalizable"] is True
+
+
 def test_low_dimension_warning_on_stderr(capsys, tmp_path):
     path = write(tmp_path, "d2.json", {"dimension": 2, "weak": [], "strict": [
         {"better": [1, 0], "worse": [0, 0]}]})

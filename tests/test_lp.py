@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 from fractions import Fraction as F
@@ -253,3 +254,81 @@ def test_float_mode_agrees_on_separated_instances():
         assert approx.status == exact.status
         if exact.status == OPTIMAL:
             assert float(approx.objective_value) == pytest.approx(float(exact.objective_value), rel=1e-6, abs=1e-6)
+
+
+def _golden_lp(rng):
+    """Random LPs with fractional data, nonzero and fractional bounds, and
+    EQ / GE rows whose right-hand sides may be negative."""
+
+    def frac(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice([1, 2, 3, 7]))
+
+    nv = rng.randint(1, 5)
+    nc = rng.randint(1, 6)
+    obj = tuple(frac(-6, 6) for _ in range(nv))
+    cons = tuple(
+        Constraint(tuple(frac(-6, 6) for _ in range(nv)), rng.choice([LE, GE, EQ]), frac(-6, 6))
+        for _ in range(nc)
+    )
+    bounds = []
+    for _ in range(nv):
+        lo = frac(-6, 2)
+        hi = lo + F(rng.randint(0, 6), rng.choice([1, 2, 5]))
+        bounds.append(rng.choice([(0, None), (0, hi - lo), (lo, hi), (lo, None), (None, hi), (None, None)]))
+    return LinearProgram(obj, cons, tuple(bounds))
+
+
+def test_golden_outcomes():
+    # pinned outcomes (every field, in both modes): any change to the pivot
+    # sequence, the multiplier accounting or the float arithmetic shows here
+    rng = random.Random(5)
+    lps = [_golden_lp(rng) for _ in range(400)]
+    exact = [solve(lp) for lp in lps]
+    statuses = [out.status for out in exact]
+    assert [statuses.count(s) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)] == [100, 215, 85]
+    digest = hashlib.sha256("\n".join(map(repr, exact)).encode()).hexdigest()
+    assert digest == "10861d6f0aa71e9867cabb53074382319b7b64c364e68b15137db8ed91e2883e"
+    approx = "\n".join(repr(solve(lp, mode=FLOAT)) for lp in lps)
+    assert hashlib.sha256(approx.encode()).hexdigest() == "e30fd53cae83723bccda25cbf7cc9a81edbfe50b5ea7a75e436d4e6adb9e9a57"
+
+
+def _exact_twin(lp):
+    """The same LP with every datum converted verbatim to a Fraction."""
+    conv = lambda v: None if v is None else F(v)  # noqa: E731
+    return LinearProgram(
+        tuple(map(conv, lp.objective)),
+        tuple(Constraint(tuple(map(conv, c.coeffs)), c.relation, conv(c.rhs)) for c in lp.constraints),
+        None if lp.bounds is None else tuple((conv(lo), conv(hi)) for lo, hi in lp.bounds),
+    )
+
+
+def test_row_scaling_on_awkward_rationals():
+    # floats such as 0.1 (a 2**55 denominator), denominators 3 and 7,
+    # 10**30-sized numerators and all-zero rows, solved exactly
+    big = 10**30
+    pool = [0.1, -0.3, 2.5, F(1, 3), F(-2, 7), F(big + 1, 7), F(-big, 3), F(5, 21), 0, 1, -1]
+    bound_pool = [(0, None), (-0.1, F(big, 3)), (None, 0.7), (F(-1, 7), F(2, 3)), (0, 0.1), (None, None)]
+    rng = random.Random(12)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for _ in range(150):
+        nv = rng.randint(1, 4)
+        cons = [
+            Constraint(tuple(rng.choice(pool) for _ in range(nv)), rng.choice([LE, GE, EQ]), rng.choice(pool))
+            for _ in range(rng.randint(1, 5))
+        ]
+        cons.insert(rng.randint(0, len(cons)), Constraint((0,) * nv, rng.choice([LE, GE, EQ]), rng.choice([0, 0.0, 0.1, F(-1, 3)])))
+        lp = LinearProgram(
+            tuple(rng.choice(pool) for _ in range(nv)),
+            tuple(cons),
+            tuple(rng.choice(bound_pool) for _ in range(nv)),
+        )
+        twin = _exact_twin(lp)
+        out = solve(lp)
+        assert out == solve(twin)
+        seen[out.status] += 1
+        if out.status == OPTIMAL:
+            assert_primal_feasible(twin, out)
+            assert_duality(twin, out)
+        elif out.status == INFEASIBLE:
+            assert_farkas_valid(twin, out)
+    assert all(v > 0 for v in seen.values()), seen

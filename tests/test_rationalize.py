@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from spherepref.formats import dumps
 from spherepref.geometry import EXACT, FLOAT, DimensionMismatch
 from spherepref.preference import Ordering, SphericalParams, classify, compare
 from spherepref.rationalize import (
@@ -289,3 +291,27 @@ def test_verdict_json_round_trip():
     assert doc["rationalizable"] is False
     assert doc["certificate"] == {"strict:0": "1/2", "strict:1": "1/2"}
     assert doc["p_mass"] == 1
+
+
+def test_golden_verdicts():
+    # pinned verdict documents, exact and float: generated and corrupted data
+    # for n = 3..5 under every restriction, plus one dataset large enough for
+    # the margin LP to run row generation
+    import spherepref.rationalize as rat
+
+    rng = random.Random(2024)
+    datasets = []
+    for n in (3, 4, 5):
+        for restriction in (None, RESTRICT_LINEAR, RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN):
+            data = generate_dataset(random_params(rng, n), rng.randint(8, 16), rng_seed=len(datasets))
+            datasets.append((data, restriction))
+            datasets.append((corrupt(rng, data), restriction))
+    big = generate_dataset(random_params(rng, 3), 130, rng_seed=11)
+    assert len(big) > rat._ROWGEN_THRESHOLD
+    datasets += [(big, None), (corrupt(rng, big), None)]
+    exact = [rationalize(data, restriction) for data, restriction in datasets]
+    assert "".join("1" if v.rationalizable else "0" for v in exact) == "10001000101010001010101010"
+    digest = hashlib.sha256("".join(dumps(v.to_dict()) for v in exact).encode()).hexdigest()
+    assert digest == "5d7dd64cb608af38a7e6721166dc0efbba85864045562019c24948eea3c6768d"
+    approx = "".join(dumps(rationalize(data, restriction, mode=FLOAT).to_dict()) for data, restriction in datasets)
+    assert hashlib.sha256(approx.encode()).hexdigest() == "0bd4b514100439cefe0ef6acf08c2da6a2c4d4d3a3886d376c82a816d0675c25"
