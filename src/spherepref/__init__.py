@@ -1,5 +1,7 @@
 """Spherical preferences: representation, axioms, rationalizability, cardinal decomposition."""
 
+from types import ModuleType as _ModuleType
+
 from .axioms import (
     AxiomReport,
     ComparisonOracle,
@@ -58,61 +60,6 @@ from .rationalize import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomReport",
-    "ComparisonOracle",
-    "antipodal_indifference",
-    "check_homotheticity",
-    "check_oioi",
-    "check_perp_diff",
-    "check_soioi",
-    "check_strict_convexity",
-    "find_monotone_direction",
-    "params_oracle",
-    "utility_comparison_oracle",
-    "NotQuadraticLinear",
-    "QuadLinDecomposition",
-    "UtilityOracle",
-    "check_eventual_linearity",
-    "check_status_quo_independence",
-    "coefficient_oracle",
-    "decompose",
-    "extract_f",
-    "u_orthogonal",
-    "utility_oracle",
-    "EXACT",
-    "FLOAT",
-    "DimensionMismatch",
-    "Scalar",
-    "Vec",
-    "dot",
-    "project_out",
-    "sq_norm",
-    "Constraint",
-    "LinearProgram",
-    "LpOutcome",
-    "ANTI_EUCLIDEAN",
-    "EUCLIDEAN",
-    "INDIFFERENCE",
-    "LINEAR",
-    "Ordering",
-    "PreferenceClass",
-    "SphericalParams",
-    "canonicalize",
-    "classify",
-    "compare",
-    "preference_distance",
-    "sphere_normal",
-    "utility",
-    "RESTRICT_ANTI_EUCLIDEAN",
-    "RESTRICT_EUCLIDEAN",
-    "RESTRICT_LINEAR",
-    "CertificateSearch",
-    "ObservationSet",
-    "RationalizabilityVerdict",
-    "certificate_lp",
-    "generate_dataset",
-    "verify_certificate",
-    "verify_witness",
-    "__version__",
-]
+# Every name imported above, not the submodules those imports bind.
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

@@ -2,9 +2,17 @@
 
 Problems are maximizations of a linear objective subject to ``<=``, ``=`` and
 ``>=`` rows plus optional per-variable bounds. The solver is a two-phase
-dense-tableau primal simplex with Bland's anti-cycling rule, so identical
-inputs always produce identical outcomes. Exact verdicts carry no tolerance
-at all.
+primal simplex with Bland's anti-cycling rule, so identical inputs always
+produce identical outcomes. Exact verdicts carry no tolerance at all.
+
+The tableau is kept as a dictionary (as in Avis's lrs): only the columns of
+the nonbasic variables are stored, since each basic column is a unit column
+the basis implies. Row i's slack is variable ns + i and its artificial
+ns + m + i, after the ns structural columns, so the variables are numbered
+as the columns of the full dense tableau are ordered: Bland's rule, the
+ratio test's tie-break and the choice of pivot for a leftover artificial
+pick what they would pick there, and a pivot on a stored column computes the
+same numbers the dense pivot does on the columns it keeps.
 
 Exact mode pivots fraction-free (Edmonds 1967, Bareiss 1968). Each row is
 scaled once by the lcm of its denominators, so the tableau starts integral,
@@ -109,30 +117,40 @@ class LpOutcome:
 
 
 class _Tableau:
-    """The rows ``T`` and right-hand sides ``rhs`` of the current basis.
+    """The current basis as a dictionary: only the nonbasic columns.
 
-    In exact mode every entry is an integer and the true tableau is
-    ``T / den`` for one common denominator ``den > 0``; in float mode the
-    entries are floats and ``den`` stays 1. Only :meth:`pivot` and
-    :meth:`leaving_row` depend on the mode.
+    ``T[i][k]`` is row i's entry in the column of variable ``nonbasic[k]``;
+    the basic variable ``basis[i]`` has an implied unit column. In exact
+    mode every entry is an integer and the true tableau is ``T / den`` for
+    one common denominator ``den > 0``; in float mode the entries are floats
+    and ``den`` stays 1. Only :meth:`pivot` and :meth:`leaving_row` depend on
+    the mode.
     """
 
-    def __init__(self, T: list, rhs: list, basis: list, exact: bool):
+    def __init__(self, T: list, rhs: list, basis: list, nonbasic: list, exact: bool):
         self.T = T
         self.rhs = rhs
         self.basis = basis
+        self.nonbasic = nonbasic
         self.exact = exact
         self.den = 1
 
-    def pivot(self, r: int, c: int) -> None:
+    def pivot(self, r: int, k: int) -> None:
+        """Swap ``basis[r]`` and ``nonbasic[k]``. Column k is read, then
+        overwritten with the leaving variable's unit column, which the row
+        operations turn into that variable's new column."""
         T, rhs = self.T, self.rhs
+        col = [row[k] for row in T]
+        one, zero = (self.den, 0) if self.exact else (1.0, 0.0)
+        for i, row in enumerate(T):
+            row[k] = one if i == r else zero
+        row = T[r]
         if self.exact:
             # Edmonds' integer pivot: row r keeps its integers and its pivot
             # becomes the common denominator; every other row i becomes
-            # (T[i] * p - T[i][c] * T[r]) / den, an exact division because
-            # each entry is a minor of the integral start.
-            row = T[r]
-            p = row[c]
+            # (T[i] * p - f_i * T[r]) / den, an exact division because each
+            # entry is a minor of the integral start.
+            p = col[r]
             if p < 0:  # keep den positive; T[r] / p is unchanged
                 row = T[r] = [-v for v in row]
                 rhs[r] = -rhs[r]
@@ -142,7 +160,7 @@ class _Tableau:
             for i, ri in enumerate(T):
                 if i == r:
                     continue
-                f = ri[c]
+                f = col[i]
                 new = [v and v * p // den for v in ri]
                 if f:
                     for j, w in nonzero:
@@ -151,36 +169,31 @@ class _Tableau:
                 rhs[i] = (rhs[i] * p - f * b) // den
             self.den = p
         else:
-            row = T[r]
-            piv = row[c]
+            piv = col[r]
             if piv != 1:
                 for j in range(len(row)):
                     if row[j]:
                         row[j] = row[j] / piv
                 rhs[r] = rhs[r] / piv
-                row[c] = piv / piv  # exact one of the right type
-            for i in range(len(T)):
-                if i == r:
-                    continue
-                f = T[i][c]
-                if f:
-                    ri = T[i]
+            for i, ri in enumerate(T):
+                f = col[i]
+                if i != r and f:
                     for j in range(len(row)):
                         if row[j]:
                             ri[j] = ri[j] - f * row[j]
-                    ri[c] = 0 * f  # kill rounding residue in float mode
                     rhs[i] = rhs[i] - f * rhs[r]
-        self.basis[r] = c
+        self.basis[r], self.nonbasic[k] = self.nonbasic[k], self.basis[r]
 
-    def leaving_row(self, enter: int, tol) -> int:
-        """Ratio test: the row minimizing rhs_i / a_i over a_i > tol, ties
-        broken by the lower basis index; -1 when no entry qualifies."""
+    def leaving_row(self, k: int, tol) -> int:
+        """Ratio test on column k: the row minimizing rhs_i / a_i over
+        a_i > tol, ties broken by the lower basis index; -1 when no entry
+        qualifies."""
         T, rhs, basis = self.T, self.rhs, self.basis
         best = -1
         if self.exact:
             # den cancels from rhs_i / a_i; compare by cross-multiplication
             for i, row in enumerate(T):
-                a = row[enter]
+                a = row[k]
                 if a > 0:
                     if best >= 0:
                         diff = rhs[i] * best_a - best_b * a
@@ -190,7 +203,7 @@ class _Tableau:
         else:
             best_key = None
             for i, row in enumerate(T):
-                a = row[enter]
+                a = row[k]
                 if a > tol:
                     key = (rhs[i] / a, basis[i])
                     if best_key is None or key < best_key:
@@ -198,22 +211,17 @@ class _Tableau:
         return best
 
     def reduced_costs(self, costs: list) -> list:
-        """den times the reduced costs of ``costs`` (just them in float mode)."""
-        rc = list(costs) if self.den == 1 else [self.den * v for v in costs]
+        """den times the reduced cost of each nonbasic column (just the
+        reduced costs in float mode); ``costs`` is indexed by variable."""
+        rc = [self.den * costs[v] for v in self.nonbasic]
         for i, b in enumerate(self.basis):
             cb = costs[b]
             if cb:
                 row = self.T[i]
-                for j in range(len(rc)):
-                    if row[j]:
-                        rc[j] = rc[j] - cb * row[j]
+                for k in range(len(rc)):
+                    if row[k]:
+                        rc[k] = rc[k] - cb * row[k]
         return rc
-
-    def dump(self, fh, label: str) -> None:
-        fh.write(f"# {label} (den {self.den})\n")
-        for i, row in enumerate(self.T):
-            cells = [str(self.basis[i])] + [str(v) for v in row] + [str(self.rhs[i])]
-            fh.write("\t".join(cells) + "\n")
 
 
 def _scaled(values, exact: bool) -> tuple:
@@ -226,36 +234,29 @@ def _scaled(values, exact: bool) -> tuple:
     return k, [v.numerator * (k // v.denominator) for v in fracs]
 
 
-def _run_simplex(tab: _Tableau, costs, banned, tol, debug, label) -> str:
-    """Bland-rule pivoting until optimal or unbounded."""
-    ncols = len(costs)
+def _run_simplex(tab: _Tableau, costs: list, limit: int, tol) -> str:
+    """Bland-rule pivoting until optimal or unbounded; only variables
+    numbered below ``limit`` may enter."""
     for _ in range(_MAX_ITER):
         rc = tab.reduced_costs(costs)
-        enter = -1
-        for j in range(ncols):
-            if not banned[j] and rc[j] > tol:
-                enter = j
-                break
-        if enter < 0:
+        entering = [(v, k) for k, v in enumerate(tab.nonbasic) if v < limit and rc[k] > tol]
+        if not entering:
             return OPTIMAL
-        r = tab.leaving_row(enter, tol)
+        k = min(entering)[1]
+        r = tab.leaving_row(k, tol)
         if r < 0:
             return UNBOUNDED
-        tab.pivot(r, enter)
-        if debug is not None:
-            tab.dump(debug, f"{label} pivot -> col {enter}")
+        tab.pivot(r, k)
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def solve(lp: LinearProgram, mode: str = EXACT, debug=None) -> LpOutcome:
+def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
     """Solve a LinearProgram; see the module docstring for the contract.
 
     ``mode`` selects the arithmetic: EXACT converts every datum to Fraction
     (floats convert verbatim) and pivots an integer tableau over a common
     denominator, which makes the same choices a Fraction tableau would;
-    FLOAT converts to float and uses small pivot tolerances. ``debug`` may
-    be a writable text stream receiving one TSV tableau snapshot per pivot
-    (in exact mode the integer rows, with the denominator in the header).
+    FLOAT converts to float and uses small pivot tolerances.
     """
     if mode == EXACT:
         conv, cell = Fraction, int
@@ -299,98 +300,76 @@ def solve(lp: LinearProgram, mode: str = EXACT, debug=None) -> LpOutcome:
             struct.append((j, -1))
     ns = len(struct)
 
-    # Orient to <= / = and normalize right-hand sides to be nonnegative.
+    # Row i's slack is variable ns + i and its artificial ns + m + i, so
+    # structural < slack < artificial. Each row is oriented to a nonnegative
+    # right-hand side (row_sign[i] records the flip); it starts with its
+    # slack basic if the slack enters with +1, else with its artificial, and
+    # a slack entering with -1 starts as a nonbasic column. In exact mode
+    # either stands for k_i times the slack or artificial of the unscaled row.
     m = len(rows)
-    oriented: list = []  # (k, structvec, rhs, slack sign, needs artificial, row sign, origin)
-    for k, coeffs, rel, rhs_v, origin in rows:
-        sign = 1
-        if rel == GE:
-            coeffs = [-v for v in coeffs]
-            rhs_v = -rhs_v
-            rel = LE
-            sign = -sign
-        if rhs_v < 0:
-            coeffs = [-v for v in coeffs]
-            rhs_v = -rhs_v
-            sign = -sign
-            rel = GE if rel == LE else EQ
-        svec = [coeffs[j] if s > 0 else -coeffs[j] for j, s in struct]
-        slack = 1 if rel == LE else (-1 if rel == GE else 0)
-        oriented.append((k, svec, rhs_v, slack, rel != LE, sign, origin))
-
-    n_slack = sum(1 for o in oriented if o[3] != 0)
-    n_art = sum(1 for o in oriented if o[4])
-    ncols = ns + n_slack + n_art
-
-    # Row i's slack or artificial column is a unit column, so in exact mode
-    # it stands for k_i times the slack or artificial of the unscaled row.
+    art0, nvar = ns + m, ns + 2 * m
     T: list = []
     rhs: list = []
     basis: list = []
-    idcol: list = []
-    artificial = [False] * ncols
-    s_at = ns
-    a_at = ns + n_slack
-    for k, svec, b, slack, needs_art, sign, origin in oriented:
-        row = svec + [cell(0)] * (ncols - ns)
-        if slack != 0:
-            row[s_at] = cell(slack)
-            s_col = s_at
-            s_at += 1
-        if needs_art:
-            row[a_at] = cell(1)
-            artificial[a_at] = True
-            basis.append(a_at)
-            idcol.append(a_at)
-            a_at += 1
-        else:
-            basis.append(s_col)
-            idcol.append(s_col)
-        T.append(row)
-        rhs.append(b)
+    nonbasic = list(range(ns))
+    row_sign: list = []
+    for i, (_, coeffs, rel, b, _) in enumerate(rows):
+        sign = -1 if rel == GE else 1
+        if sign * b < 0:
+            sign = -sign
+        slack = 0 if rel == EQ else (sign if rel == LE else -sign)
+        T.append([sign * s * coeffs[j] for j, s in struct])
+        rhs.append(sign * b)
+        row_sign.append(sign)
+        basis.append(ns + i if slack > 0 else art0 + i)
+        if slack < 0:
+            nonbasic.append(ns + i)
+    for i, row in enumerate(T):
+        row += [cell(-1 if v == ns + i else 0) for v in nonbasic[ns:]]
 
-    tab = _Tableau(T, rhs, basis, exact)
-    scale = [o[0] for o in oriented]
-    row_sign = [o[5] for o in oriented]
-    origins = [o[6] for o in oriented]
-    never = [False] * ncols
+    tab = _Tableau(T, rhs, basis, nonbasic, exact)
+    start = list(basis)
+    scale = [row[0] for row in rows]
 
     def _extract_multipliers(costs: list, cost_scale: int) -> list:
-        # Row i's multiplier is that of its unit column (true value
-        # (den * cost - rc) / den), times k_i for the row scaling, over the
-        # positive factor the costs were scaled by.
-        rc = tab.reduced_costs(costs)
-        if exact:
-            den = tab.den
-            return [
-                Fraction(row_sign[i] * scale[i] * (den * costs[idcol[i]] - rc[idcol[i]]), den * cost_scale)
-                for i in range(m)
-            ]
-        return [row_sign[i] * (costs[idcol[i]] - rc[idcol[i]]) for i in range(m)]
+        # Row i's multiplier is that of its starting basic column j (true
+        # value (den * cost_j - rc_j) / den, with rc_j = 0 while j is basic),
+        # times k_i for the row scaling, over the positive factor the costs
+        # were scaled by.
+        rc = dict(zip(tab.nonbasic, tab.reduced_costs(costs)))
+        den = tab.den
+        y = []
+        for i, j in enumerate(start):
+            d = rc.get(j, 0)
+            if exact:
+                y.append(Fraction(row_sign[i] * scale[i] * (den * costs[j] - d), den * cost_scale))
+            else:
+                y.append(row_sign[i] * (costs[j] - d))
+        return y
 
     def _split_multipliers(y: list):
         con_part = [conv(0)] * len(lp.constraints)
         lo_part = [conv(0)] * nvars
         hi_part = [conv(0)] * nvars
-        for i, (kind, idx) in enumerate(origins):
+        for yi, (*_, (kind, idx)) in zip(y, rows):
             if kind == "con":
-                con_part[idx] = y[i]
+                con_part[idx] = yi
             elif kind == "lo":
-                lo_part[idx] = y[i]
+                lo_part[idx] = yi
             else:
-                hi_part[idx] = y[i]
+                hi_part[idx] = yi
         return tuple(con_part), tuple(zip(lo_part, hi_part))
 
     # Phase 1: drive the artificial columns to zero. Artificial i costs
     # -L / k_i with L the lcm of those k_i: L times the unscaled objective,
     # in integers.
-    if n_art:
-        art_rows = [i for i in range(m) if artificial[idcol[i]]]
+    art_rows = [i for i in range(m) if basis[i] >= art0]
+    if art_rows:
         art_lcm = lcm(*[scale[i] for i in art_rows])
-        costs1 = [cell(0)] * ncols
+        costs1 = [cell(0)] * nvar
         for i in art_rows:
-            costs1[idcol[i]] = cell(-(art_lcm // scale[i]))
-        status = _run_simplex(tab, costs1, never, tol, debug, "phase1")
+            costs1[art0 + i] = cell(-(art_lcm // scale[i]))
+        status = _run_simplex(tab, costs1, nvar, tol)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise RuntimeError("phase 1 terminated abnormally")
         value1 = sum(costs1[basis[i]] * rhs[i] for i in range(m))
@@ -399,23 +378,23 @@ def solve(lp: LinearProgram, mode: str = EXACT, debug=None) -> LpOutcome:
             w = _extract_multipliers(costs1, art_lcm)
             farkas, farkas_bounds = _split_multipliers(w)
             return LpOutcome(INFEASIBLE, farkas=farkas, farkas_bounds=farkas_bounds)
-        # Pivot leftover artificials out of the basis where possible.
+        # Pivot each leftover artificial out of the basis on the lowest
+        # numbered non-artificial column with a nonzero entry, if any.
         for i in range(m):
-            if artificial[basis[i]]:
-                for j in range(ncols):
-                    if not artificial[j] and (T[i][j] if exact else abs(T[i][j]) > tol):
-                        tab.pivot(i, j)
-                        break
+            if basis[i] >= art0:
+                row = tab.T[i]
+                nonzero = [k for k, a in enumerate(row) if (a if exact else abs(a) > tol)]
+                cands = [(nonbasic[k], k) for k in nonzero if nonbasic[k] < art0]
+                if cands:
+                    tab.pivot(i, min(cands)[1])
 
     # Phase 2: the real objective over structural columns, times the lcm of
     # its denominators in exact mode.
     obj_scale, costs = _scaled(lp.objective, exact)
-    costs2 = [cell(0)] * ncols
+    costs2 = [cell(0)] * nvar
     for k, (j, s) in enumerate(struct):
         costs2[k] = costs[j] if s > 0 else -costs[j]
-    banned = list(artificial)
-    status = _run_simplex(tab, costs2, banned, tol, debug, "phase2")
-    if status == UNBOUNDED:
+    if _run_simplex(tab, costs2, art0, tol) == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
 
     values = [conv(0)] * ns

@@ -193,13 +193,9 @@ def rationalize(
     ncoef = n + 1  # c plus u
     eps_col = ncoef
 
-    pair_rows = []
-    for x, y in data.weak:
-        q, v = _pair_row(x, y)
-        pair_rows.append((q,) + v + (0,))
-    for x, y in data.strict:
-        q, v = _pair_row(x, y)
-        pair_rows.append((q,) + v + (-1,))
+    rows = [_pair_row(x, y) for x, y in data.pairs()]
+    nweak = len(data.weak)
+    pair_rows = [(q,) + v + (0 if i < nweak else -1,) for i, (q, v) in enumerate(rows)]
 
     always = []
     c_bounds = (-1, 1)
@@ -254,7 +250,7 @@ def rationalize(
             restriction=restriction,
             note=note,
         )
-    search = _certificate_search(data, restriction, mode=mode, float_margin=float_margin)
+    search = _certificate_search(data, rows, restriction, mode, float_margin)
     if search.weights is None:  # duality guarantees a witness or a certificate
         raise _undecided(mode, "margin LP found no strict solution but no certificate exists")
     return RationalizabilityVerdict(
@@ -277,24 +273,25 @@ def certificate_lp(data: ObservationSet, mode: str = EXACT) -> CertificateSearch
     the mass on strict observations. The data is rationalizable iff the
     optimum is zero (an infeasible search counts as zero).
     """
-    return _certificate_search(data, None, mode=mode)
+    if mode == EXACT:
+        data = data.to_exact()
+    rows = [_pair_row(x, y) for x, y in data.pairs()]
+    return _certificate_search(data, rows, None, mode)
 
 
 def _certificate_search(
     data: ObservationSet,
+    rows: list,
     restriction: Optional[str],
     mode: str,
     float_margin: float = _FLOAT_MARGIN,
 ) -> CertificateSearch:
-    if mode == EXACT:
-        data = data.to_exact()
+    """The certificate LP over ``rows``, the observation rows
+    (x.x - y.y, x - y) of ``data.pairs()`` in the arithmetic of ``mode``."""
     n = data.dimension
-    pairs = data.pairs()
-    k = len(pairs)
+    k = len(rows)
     has_mu = restriction in (RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN)
     nvars = k + (1 if has_mu else 0)
-
-    rows = [_pair_row(x, y) for x, y in pairs]
 
     mass = [1] * k + ([1] if has_mu else [])
     constraints = [lp.Constraint(tuple(mass), lp.EQ, 1)]

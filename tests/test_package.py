@@ -1,0 +1,31 @@
+import types
+
+import spherepref
+
+# the public names the package has always listed in __all__
+PUBLIC = """
+AxiomReport ComparisonOracle antipodal_indifference check_homotheticity check_oioi
+check_perp_diff check_soioi check_strict_convexity find_monotone_direction params_oracle
+utility_comparison_oracle NotQuadraticLinear QuadLinDecomposition UtilityOracle
+check_eventual_linearity check_status_quo_independence coefficient_oracle decompose
+extract_f u_orthogonal utility_oracle EXACT FLOAT DimensionMismatch Scalar Vec dot
+project_out sq_norm Constraint LinearProgram LpOutcome ANTI_EUCLIDEAN EUCLIDEAN
+INDIFFERENCE LINEAR Ordering PreferenceClass SphericalParams canonicalize classify
+compare preference_distance sphere_normal utility RESTRICT_ANTI_EUCLIDEAN
+RESTRICT_EUCLIDEAN RESTRICT_LINEAR CertificateSearch ObservationSet
+RationalizabilityVerdict certificate_lp generate_dataset verify_certificate
+verify_witness __version__
+""".split()
+
+
+def test_public_names_resolve():
+    assert sorted(spherepref.__all__) == sorted(PUBLIC)
+    for name in PUBLIC:
+        value = getattr(spherepref, name)
+        assert not isinstance(value, types.ModuleType), name
+
+
+def test_rationalize_is_the_submodule():
+    assert isinstance(spherepref.rationalize, types.ModuleType)
+    assert spherepref.rationalize.__name__ == "spherepref.rationalize"
+    assert "rationalize" not in spherepref.__all__
