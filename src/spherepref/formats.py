@@ -3,7 +3,7 @@
 Rationals serialize as ``"p/q"`` strings (integers as plain JSON numbers),
 floats as their shortest round-trip decimal. Parsing is the inverse: JSON
 integers stay exact, ``"p/q"`` strings become fractions, everything else is
-a float. Non-finite floats and zero denominators are rejected.
+a float. Non-finite floats, zero denominators and non-object documents are rejected.
 """
 
 from __future__ import annotations
@@ -64,4 +64,7 @@ def dumps(doc) -> str:
 
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object, not {type(doc).__name__}")
+    return doc

@@ -156,16 +156,14 @@ class _Tableau:
                 rhs[r] = -rhs[r]
                 p = -p
             den, b = self.den, rhs[r]
-            nonzero = [(j, w) for j, w in enumerate(row) if w]
             for i, ri in enumerate(T):
                 if i == r:
                     continue
                 f = col[i]
-                new = [v and v * p // den for v in ri]
                 if f:
-                    for j, w in nonzero:
-                        new[j] = (ri[j] * p - f * w) // den
-                T[i] = new
+                    T[i] = [(a * p - f * w) // den for a, w in zip(ri, row)]
+                else:
+                    T[i] = [a * p // den for a in ri]
                 rhs[i] = (rhs[i] * p - f * b) // den
             self.den = p
         else:

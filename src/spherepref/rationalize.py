@@ -19,6 +19,11 @@ agree on every dataset; each negative verdict carries its certificate.
 Class-restricted variants force the sign of c (zero for linear, negative
 for Euclidean, positive for anti-Euclidean) through the same margin trick;
 their certificates carry one extra weight for the sign restriction.
+
+Rows are built in integers once per pair: with L the lcm of the pair's
+coordinate denominators (floats taken verbatim), X = L*x and Y = L*y, the
+row is (Q / L^2, V / L) for Q = X.X - Y.Y and V = X - Y. The exact margin LP
+gets its primitive integer multiple; float mode rounds each entry once.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul, truediv
 from typing import Optional
 
 from . import lp
@@ -112,10 +119,15 @@ class ObservationSet:
 
     @staticmethod
     def from_dict(doc: dict) -> "ObservationSet":
-        def pairs(items):
+        def pairs(key):
+            items = doc.get(key, [])
+            if not isinstance(items, list) or not all(isinstance(p, dict) for p in items):
+                raise ValueError(f'"{key}" must be a list of {{"better": ..., "worse": ...}} objects')
             return tuple((vec_from_json(p["better"]), vec_from_json(p["worse"])) for p in items)
 
-        return ObservationSet(int(doc["dimension"]), pairs(doc.get("weak", [])), pairs(doc.get("strict", [])))
+        if type(doc["dimension"]) is not int or doc["dimension"] < 1:
+            raise ValueError(f'"dimension" must be an integer >= 1, not {doc["dimension"]!r}')
+        return ObservationSet(doc["dimension"], pairs("weak"), pairs("strict"))
 
 
 @dataclass(frozen=True)
@@ -167,6 +179,44 @@ def _pair_row(x: Vec, y: Vec):
     return dot(x, x) - dot(y, y), sub(x, y)
 
 
+def _pair_ints(x: Vec, y: Vec) -> tuple:
+    """(L, Q, V) in integers with (x.x - y.y, x - y) = (Q / L^2, V / L): L is
+    the lcm of the coordinates' denominators, a float taken verbatim."""
+    ratios = [c.as_integer_ratio() for c in x + y]
+    L = lcm(*[d for _, d in ratios])
+    ints = [a * (L // d) for a, d in ratios]
+    X, Y = ints[: len(x)], ints[len(x) :]
+    return L, sum(map(mul, X, X)) - sum(map(mul, Y, Y)), tuple(a - b for a, b in zip(X, Y))
+
+
+def _observation_rows(data: ObservationSet, mode: str) -> list:
+    """:func:`_pair_ints` of each pair; float mode rounds each entry once, as (1, q, v),
+    except that a pair with a float coordinate keeps :func:`_pair_row`'s arithmetic."""
+    if mode == EXACT:
+        return [_pair_ints(x, y) for x, y in data.pairs()]
+    rows = []
+    try:
+        for x, y in data.pairs():
+            if any(isinstance(c, float) for c in x + y):
+                q, v = _pair_row(x, y)
+            else:
+                L, Q, V = _pair_ints(x, y)
+                q, v = Q / (L * L), [c / L for c in V]
+            rows.append((1, float(q), tuple(map(float, v))))
+    except OverflowError:
+        raise _undecided(mode, "a coordinate or its square overflows a float") from None
+    return rows
+
+
+def _margin_row(row: tuple, strict: bool, exact: bool) -> tuple:
+    """The margin LP's row (x.x - y.y, x - y, -1 if strict else 0) from the pair's
+    (L, Q, V); exact mode makes it a primitive integer row, a positive multiple."""
+    L, Q, V = row
+    coeffs = (Q,) + tuple(L * v for v in V) + (-L * L if strict else 0,)
+    g = gcd(*coeffs) if exact else 1
+    return tuple(v // g for v in coeffs) if g > 1 else coeffs
+
+
 def rationalize(
     data: ObservationSet,
     restriction: Optional[str] = None,
@@ -187,15 +237,14 @@ def rationalize(
     """
     if restriction is not None and restriction not in _RESTRICTIONS:
         raise ValueError(f"unknown restriction {restriction!r}")
-    if mode == EXACT:
-        data = data.to_exact()
+    exact = mode == EXACT
     n = data.dimension
     ncoef = n + 1  # c plus u
     eps_col = ncoef
 
-    rows = [_pair_row(x, y) for x, y in data.pairs()]
+    rows = _observation_rows(data, mode)
     nweak = len(data.weak)
-    pair_rows = [(q,) + v + (0 if i < nweak else -1,) for i, (q, v) in enumerate(rows)]
+    pair_rows = [_margin_row(row, i >= nweak, exact) for i, row in enumerate(rows)]
 
     always = []
     c_bounds = (-1, 1)
@@ -226,12 +275,8 @@ def rationalize(
         in_active = set(active)
         while True:
             outcome = solve_with(active)
-            sol = outcome.primal
-            violated = [
-                i
-                for i in range(total)
-                if i not in in_active and dot(pair_rows[i], sol) < 0
-            ]
+            _, sol = lp._scaled(outcome.primal, exact)  # exact: a positive integer multiple, same signs
+            violated = [i for i in range(total) if i not in in_active and dot(pair_rows[i], sol) < 0]
             if not violated:
                 break
             for i in violated[:_ROWGEN_BATCH]:
@@ -239,7 +284,7 @@ def rationalize(
                 in_active.add(i)
 
     eps = outcome.primal[eps_col]
-    margin_cut = 0 if mode == EXACT else float_margin
+    margin_cut = 0 if exact else float_margin
     note = _SMALL_DIM_NOTE if n < 3 else None
     if eps > margin_cut:
         witness = SphericalParams(outcome.primal[0], outcome.primal[1 : 1 + n])
@@ -273,10 +318,7 @@ def certificate_lp(data: ObservationSet, mode: str = EXACT) -> CertificateSearch
     the mass on strict observations. The data is rationalizable iff the
     optimum is zero (an infeasible search counts as zero).
     """
-    if mode == EXACT:
-        data = data.to_exact()
-    rows = [_pair_row(x, y) for x, y in data.pairs()]
-    return _certificate_search(data, rows, None, mode)
+    return _certificate_search(data, _observation_rows(data, mode), None, mode)
 
 
 def _certificate_search(
@@ -286,9 +328,10 @@ def _certificate_search(
     mode: str,
     float_margin: float = _FLOAT_MARGIN,
 ) -> CertificateSearch:
-    """The certificate LP over ``rows``, the observation rows
-    (x.x - y.y, x - y) of ``data.pairs()`` in the arithmetic of ``mode``."""
+    """The certificate LP over ``rows``, the (L, Q, V) of :func:`_observation_rows`;
+    its weights are the output, so each entry is the true Q / L^2 or V / L."""
     n = data.dimension
+    ratio = Fraction if mode == EXACT else truediv
     k = len(rows)
     has_mu = restriction in (RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN)
     nvars = k + (1 if has_mu else 0)
@@ -296,14 +339,14 @@ def _certificate_search(
     mass = [1] * k + ([1] if has_mu else [])
     constraints = [lp.Constraint(tuple(mass), lp.EQ, 1)]
     if restriction != RESTRICT_LINEAR:
-        quad = [q for q, _ in rows]
+        quad = [ratio(Q, L * L) for L, Q, _ in rows]
         if restriction == RESTRICT_EUCLIDEAN:
             quad.append(-1)
         elif restriction == RESTRICT_ANTI_EUCLIDEAN:
             quad.append(1)
         constraints.append(lp.Constraint(tuple(quad), lp.EQ, 0))
     for i in range(n):
-        coord = [v[i] for _, v in rows] + ([0] if has_mu else [])
+        coord = [ratio(V[i], L) for L, _, V in rows] + ([0] if has_mu else [])
         constraints.append(lp.Constraint(tuple(coord), lp.EQ, 0))
 
     objective = [0] * len(data.weak) + [1] * len(data.strict) + ([1] if has_mu else [])
@@ -360,13 +403,9 @@ def verify_certificate(
     labels = data.labels()
     pairs = data.pairs()
     mu = Fraction(restriction_weight) if restriction_weight is not None else Fraction(0)
-    lam = []
-    for lbl in labels:
-        w = weights.get(lbl, 0)
-        w = Fraction(w)
-        if w < 0:
-            return False
-        lam.append(w)
+    lam = [Fraction(weights.get(lbl, 0)) for lbl in labels]
+    if any(w < 0 for w in lam):
+        return False
     if sum(lam) + (mu if restriction in (RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN) else 0) != 1:
         return False
     strict_mass = sum(lam[len(data.weak) :]) + mu

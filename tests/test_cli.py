@@ -216,6 +216,45 @@ def test_rationalize_float_undecided_exits_two(capsys, tmp_path):
     assert json.loads(out)["rationalizable"] is True
 
 
+def test_rationalize_float_overflowing_squares_exit_two(capsys, tmp_path):
+    # an exact coordinate whose square overflows a float cannot be decided
+    # in float mode; that is not a negative verdict, and exact mode decides it
+    for big in (10**200, f"{10**200}/3"):
+        path = write(tmp_path, "big.json", {"dimension": 3, "weak": [], "strict": [
+            {"better": [big, 0, 0], "worse": [0, 0, 0]},
+            {"better": [0, 1, 0], "worse": [0, 0, 0]}]})
+        code, out, err = run(capsys, "rationalize", "--float", path)
+        assert code == 2, big
+        assert out == ""
+        assert err.startswith("error:") and "--exact" in err
+        code, out, _ = run(capsys, "rationalize", "--exact", path)
+        assert code == 0
+        assert json.loads(out)["rationalizable"] is True
+
+
+STRICT_PAIR = [{"better": [1, 0, 0], "worse": [0, 0, 0]}]
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("rationalize", [1, 2, 3], "top level"),
+    ("classify", [1, 2, 3], "top level"),
+    ("generate", [1, 2, 3], "top level"),
+    ("check-axioms", [1, 2, 3], "top level"),
+    ("rationalize", {"dimension": 3, "strict": 7}, '"strict"'),
+    ("rationalize", {"dimension": 3, "weak": [7]}, '"weak"'),
+    ("rationalize", {"dimension": 2.5, "strict": []}, '"dimension"'),
+    ("rationalize", {"dimension": True, "strict": []}, '"dimension"'),
+    ("rationalize", {"dimension": "3", "strict": STRICT_PAIR}, '"dimension"'),
+    ("rationalize", {"dimension": 0, "strict": [{"better": [], "worse": []}]}, '"dimension"'),
+    ("rationalize", {"dimension": -2, "strict": []}, '"dimension"'),
+])
+def test_malformed_documents_exit_two(capsys, tmp_path, command, doc, field):
+    code, out, err = run(capsys, command, write(tmp_path, "bad.json", doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and field in err
+
+
 def test_low_dimension_warning_on_stderr(capsys, tmp_path):
     path = write(tmp_path, "d2.json", {"dimension": 2, "weak": [], "strict": [
         {"better": [1, 0], "worse": [0, 0]}]})

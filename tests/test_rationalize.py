@@ -1,11 +1,14 @@
 import hashlib
 import itertools
+import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from spherepref.formats import dumps
+from spherepref.formats import dumps, scalar_from_json
 from spherepref.geometry import EXACT, FLOAT, DimensionMismatch
 from spherepref.preference import Ordering, SphericalParams, classify, compare
 from spherepref.rationalize import (
@@ -293,6 +296,56 @@ def test_verdict_json_round_trip():
     assert doc["p_mass"] == 1
 
 
+# JSON-parsed coordinates: ints, "p/q" strings and finite floats of any size
+coordinates = st.one_of(
+    st.integers(-(10**200), 10**200),
+    st.builds(lambda p, q: scalar_from_json(f"{p}/{q}"), st.integers(-(10**12), 10**12), st.integers(1, 10**6)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def observation_pairs(draw):
+    n = draw(st.integers(1, 4))
+    x = tuple(draw(coordinates) for _ in range(n))
+    y = x if draw(st.booleans()) else tuple(draw(coordinates) for _ in range(n))
+    return x, y
+
+
+@given(observation_pairs(), st.booleans())
+@example(((10**200, 0), (0, 0)), True)
+@example(((F(10**200, 3), 1), (F(1, 3), 1)), False)
+@example(((0.1, 2**-1074), (0.1, 5)), True)
+def test_integer_rows_match_the_fraction_reference(pair, strict):
+    import spherepref.rationalize as rat
+
+    x, y = pair
+    q, v = rat._pair_row(tuple(map(F, x)), tuple(map(F, y)))
+    L, Q, V = rat._pair_ints(x, y)
+    assert L > 0 and (F(Q, L * L),) + tuple(F(c, L) for c in V) == (q,) + v
+    # float mode rounds each exact entry once, or says it cannot
+    if not any(isinstance(c, float) for c in x + y):
+        data = ObservationSet(len(x), (), ((x, y),))
+        try:
+            want = [(1, float(q), tuple(map(float, v)))]
+        except OverflowError:
+            with pytest.raises(rat.FloatUndecided):
+                rat._observation_rows(data, FLOAT)
+        else:
+            assert rat._observation_rows(data, FLOAT) == want
+    # the exact margin LP row is a primitive positive multiple of the reference
+    reference = (q,) + v + (-1 if strict else 0,)
+    row = rat._margin_row((L, Q, V), strict, exact=True)
+    assert all(type(c) is int for c in row) and len(row) == len(reference)
+    nonzero = [(c, r) for c, r in zip(row, reference) if r]
+    if not nonzero:
+        assert not any(row)
+        return
+    t = F(nonzero[0][0]) / nonzero[0][1]
+    assert t > 0 and row == tuple(t * r for r in reference)
+    assert math.gcd(*row) == 1
+
+
 def test_golden_verdicts():
     # pinned verdict documents, exact and float: generated and corrupted data
     # for n = 3..5 under every restriction, plus one dataset large enough for
@@ -315,3 +368,53 @@ def test_golden_verdicts():
     assert digest == "5d7dd64cb608af38a7e6721166dc0efbba85864045562019c24948eea3c6768d"
     approx = "".join(dumps(rationalize(data, restriction, mode=FLOAT).to_dict()) for data, restriction in datasets)
     assert hashlib.sha256(approx.encode()).hexdigest() == "0bd4b514100439cefe0ef6acf08c2da6a2c4d4d3a3886d376c82a816d0675c25"
+
+
+def mixed_coordinate_documents():
+    """Dataset documents whose coordinates are JSON floats (dyadic, short
+    decimals and full-precision draws), or mixed int/float/"p/q", oriented
+    by exact spherical parameters; some repeat a point or mirror a pair."""
+    rng = random.Random(4242)
+
+    def coord(kind):
+        if kind == "float":
+            return rng.choice((rng.randint(-40, 40) / 16, round(rng.uniform(-2, 2), 3), rng.uniform(-2, 2)))
+        if kind == "int":
+            return rng.randint(-3, 3)
+        return f"{rng.randint(-12, 12)}/{rng.randint(1, 7)}"
+
+    docs = []
+    for t in range(24):
+        n = 3 + t % 3
+        kinds = ("float",) if t % 2 == 0 else ("float", "int", "ratio")
+        p = random_params(rng, n)
+        weak, strict = [], []
+        for _ in range(rng.randint(6, 12)):
+            x = [coord(rng.choice(kinds)) for _ in range(n)]
+            y = list(x) if rng.random() < 0.1 else [coord(rng.choice(kinds)) for _ in range(n)]
+            order = compare(p, tuple(F(c) for c in x), tuple(F(c) for c in y))
+            if order is Ordering.BETTER:
+                strict.append({"better": x, "worse": y})
+            elif order is Ordering.WORSE:
+                strict.append({"better": y, "worse": x})
+            else:
+                weak.append({"better": x, "worse": y})
+        if t % 4 >= 2 and strict:
+            strict.append({"better": strict[0]["worse"], "worse": strict[0]["better"]})
+        docs.append(({"dimension": n, "weak": weak, "strict": strict}, (None, RESTRICT_LINEAR, RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN)[t % 4]))
+    return docs
+
+
+def test_golden_verdicts_on_float_and_mixed_coordinates():
+    # pinned verdict documents, exact and float, on parsed JSON data whose
+    # coordinates are floats or a mix of ints, floats and "p/q" strings
+    datasets = [
+        (ObservationSet.from_dict(json.loads(json.dumps(doc))), restriction)
+        for doc, restriction in mixed_coordinate_documents()
+    ]
+    exact = [rationalize(data, restriction) for data, restriction in datasets]
+    assert "".join("1" if v.rationalizable else "0" for v in exact) == "110011001000110011001100"
+    digest = hashlib.sha256("".join(dumps(v.to_dict()) for v in exact).encode()).hexdigest()
+    assert digest == "8bd75b2762d321f415c2277ca8dd90f13e839ed2fc2d1710c491d1a9c157b83f"
+    approx = "".join(dumps(rationalize(data, restriction, mode=FLOAT).to_dict()) for data, restriction in datasets)
+    assert hashlib.sha256(approx.encode()).hexdigest() == "e9dd0e81e1c1364b2c0598d2f3093c5c3a0e3c8a333154cde28e3316017674c3"
