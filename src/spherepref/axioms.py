@@ -37,6 +37,7 @@ from .geometry import (
     project_out,
     scale,
     sub,
+    to_float,
 )
 from .preference import (
     TIE_REL,
@@ -422,14 +423,14 @@ def antipodal_indifference(
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    e1, e2 = (tuple(float(v) for v in e) for e in plane)
+    e1, e2 = (to_float(e) for e in plane)
     for e in (e1, e2):
         if abs(float(dot(e, e)) - 1.0) > 1e-9:
             raise ValueError("plane vectors must be unit length")
     if abs(float(dot(e1, e2))) > 1e-9:
         raise ValueError("plane vectors must be orthogonal")
-    p = SphericalParams(float(params.c), tuple(float(v) for v in params.d))
-    wf = tuple(float(v) for v in w)
+    p = SphericalParams(float(params.c), to_float(params.d))
+    wf = to_float(w)
     r = float(r)
     if tol is None:
         tol = 1e-9 * (1.0 + r * r)

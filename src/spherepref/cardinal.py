@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .axioms import AxiomReport, _run_trials, cubic_function, sample_vector
-from .formats import scalar_to_json, vec_to_json
+from .formats import scalar_to_json, vec_from_json, vec_to_json
 from .geometry import EXACT, FLOAT, DimensionMismatch, Scalar, Vec, add, basis_vector, dot, neg, scale, sub, zeros
 from .preference import tie_cuts
 
@@ -84,16 +84,27 @@ def coefficient_oracle(matrix: Sequence[Sequence[Scalar]], linear: Vec, name: st
     if len(a) != n or any(len(row) != n for row in a):
         raise DimensionMismatch("coefficient matrix shape does not match the linear part")
 
-    def fn(x: Vec) -> Scalar:
-        quad = 0
-        for i in range(n):
-            xi = x[i]
-            if xi:
-                row = a[i]
-                quad += xi * sum(row[j] * x[j] for j in range(n))
-        return quad + dot(b, x)
+    return UtilityOracle(n, lambda x: _bilinear(a, x, x) + dot(b, x), name=name)
 
-    return UtilityOracle(n, fn, name=name)
+
+def _bilinear(a: tuple, x: Vec, z: Vec) -> Scalar:
+    """x^T A z, row by row, skipping the rows where x_i is zero."""
+    total = 0
+    for i, xi in enumerate(x):
+        if xi:
+            row = a[i]
+            total += xi * sum(row[j] * z[j] for j in range(len(z)))
+    return total
+
+
+def coefficient_oracle_from_dict(doc: dict) -> UtilityOracle:
+    """:func:`coefficient_oracle` of a utility document {"A": [[...], ...], "b": [...]}."""
+    a, b = doc.get("A"), doc.get("b")
+    if not isinstance(a, list) or not a or not all(isinstance(row, list) for row in a):
+        raise ValueError(f'"A" must be a non-empty list of lists of scalars, not {a!r}')
+    if not isinstance(b, list):
+        raise ValueError(f'"b" must be a list of scalars, not {b!r}')
+    return coefficient_oracle([vec_from_json(row) for row in a], vec_from_json(b))
 
 
 def cubic_utility(dim: int) -> UtilityOracle:
@@ -120,13 +131,7 @@ class QuadLinDecomposition:
         """Evaluate x^T S z."""
         if len(x) != self.dim or len(z) != self.dim:
             raise DimensionMismatch("dimension mismatch in quadratic form")
-        total = 0
-        for i in range(self.dim):
-            xi = x[i]
-            if xi:
-                row = self.bilinear[i]
-                total += xi * sum(row[j] * z[j] for j in range(self.dim))
-        return total
+        return _bilinear(self.bilinear, x, z)
 
     def evaluate(self, x: Vec) -> Scalar:
         return self.quadratic_form(x, x) + dot(self.linear, x)
@@ -139,17 +144,13 @@ class QuadLinDecomposition:
         }
 
 
-def _halve(v: Scalar) -> Scalar:
-    return v / 2 if isinstance(v, float) else Fraction(v, 2)
-
-
-def _quarter(v: Scalar) -> Scalar:
-    return v / 4 if isinstance(v, float) else Fraction(v, 4)
+def _div(v: Scalar, k: int) -> Scalar:
+    return v / k if isinstance(v, float) else Fraction(v, k)
 
 
 def extract_f(u: UtilityOracle, x: Vec, z: Vec) -> Scalar:
     """Even part of U around z: (U(z+x) - U(z))/2 + (U(z-x) - U(z))/2."""
-    return _halve(u(add(z, x)) + u(sub(z, x)) - 2 * u(z))
+    return _div(u(add(z, x)) + u(sub(z, x)) - 2 * u(z), 2)
 
 
 def _probe_grid(dim: int, probe_z: Sequence[Vec]) -> list:
@@ -193,10 +194,10 @@ def decompose(
     s_rows = [[0] * n for _ in range(n)]
     for i in range(n):
         ei = basis_vector(n, i)
-        s_rows[i][i] = _quarter(f(scale(2, ei)))
+        s_rows[i][i] = _div(f(scale(2, ei)), 4)
         for j in range(i + 1, n):
             ej = basis_vector(n, j)
-            sij = _quarter(f(add(ei, ej)) - f(sub(ei, ej)))
+            sij = _div(f(add(ei, ej)) - f(sub(ei, ej)), 4)
             s_rows[i][j] = sij
             s_rows[j][i] = sij
     bilinear = tuple(tuple(row) for row in s_rows)

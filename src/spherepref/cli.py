@@ -9,14 +9,14 @@ quadratic + linear), 2 for unusable input.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from typing import Optional
 
 import spherepref.rationalize as rat
 
 from . import axioms, cardinal
-from .formats import dumps, load_document, scalar_from_json
+from .formats import dumps, load_document
 from .geometry import EXACT, FLOAT
 from .preference import SphericalParams, classify
 
@@ -29,6 +29,16 @@ _RESTRICT_CHOICES = {
 
 class UsageError(ValueError):
     pass
+
+
+def _finite(positive: bool):
+    """argparse type: a finite float, > 0 if ``positive`` else >= 0."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {'>' if positive else '>='} 0, not {text!r}")
+        return value
+    return number
 
 
 def _add_mode_flags(parser: argparse.ArgumentParser, default: str) -> None:
@@ -55,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="dataset JSON file")
     p.add_argument("--restrict", choices=sorted(_RESTRICT_CHOICES),
                    help="require the witness to lie in one class")
-    p.add_argument("--tol", type=float, help="tolerance override (float mode only)")
+    p.add_argument("--tol", type=_finite(False), help="tolerance override (float mode only)")
     _add_mode_flags(p, EXACT)
 
     p = sub.add_parser("check-axioms", help="run the axiom checkers on an oracle")
@@ -64,21 +74,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=3, help="dimension for built-in oracles")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, help="tolerance override (float mode only)")
+    p.add_argument("--tol", type=_finite(False), help="tolerance override (float mode only)")
     _add_mode_flags(p, FLOAT)
 
     p = sub.add_parser("decompose", help="split a utility into quadratic + linear parts")
     p.add_argument("oracle", help="JSON file with {\"A\": [[...]], \"b\": [...]}, or a "
                                   f"built-in name ({', '.join(sorted(cardinal.BUILTIN_UTILITIES))})")
     p.add_argument("--dim", type=int, default=3, help="dimension for built-in oracles")
-    p.add_argument("--tol", type=float, default=cardinal.RESIDUAL_REL,
+    p.add_argument("--tol", type=_finite(False), default=cardinal.RESIDUAL_REL,
                    help="relative residual acceptance threshold")
 
     p = sub.add_parser("generate", help="sample a dataset consistent with parameters")
     p.add_argument("params", help="parameter JSON file")
     p.add_argument("--count", type=int, default=50, help="number of sampled pairs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius", type=float, default=2.0, help="sampling box radius")
+    p.add_argument("--radius", type=_finite(True), default=2.0, help="sampling box radius")
 
     return parser
 
@@ -140,10 +150,7 @@ def _cmd_check_axioms(args) -> int:
 def _resolve_utility_oracle(args) -> cardinal.UtilityOracle:
     if args.oracle in cardinal.BUILTIN_UTILITIES:
         return cardinal.BUILTIN_UTILITIES[args.oracle](args.dim)
-    doc = load_document(args.oracle)
-    matrix = [[scalar_from_json(v) for v in row] for row in doc["A"]]
-    linear = tuple(scalar_from_json(v) for v in doc["b"])
-    return cardinal.coefficient_oracle(matrix, linear)
+    return cardinal.coefficient_oracle_from_dict(load_document(args.oracle))
 
 
 def _cmd_decompose(args) -> int:
@@ -164,8 +171,6 @@ def _cmd_decompose(args) -> int:
 def _cmd_generate(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be at least 1")
-    if args.radius <= 0:
-        raise UsageError("--radius must be positive")
     params = _load_params(args.params)
     data = rat.generate_dataset(params, args.count, rng_seed=args.seed, radius=args.radius)
     print(dumps(data.to_dict()))
@@ -189,7 +194,7 @@ def main(argv: Optional[list] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,10 +42,7 @@ def dot(a: Vec, b: Vec) -> Scalar:
 
 def sq_norm(a: Vec) -> Scalar:
     """Squared Euclidean norm dot(a, a); no square root is taken."""
-    s = 0
-    for x in a:
-        s += x * x
-    return s
+    return dot(a, a)
 
 
 def add(a: Vec, b: Vec) -> Vec:
@@ -105,53 +102,47 @@ def normalize(a: Vec) -> Vec:
     return tuple(float(x) / n for x in a)
 
 
-def orthogonalize(basis: Sequence[Vec]) -> list[Vec]:
-    """Gram-Schmidt an arbitrary list of vectors, dropping dependent ones.
+def clear_denominators(values: Iterable[Scalar]) -> tuple:
+    """(L, [L * v for v in values]) in integers, with L the lcm of the values'
+    denominators; a float is taken verbatim (dyadic)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    L = math.lcm(*[d for _, d in ratios])
+    return L, [a * (L // d) for a, d in ratios]
 
-    Exact mode keeps classical unnormalized Gram-Schmidt so all entries stay
-    rational (no square roots). Float mode runs modified Gram-Schmidt with
-    normalization and one re-orthogonalization pass.
-    """
-    exact = all(is_exact(b) for b in basis)
-    ortho: list[Vec] = []
-    for b in basis:
-        if len(basis) > 1:
-            _same_dim(b, basis[0])
-        w = b
-        for u in ortho:
-            uu = dot(u, u)
-            coeff = dot(w, u) / uu
-            w = tuple(w[i] - coeff * u[i] for i in range(len(w)))
-        if exact:
-            if not is_zero(w):
-                ortho.append(w)
-            continue
-        # Second pass kills the residual components left by rounding.
-        for u in ortho:
-            coeff = dot(w, u)
-            w = tuple(w[i] - coeff * u[i] for i in range(len(w)))
-        wn = norm(w)
-        if wn > 1e-13 * max(1.0, norm(b)):
-            ortho.append(tuple(x / wn for x in w))
-    return ortho
+
+def _reduce(w: Vec, ortho: Sequence[Vec], unit: bool = False) -> Vec:
+    """w minus its component along each u in turn; ``unit`` takes dot(u, u) as 1."""
+    for u in ortho:
+        coeff = dot(w, u) if unit else dot(w, u) / dot(u, u)
+        w = tuple(w[i] - coeff * u[i] for i in range(len(w)))
+    return w
 
 
 def project_out(v: Vec, basis: Sequence[Vec]) -> Vec:
     """Remove from v its orthogonal projection onto span(basis).
 
-    The result is orthogonal to every basis vector: exactly in exact mode,
-    and within PROJ_TOL*|v||b| per vector in float mode. Zero basis entries
-    are skipped (the span is unchanged).
+    Gram-Schmidt drops zero and dependent basis vectors: classical and
+    unnormalized for an exact basis, so entries stay rational; else modified,
+    normalized and run twice. The result is orthogonal to every basis vector:
+    exactly in exact mode, within PROJ_TOL*|v||b| in float mode.
     """
     for b in basis:
         _same_dim(v, b)
-    ortho = orthogonalize([b for b in basis if not is_zero(b)])
-    r = v
-    for u in ortho:
-        coeff = dot(r, u) / dot(u, u)
-        r = tuple(r[i] - coeff * u[i] for i in range(len(r)))
+    basis = [b for b in basis if not is_zero(b)]
+    exact = all(is_exact(b) for b in basis)
+    ortho: list[Vec] = []
+    for b in basis:
+        w = _reduce(b, ortho)
+        if exact:
+            if not is_zero(w):
+                ortho.append(w)
+            continue
+        # Second pass kills the residual components left by rounding.
+        w = _reduce(w, ortho, unit=True)
+        wn = norm(w)
+        if wn > 1e-13 * max(1.0, norm(b)):
+            ortho.append(tuple(x / wn for x in w))
+    r = _reduce(v, ortho)
     if not is_exact(v) or any(not is_exact(u) for u in ortho):
-        for u in ortho:
-            coeff = dot(r, u) / dot(u, u)
-            r = tuple(r[i] - coeff * u[i] for i in range(len(r)))
+        r = _reduce(r, ortho)
     return r

@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .geometry import EXACT, FLOAT, DimensionMismatch, Scalar, Vec, dot
+from .geometry import EXACT, FLOAT, DimensionMismatch, Scalar, Vec, clear_denominators, dot
 
 LE = "<="
 EQ = "="
@@ -225,11 +225,7 @@ class _Tableau:
 def _scaled(values, exact: bool) -> tuple:
     """(k, [k * v for v in values]) with k the least positive integer making
     every entry an integer in exact mode; (1, the values as floats) else."""
-    if not exact:
-        return 1, [float(v) for v in values]
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    k = lcm(*[v.denominator for v in fracs])
-    return k, [v.numerator * (k // v.denominator) for v in fracs]
+    return clear_denominators(values) if exact else (1, [float(v) for v in values])
 
 
 def _run_simplex(tab: _Tableau, costs: list, limit: int, tol) -> str:

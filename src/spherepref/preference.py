@@ -77,7 +77,10 @@ class SphericalParams:
 
     @staticmethod
     def from_dict(doc: dict) -> "SphericalParams":
-        return SphericalParams(scalar_from_json(doc["c"]), vec_from_json(doc["d"]))
+        c, d = scalar_from_json(doc["c"]), vec_from_json(doc["d"])
+        if not d:
+            raise ValueError('"d" must be a non-empty list of scalars')
+        return SphericalParams(c, d)
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,6 @@ class PreferenceClass:
 
 def utility(p: SphericalParams, x: Vec) -> Scalar:
     """Evaluate c*(x.x) + d.x."""
-    if len(x) != p.dim:
-        raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {len(x)}")
     return p.c * dot(x, x) + dot(p.d, x)
 
 

@@ -31,13 +31,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul, truediv
 from typing import Optional
 
 from . import lp
 from .formats import scalar_to_json, vec_from_json, vec_to_json
-from .geometry import EXACT, DimensionMismatch, Scalar, Vec, dot, sub
+from .geometry import EXACT, DimensionMismatch, Scalar, Vec, clear_denominators, dot, sub, to_exact
 from .preference import Ordering, SphericalParams, compare, utility
 
 RESTRICT_LINEAR = "linear"
@@ -95,11 +95,10 @@ class ObservationSet:
         return len(self.weak) + len(self.strict)
 
     def to_exact(self) -> "ObservationSet":
-        conv = lambda v: tuple(Fraction(c) for c in v)  # noqa: E731
         return ObservationSet(
             self.dimension,
-            tuple((conv(x), conv(y)) for x, y in self.weak),
-            tuple((conv(x), conv(y)) for x, y in self.strict),
+            tuple((to_exact(x), to_exact(y)) for x, y in self.weak),
+            tuple((to_exact(x), to_exact(y)) for x, y in self.strict),
         )
 
     def labels(self) -> list:
@@ -182,9 +181,7 @@ def _pair_row(x: Vec, y: Vec):
 def _pair_ints(x: Vec, y: Vec) -> tuple:
     """(L, Q, V) in integers with (x.x - y.y, x - y) = (Q / L^2, V / L): L is
     the lcm of the coordinates' denominators, a float taken verbatim."""
-    ratios = [c.as_integer_ratio() for c in x + y]
-    L = lcm(*[d for _, d in ratios])
-    ints = [a * (L // d) for a, d in ratios]
+    L, ints = clear_denominators(x + y)
     X, Y = ints[: len(x)], ints[len(x) :]
     return L, sum(map(mul, X, X)) - sum(map(mul, Y, Y)), tuple(a - b for a, b in zip(X, Y))
 
@@ -275,7 +272,7 @@ def rationalize(
         in_active = set(active)
         while True:
             outcome = solve_with(active)
-            _, sol = lp._scaled(outcome.primal, exact)  # exact: a positive integer multiple, same signs
+            sol = clear_denominators(outcome.primal)[1] if exact else outcome.primal  # exact: a positive multiple
             violated = [i for i in range(total) if i not in in_active and dot(pair_rows[i], sol) < 0]
             if not violated:
                 break
@@ -450,7 +447,10 @@ def generate_dataset(
     n = params.dim
     p = SphericalParams(Fraction(params.c), tuple(Fraction(v) for v in params.d))
     den = 8
-    span = max(1, round(float(radius) * den))
+    try:
+        span = max(1, round(float(radius) * den))
+    except OverflowError:
+        raise ValueError(f"radius {radius} is too large") from None
     weak = []
     strict = []
     for _ in range(count):
