@@ -155,7 +155,10 @@ def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float
     if mode == EXACT:
         span = max(1, round(float(radius) * 16))
         return tuple(Fraction(rng.randint(-span, span), 16) for _ in range(dim))
-    return tuple(rng.uniform(-float(radius), float(radius)) for _ in range(dim))
+    # random.uniform(lo, hi)'s formula lo + (hi - lo)*random(), hi - lo = hi + hi
+    lo, hi = -float(radius), float(radius)
+    width, draw = hi + hi, rng.random
+    return tuple(lo + width * draw() for _ in range(dim))
 
 
 def random_orthonormal_plane(rng: random.Random, dim: int) -> tuple:

@@ -17,6 +17,7 @@ when S(x, z) = 0, and on such pairs U is additive.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,8 +93,7 @@ def _bilinear(a: tuple, x: Vec, z: Vec) -> Scalar:
     total = 0
     for i, xi in enumerate(x):
         if xi:
-            row = a[i]
-            total += xi * sum(row[j] * z[j] for j in range(len(z)))
+            total += xi * dot(a[i], z)
     return total
 
 
@@ -148,6 +148,11 @@ def _div(v: Scalar, k: int) -> Scalar:
     return v / k if isinstance(v, float) else Fraction(v, k)
 
 
+def _require_finite(name: str, v: Scalar) -> None:
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"{name} is {v}: the utility overflows a float")
+
+
 def extract_f(u: UtilityOracle, x: Vec, z: Vec) -> Scalar:
     """Even part of U around z: (U(z+x) - U(z))/2 + (U(z-x) - U(z))/2."""
     return _div(u(add(z, x)) + u(sub(z, x)) - 2 * u(z), 2)
@@ -181,7 +186,8 @@ def decompose(
     reconstruction error |U(x) - (x^T S x + g.x)| over the probe grid and
     must stay within residual_rel*(1 + max |U|) for the oracle to be inside
     the family. Probe points are rational, so exact oracles decompose with
-    residual exactly zero.
+    residual exactly zero. A float S entry, g entry, probed value or residual
+    that is not finite (the utility overflowed) is a ValueError naming it.
     """
     n = u.dim
     if probe_z is None or len(probe_z) == 0:
@@ -202,17 +208,23 @@ def decompose(
             s_rows[j][i] = sij
     bilinear = tuple(tuple(row) for row in s_rows)
     linear = tuple(u(basis_vector(n, i)) - f(basis_vector(n, i)) for i in range(n))
+    for i in range(n):
+        for j in range(n):
+            _require_finite(f"S[{i}][{j}]", bilinear[i][j])
+        _require_finite(f"g[{i}]", linear[i])
     dec = QuadLinDecomposition(bilinear, linear, 0)
 
     residual: Scalar = 0
     peak: Scalar = 0
     for x in _probe_grid(n, probe_z):
         value = u(x)
+        _require_finite(f"U{list(x)}", value)
         err = abs(value - dec.evaluate(x))
         if err > residual:
             residual = err
         if abs(value) > peak:
             peak = abs(value)
+    _require_finite("the residual", residual)
     threshold = residual_rel * (1 + peak)
     if residual > threshold:
         raise NotQuadraticLinear(residual, threshold)

@@ -4,11 +4,21 @@ Vectors are plain tuples. Entries are ``int``/``fractions.Fraction`` in exact
 mode or ``float`` in float mode; arithmetic follows the entry types, so one
 set of functions serves both modes. Comparisons that feed yes/no decisions
 (rationalizability) are run in exact mode so no tolerance is involved.
+
+Exact vectors with a ``Fraction`` entry go through one integer kernel: their
+denominators are cleared once (:func:`clear_denominators`), the products and
+sums are taken in ``int`` and a single ``Fraction`` is built per result
+(:func:`dot`) or per entry (a Gram-Schmidt step of :func:`project_out`),
+instead of a gcd-normalized ``Fraction`` per operation. The values and the
+result types (``int``, ``Fraction`` or ``float``) are those of plain
+entry-by-entry arithmetic; floats, all-``int`` dot products and mixed
+vectors keep that arithmetic, in the same order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -31,11 +41,31 @@ def _same_dim(a: Sequence, b: Sequence) -> None:
         raise DimensionMismatch(f"dimension mismatch: {len(a)} vs {len(b)}")
 
 
+def _rational(v: Sequence) -> bool:
+    """True when every entry is exactly an ``int`` or a ``Fraction``."""
+    return {int, Fraction}.issuperset(map(type, v))
+
+
 def dot(a: Vec, b: Vec) -> Scalar:
-    """Inner product sum(a_i * b_i); exact when entries are rational."""
-    _same_dim(a, b)
+    """Inner product sum(a_i * b_i); exact when entries are rational.
+
+    When one vector starts with a ``Fraction`` and both are all ``int`` or
+    ``Fraction``, the sum is A.B / (La*Lb) over the cleared integer vectors:
+    one ``Fraction``, equal to the entry-by-entry sum. Any other input (floats,
+    all ``int``, a mix with floats) takes the left-to-right loop, so a float
+    result keeps its bits and an all-``int`` one stays ``int``.
+    """
+    n = len(a)
+    if n != len(b):
+        raise DimensionMismatch(f"dimension mismatch: {n} vs {len(b)}")
+    # the first entry's type sends floats to the loop before any scan
+    if (n and type(a[0]) is not float and Fraction in (type(a[0]), type(b[0]))
+            and _rational(a) and (b is a or _rational(b))):
+        la, ia = clear_denominators(a)
+        lb, ib = (la, ia) if b is a else clear_denominators(b)
+        return Fraction(sum(map(operator.mul, ia, ib)), la * lb)
     s = 0
-    for i in range(len(a)):
+    for i in range(n):
         s += a[i] * b[i]
     return s
 
@@ -46,13 +76,15 @@ def sq_norm(a: Vec) -> Scalar:
 
 
 def add(a: Vec, b: Vec) -> Vec:
-    _same_dim(a, b)
-    return tuple(a[i] + b[i] for i in range(len(a)))
+    if len(a) != len(b):
+        raise DimensionMismatch(f"dimension mismatch: {len(a)} vs {len(b)}")
+    return tuple(map(operator.add, a, b))
 
 
 def sub(a: Vec, b: Vec) -> Vec:
-    _same_dim(a, b)
-    return tuple(a[i] - b[i] for i in range(len(a)))
+    if len(a) != len(b):
+        raise DimensionMismatch(f"dimension mismatch: {len(a)} vs {len(b)}")
+    return tuple(map(operator.sub, a, b))
 
 
 def scale(alpha: Scalar, a: Vec) -> Vec:
@@ -111,8 +143,21 @@ def clear_denominators(values: Iterable[Scalar]) -> tuple:
 
 
 def _reduce(w: Vec, ortho: Sequence[Vec], unit: bool = False) -> Vec:
-    """w minus its component along each u in turn; ``unit`` takes dot(u, u) as 1."""
+    """w minus its component along each u in turn; ``unit`` takes dot(u, u) as 1.
+
+    For all-``int``/``Fraction`` w and u the step is, over the cleared
+    integer vectors, (W*(U.U) - (W.U)*U) / (Lw*(U.U)): u's scale cancels, and
+    each entry is one ``Fraction``.
+    """
     for u in ortho:
+        if not unit and type(w[0]) is not float and _rational(w) and _rational(u):
+            lw, iw = clear_denominators(w)
+            iu = clear_denominators(u)[1]
+            uu = sum(map(operator.mul, iu, iu))
+            wu = sum(map(operator.mul, iw, iu))
+            den = lw * uu
+            w = tuple(Fraction(x * uu - wu * y, den) for x, y in zip(iw, iu))
+            continue
         coeff = dot(w, u) if unit else dot(w, u) / dot(u, u)
         w = tuple(w[i] - coeff * u[i] for i in range(len(w)))
     return w
@@ -122,7 +167,8 @@ def project_out(v: Vec, basis: Sequence[Vec]) -> Vec:
     """Remove from v its orthogonal projection onto span(basis).
 
     Gram-Schmidt drops zero and dependent basis vectors: classical and
-    unnormalized for an exact basis, so entries stay rational; else modified,
+    unnormalized for an exact basis, so entries stay rational (``Fraction``s,
+    all-``int`` input included; one per entry and step); else modified,
     normalized and run twice. The result is orthogonal to every basis vector:
     exactly in exact mode, within PROJ_TOL*|v||b| in float mode.
     """

@@ -164,16 +164,25 @@ def compare(p: SphericalParams, x: Vec, y: Vec) -> Ordering:
 
 
 def classify(p: SphericalParams) -> PreferenceClass:
-    """Classify (c, d) by the sign of c; center is -d/(2c) when c != 0."""
+    """Classify (c, d) by the sign of c; center is -d/(2c) when c != 0.
+
+    A float center that overflows (or is NaN) is a ValueError.
+    """
     if p.c == 0:
         if all(x == 0 for x in p.d):
             return PreferenceClass(INDIFFERENCE)
         return PreferenceClass(LINEAR, u=p.d)
     if isinstance(p.c, float):
-        factor: Scalar = -1.0 / (2.0 * p.c)
+        # one rounding of -1/(2c), as -1.0/(2.0*c), but 2c cannot overflow
+        factor: Scalar = -0.5 / p.c
     else:
         factor = Fraction(-1, 2) / Fraction(p.c)
-    center = scale(factor, p.d)
+    try:
+        center = scale(factor, p.d)
+    except OverflowError as exc:  # a huge int or Fraction meets a float
+        raise ValueError(f"the center -d/(2c) overflows a float: {exc}") from None
+    if any(isinstance(x, float) and not math.isfinite(x) for x in center):
+        raise ValueError(f"the center -d/(2c) is not finite in floats: {list(center)}")
     tag = EUCLIDEAN if p.c < 0 else ANTI_EUCLIDEAN
     return PreferenceClass(tag, center=center)
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spherepref.axioms import (
     AxiomReport,
@@ -18,6 +19,7 @@ from spherepref.axioms import (
     find_monotone_direction,
     params_oracle,
     random_orthonormal_plane,
+    sample_vector,
     utility_comparison_oracle,
 )
 from spherepref.cardinal import check_status_quo_independence, coefficient_oracle, cubic_utility
@@ -345,3 +347,17 @@ def test_golden_float_reports():
     assert [r.violations for r in reports] == [15, 40, 3, 51] * 3 + [0] * 9 + [133, 50, 0]
     digest = hashlib.sha256(dumps([r.to_dict() for r in reports]).encode()).hexdigest()
     assert digest == "0126841164f06c0d7cc04531fd690ac9a37208c8ec89425d2451bf876999fcd7"
+
+
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 7),
+    st.one_of(st.floats(1e-6, 1e6), st.integers(1, 9), st.fractions(F(1, 8), 8)),
+)
+def test_float_sample_vector_draws_like_uniform(seed, dim, radius):
+    # the same values and the same generator state as rng.uniform(-r, r)
+    mine, ref = random.Random(seed), random.Random(seed)
+    drawn = sample_vector(mine, dim, FLOAT, radius)
+    expected = tuple(ref.uniform(-float(radius), float(radius)) for _ in range(dim))
+    assert repr(drawn) == repr(expected)
+    assert mine.getstate() == ref.getstate()

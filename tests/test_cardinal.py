@@ -1,11 +1,14 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spherepref.cardinal import (
     LineSearch,
     NotQuadraticLinear,
+    _bilinear,
     check_eventual_linearity,
     check_status_quo_independence,
     coefficient_oracle,
@@ -258,3 +261,38 @@ def test_decomposition_symmetry_always():
         for j in range(3):
             assert dec.bilinear[i][j] == dec.bilinear[j][i]
             assert dec.bilinear[i][j] == pytest.approx((a[i][j] + a[j][i]) / 2, abs=1e-9)
+
+
+# _bilinear before it called dot, kept verbatim as the reference
+def reference_bilinear(a, x, z):
+    total = 0
+    for i, xi in enumerate(x):
+        if xi:
+            row = a[i]
+            total += xi * sum(row[j] * z[j] for j in range(len(z)))
+    return total
+
+
+# from Python 3.12 on, sum() compensates float additions, so the reference
+# itself no longer adds left to right; the exact cases hold on every version
+FLOAT_SUM_IS_LEFT_TO_RIGHT = sys.version_info < (3, 12)
+bilinear_entries = {
+    "exact": st.one_of(st.integers(-9, 9), st.fractions(-4, 4, max_denominator=12)),
+    "float": st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
+}
+
+
+@st.composite
+def bilinear_cases(draw):
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["exact", "float"] if FLOAT_SUM_IS_LEFT_TO_RIGHT else ["exact"]))
+    entry = bilinear_entries[kind]
+    a = tuple(draw(st.tuples(*[entry] * n)) for _ in range(n))
+    x, z = (draw(st.tuples(*[st.one_of(entry, st.just(0))] * n)) for _ in range(2))
+    return a, x, z
+
+
+@given(bilinear_cases())
+def test_bilinear_matches_the_sum_reference_bit_for_bit(case):
+    a, x, z = case
+    assert repr(_bilinear(a, x, z)) == repr(reference_bilinear(a, x, z))

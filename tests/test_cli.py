@@ -332,6 +332,40 @@ def test_malformed_utility_documents_exit_two(capsys, tmp_path, doc, field):
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"A": [[1e308]], "b": [0]}, "S[0][0] is inf"),
+    ({"A": [[1]], "b": [1e308]}, "S[0][0] is nan"),
+])
+def test_decompose_overflowing_float_utility_exits_two(capsys, tmp_path, doc, field):
+    # an overflowed S or residual is no decomposition: it used to print
+    # Infinity (not JSON) and exit 0
+    code, out, err = run(capsys, "decompose", write(tmp_path, "utility.json", doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and field in err
+
+
+def test_classify_float_center_does_not_overflow(capsys, tmp_path):
+    # 2c overflows a float here, -0.5/c does not; the center is (-1/2, -1/2, 0)
+    path = write(tmp_path, "huge.json", {"c": 1e308, "d": [1e308, 1e308, 0]})
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["class"] == "anti_euclidean"
+    assert doc["center"] == pytest.approx([-0.5, -0.5, 0.0])
+
+
+@pytest.mark.parametrize("doc", [
+    {"c": 1e-308, "d": [1e308, 0, 0]},
+    {"c": 1.5, "d": [10**400, 0, 0]},
+])
+def test_classify_non_finite_center_exits_two(capsys, tmp_path, doc):
+    code, out, err = run(capsys, "classify", write(tmp_path, "tiny.json", doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "center" in err
+
+
 @pytest.mark.parametrize("command", ["classify", "generate", "check-axioms"])
 def test_empty_parameter_vector_exits_two(capsys, tmp_path, command):
     code, out, err = run(capsys, command, write(tmp_path, "empty.json", {"c": -1, "d": []}))

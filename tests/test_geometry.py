@@ -35,8 +35,9 @@ def test_dot_examples():
 
 
 def test_dot_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        dot((1, 2), (1, 2, 3))
+    for fn in (dot, add, sub):
+        with pytest.raises(DimensionMismatch):
+            fn((1, 2), (1, 2, 3))
 
 
 def test_sq_norm_examples():
@@ -114,7 +115,12 @@ def test_exactness_helpers():
 
 
 # The two-function Gram-Schmidt that project_out folds, kept verbatim as the
-# reference its bits are compared against.
+# reference its bits are compared against, except that an int-by-int
+# coefficient is a Fraction: project_out is exact on all-int input.
+def _coeff(num, den):
+    return F(num, den) if type(num) is int and type(den) is int else num / den
+
+
 def reference_orthogonalize(basis):
     exact = all(is_exact(b) for b in basis)
     ortho = []
@@ -124,7 +130,7 @@ def reference_orthogonalize(basis):
         w = b
         for u in ortho:
             uu = dot(u, u)
-            coeff = dot(w, u) / uu
+            coeff = _coeff(dot(w, u), uu)
             w = tuple(w[i] - coeff * u[i] for i in range(len(w)))
         if exact:
             if not is_zero(w):
@@ -146,11 +152,11 @@ def reference_project_out(v, basis):
     ortho = reference_orthogonalize([b for b in basis if not is_zero(b)])
     r = v
     for u in ortho:
-        coeff = dot(r, u) / dot(u, u)
+        coeff = _coeff(dot(r, u), dot(u, u))
         r = tuple(r[i] - coeff * u[i] for i in range(len(r)))
     if not is_exact(v) or any(not is_exact(u) for u in ortho):
         for u in ortho:
-            coeff = dot(r, u) / dot(u, u)
+            coeff = _coeff(dot(r, u), dot(u, u))
             r = tuple(r[i] - coeff * u[i] for i in range(len(r)))
     return r
 
@@ -229,3 +235,106 @@ def test_clear_denominators_examples():
     assert clear_denominators([]) == (1, [])
     assert clear_denominators([3, F(1, 6), 0.25, F(-2, 3)]) == (12, [36, 2, 3, -8])
     assert clear_denominators([0.1]) == (2**55, [3602879701896397])
+
+
+def test_project_out_exact_on_int_input():
+    # int-by-int coefficients used to divide into floats: (-0.5, 0.5)
+    r = project_out((1, 2), [(1, 1)])
+    assert r == (F(-1, 2), F(1, 2))
+    assert all(type(x) is F for x in r)
+    r = project_out((1, 2, 3), [(1, 1, 0), (0, 1, 1)])
+    assert r == (F(2, 3), F(-2, 3), F(2, 3))
+    assert all(type(x) is F for x in r)
+
+
+# dot, add and sub before the integer kernel, kept verbatim as references
+def reference_dot(a, b):
+    _same_dim(a, b)
+    s = 0
+    for i in range(len(a)):
+        s += a[i] * b[i]
+    return s
+
+
+def reference_add(a, b):
+    _same_dim(a, b)
+    return tuple(a[i] + b[i] for i in range(len(a)))
+
+
+def reference_sub(a, b):
+    _same_dim(a, b)
+    return tuple(a[i] - b[i] for i in range(len(a)))
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+kernel_entries = {
+    "int": st.integers(-10**12, 10**12),
+    "fraction": rationals,
+    "float": st.one_of(st.floats(-1e6, 1e6), signed_zeros),
+}
+kernel_entries["exact"] = st.one_of(kernel_entries["int"], kernel_entries["fraction"])
+kernel_entries["mixed"] = st.one_of(*kernel_entries.values())
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two vectors of one length 0-6, each all int, all Fraction, all float,
+    int and Fraction, or entries of every kind (±0.0 included)."""
+    n = draw(st.integers(0, 6))
+    kinds = sorted(kernel_entries)
+    return tuple(draw(st.tuples(*[kernel_entries[draw(st.sampled_from(kinds))]] * n)) for _ in range(2))
+
+
+def _kernel_outcome(fn, a, b):
+    try:
+        return repr(fn(a, b))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=500)
+@given(vector_pairs())
+@example(((F(1, 2), 3), (4, F(-1, 6))))
+@example(((2, F(1, 3)), (-0.0, 0.0)))
+@example(((-0.0,), (0.0,)))
+def test_dot_add_sub_match_the_entrywise_reference_bit_for_bit(pair):
+    # repr tells 0.0 from -0.0 and an int from an equal Fraction or float
+    a, b = pair
+    for fn, ref in ((dot, reference_dot), (add, reference_add), (sub, reference_sub)):
+        assert _kernel_outcome(fn, a, b) == _kernel_outcome(ref, a, b), fn.__name__
+    assert repr(dot(a, a)) == repr(reference_dot(a, a))
+
+
+def _fraction_dot(a, b):
+    return sum((F(x) * F(y) for x, y in zip(a, b)), F(0))
+
+
+def fraction_project_out(v, basis):
+    """Classical Gram-Schmidt, every operation on Fractions."""
+    ortho = []
+    for b in basis:
+        w = tuple(map(F, b))
+        for u in ortho:
+            coeff = _fraction_dot(w, u) / _fraction_dot(u, u)
+            w = tuple(x - coeff * y for x, y in zip(w, u))
+        if any(w):
+            ortho.append(w)
+    r = v
+    for u in ortho:
+        coeff = _fraction_dot(r, u) / _fraction_dot(u, u)
+        r = tuple(F(x) - coeff * y for x, y in zip(r, u))
+    return r
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.tuples(*[exact_entries] * n),
+    st.lists(st.tuples(*[exact_entries] * n), max_size=3),
+)))
+@example(((1, 2), [(1, 1)]))
+@example(((1, 2, 3), [(1, 1, 0), (0, 1, 1)]))
+@example(((1, 2), [(0, 0)]))
+def test_exact_project_out_matches_the_fraction_reference(case):
+    # same values and same types: Fractions once a basis vector is nonzero
+    v, basis = case
+    assert repr(project_out(v, basis)) == repr(fraction_project_out(v, basis))

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spherepref.geometry import FLOAT, dot, sq_norm, sub
 from spherepref.preference import (
@@ -208,3 +209,13 @@ def test_class_json_round_trip():
     assert doc == {"class": "euclidean", "center": [1, 0, 0]}
     assert PreferenceClass.from_dict(doc) == cls
     assert classify(SphericalParams(0, (0, 0))).to_dict() == {"class": "indifference"}
+
+
+@given(
+    # 2c finite, and a center that stays finite too
+    st.floats(-1e307, 1e307).filter(lambda c: abs(c) >= 1e-300),
+    st.tuples(*[st.one_of(st.floats(-1e6, 1e6), st.integers(-9, 9))] * 3),
+)
+def test_float_center_matches_the_two_c_formula_while_two_c_is_finite(c, d):
+    center = classify(SphericalParams(c, d)).center
+    assert repr(center) == repr(tuple(-1.0 / (2.0 * c) * x for x in d))
