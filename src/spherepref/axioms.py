@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .formats import scalar_to_json, vec_to_json
@@ -134,7 +135,8 @@ def _run_trials(axiom: str, trials: int, rng_seed: int, trial: Callable) -> Axio
     """The seeded trial loop of every checker.
 
     ``trial(rng, t)`` runs trial number t on the shared generator and returns
-    its counterexample dict, or None when the trial finds no violation.
+    its counterexample dict, or None when the trial finds no violation. A
+    trial whose arithmetic overflows a float is a ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -142,7 +144,10 @@ def _run_trials(axiom: str, trials: int, rng_seed: int, trial: Callable) -> Axio
     violations = 0
     first = None
     for t in range(trials):
-        found = trial(rng, t)
+        try:
+            found = trial(rng, t)
+        except OverflowError as exc:  # a huge int or Fraction meets a float
+            raise ValueError(f"trial {t} overflows a float: {exc}") from None
         if found is not None:
             violations += 1
             if first is None:
@@ -150,11 +155,16 @@ def _run_trials(axiom: str, trials: int, rng_seed: int, trial: Callable) -> Axio
     return AxiomReport(axiom, trials, violations, first)
 
 
+@lru_cache(maxsize=1024)
+def _sixteenths(k: int) -> Fraction:
+    return Fraction(k, 16)
+
+
 def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float = 1.0) -> Vec:
-    """One random point of the checking box, rational in exact mode."""
+    """One random point of the checking box, on the 1/16 grid in exact mode."""
     if mode == EXACT:
         span = max(1, round(float(radius) * 16))
-        return tuple(Fraction(rng.randint(-span, span), 16) for _ in range(dim))
+        return tuple(_sixteenths(rng.randint(-span, span)) for _ in range(dim))
     # random.uniform(lo, hi)'s formula lo + (hi - lo)*random(), hi - lo = hi + hi
     lo, hi = -float(radius), float(radius)
     width, draw = hi + hi, rng.random
@@ -177,11 +187,19 @@ def random_orthonormal_plane(rng: random.Random, dim: int) -> tuple:
             return e1, normalize(e2)
 
 
+def _not_finite(vals) -> ValueError:
+    """The error for a float trial whose utility differences and cut do not
+    sum to a finite float: inf or nan in any of them propagates to the sum."""
+    return ValueError(f"the float utilities {list(vals)} or their differences are not finite; "
+                      "use exact mode (--exact)")
+
+
 def _ranks_alike(oracle: ComparisonOracle, mode: str, rel: float, a: Vec, b: Vec, c: Vec, d: Vec) -> bool:
     """Whether a vs b ranks like c vs d.
 
     With a utility both differences are ranked under the trial's one tie
-    cut; a bare oracle answers each comparison itself.
+    cut; a bare oracle answers each comparison itself. Float utilities that
+    are not finite, or whose differences overflow, are a ValueError.
     """
     u = oracle.utility
     if u is None:
@@ -191,6 +209,8 @@ def _ranks_alike(oracle: ComparisonOracle, mode: str, rel: float, a: Vec, b: Vec
     m1, m2 = vals[0] - vals[1], vals[2] - vals[3]
     if mode != EXACT:
         m1, m2 = float(m1), float(m2)
+        if not math.isfinite(m1 + m2 + cut):
+            raise _not_finite(vals)
     return ordering_from_diff(m1, cut) == ordering_from_diff(m2, cut)
 
 
@@ -280,6 +300,8 @@ def check_soioi(
             vals = [oracle.utility(v) for v in (wx, wa, wy, wb, wxy, wab)]
             m1, m2, m3 = vals[0] - vals[1], vals[2] - vals[3], vals[4] - vals[5]
             weak_cut, strict_cut = tie_cuts(vals, mode, rel, STRICT_REL)
+            if mode != EXACT and not math.isfinite(m1 + m2 + m3 + strict_cut):
+                raise _not_finite(vals)
             if m1 >= -weak_cut and m2 >= -weak_cut:
                 if m3 < -weak_cut:
                     bad = True

@@ -19,13 +19,17 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .axioms import AxiomReport, _run_trials, cubic_function, sample_vector
 from .formats import scalar_to_json, vec_from_json, vec_to_json
-from .geometry import EXACT, FLOAT, DimensionMismatch, Scalar, Vec, add, basis_vector, dot, neg, scale, sub, zeros
+from .geometry import (EXACT, FLOAT, DimensionMismatch, Scalar, Vec, _rational, add, basis_vector,
+                       clear_denominators, dot, neg, scale, sub, zeros)
 from .preference import tie_cuts
 
 # Reconstruction residual above RESIDUAL_REL*(1 + max |U|) rejects the oracle.
@@ -85,7 +89,57 @@ def coefficient_oracle(matrix: Sequence[Sequence[Scalar]], linear: Vec, name: st
     if len(a) != n or any(len(row) != n for row in a):
         raise DimensionMismatch("coefficient matrix shape does not match the linear part")
 
-    return UtilityOracle(n, lambda x: _bilinear(a, x, x) + dot(b, x), name=name)
+    return UtilityOracle(n, _QuadLin(a, b).value, name=name)
+
+
+class _QuadLin:
+    """The kernel ``value``: x -> x^T A x + b.x for x of b's length.
+
+    When b or x holds a ``Fraction`` and A, b and x are all ``int`` or
+    ``Fraction``, the value is (X^T A' X + M*B'.X) / (K*M^2) over A, b cleared
+    to (K, A', B') on the first such call and x cleared to (M, X): one
+    ``Fraction``. Other input takes _bilinear(a, x, x) + dot(b, x), so floats
+    keep their bits and all-``int`` values stay ``int``. A huge int or
+    ``Fraction`` that meets a float there is a ValueError naming x and the
+    entries of A and b beyond the float range. A slotted instance and its
+    bound method are two GC-tracked objects, where a closure over A, b and
+    this state takes seven: building many oracles triggers fewer full
+    collections.
+    """
+
+    __slots__ = ("a", "b", "b_exact", "ints")
+
+    def __init__(self, a: tuple, b: Vec):
+        self.a, self.b = a, b
+        self.b_exact = Fraction in map(type, b)
+        # (K, rows of A', B') once cleared; False if A or b is not all int/Fraction
+        self.ints = None if _rational(b) else False
+
+    def value(self, x: Vec) -> Scalar:
+        a, b, ints = self.a, self.b, self.ints
+        if x and type(x[0]) is not float and ints is not False and (self.b_exact or Fraction in map(type, x)):
+            if ints is None:
+                flat = [v for row in a for v in row] + list(b)
+                ints = False
+                if _rational(flat):
+                    n = len(b)
+                    K, cleared = clear_denominators(flat)
+                    ints = K, [cleared[i * n : i * n + n] for i in range(n)], cleared[n * n :]
+                self.ints = ints
+            if ints and _rational(x):
+                K, rows, B = ints
+                M, X = clear_denominators(x)
+                quad = 0
+                for xi, row in zip(X, rows):
+                    if xi:
+                        quad += xi * sum(map(mul, row, X))
+                return Fraction(quad + M * sum(map(mul, B, X)), K * M * M)
+        try:
+            return _bilinear(a, x, x) + dot(b, x)
+        except OverflowError as exc:
+            named = [(f"A[{i}][{j}]", v) for i, row in enumerate(a) for j, v in enumerate(row)]
+            huge = [k for k, v in named + [(f"b[{i}]", v) for i, v in enumerate(b)] if abs(v) > sys.float_info.max]
+            raise ValueError(f"U{list(x)} overflows a float ({exc}); beyond the float range: {huge}") from None
 
 
 def _bilinear(a: tuple, x: Vec, z: Vec) -> Scalar:
@@ -133,8 +187,15 @@ class QuadLinDecomposition:
             raise DimensionMismatch("dimension mismatch in quadratic form")
         return _bilinear(self.bilinear, x, z)
 
+    @cached_property
+    def _value(self) -> Callable[[Vec], Scalar]:
+        return _QuadLin(self.bilinear, self.linear).value
+
     def evaluate(self, x: Vec) -> Scalar:
-        return self.quadratic_form(x, x) + dot(self.linear, x)
+        """x^T S x + g.x."""
+        if len(x) != self.dim:
+            raise DimensionMismatch("dimension mismatch in quadratic form")
+        return self._value(x)
 
     def to_dict(self) -> dict:
         return {
@@ -225,7 +286,10 @@ def decompose(
         if abs(value) > peak:
             peak = abs(value)
     _require_finite("the residual", residual)
-    threshold = residual_rel * (1 + peak)
+    try:
+        threshold = residual_rel * (1 + peak)
+    except OverflowError:  # an exact peak beyond the float range: compare exactly
+        threshold = Fraction(residual_rel) * (1 + peak)
     if residual > threshold:
         raise NotQuadraticLinear(residual, threshold)
     return QuadLinDecomposition(bilinear, linear, residual)

@@ -17,7 +17,7 @@ import spherepref.rationalize as rat
 
 from . import axioms, cardinal
 from .formats import dumps, load_document
-from .geometry import EXACT, FLOAT
+from .geometry import EXACT, FLOAT, to_exact
 from .preference import SphericalParams, classify
 
 _RESTRICT_CHOICES = {
@@ -117,9 +117,14 @@ def _cmd_rationalize(args) -> int:
 
 
 def _resolve_comparison_oracle(args) -> axioms.ComparisonOracle:
+    """A built-in oracle, or the parameter file's; exact mode takes float
+    parameters verbatim as rationals, the same preference exactly."""
     if args.oracle in axioms.BUILTIN_ORACLES:
         return axioms.BUILTIN_ORACLES[args.oracle](args.dim)
-    return axioms.params_oracle(_load_params(args.oracle))
+    params = _load_params(args.oracle)
+    if args.mode == EXACT:
+        params = SphericalParams(*to_exact((params.c,)), to_exact(params.d))
+    return axioms.params_oracle(params)
 
 
 def _cmd_check_axioms(args) -> int:

@@ -12,6 +12,15 @@ splits the family into three classes plus total indifference:
 Parameters are identified up to positive scaling; :func:`canonicalize` picks
 the sphere representative (float mode) or the max-abs-entry representative
 (exact mode, no square roots).
+
+Exact parameters with a ``Fraction`` entry are compiled, once and on first
+use, into an integer form (L, C, D) with (c, d) = (C, D)/L. An exact point x,
+cleared to X/M, then has u(x) = (C*X.X + M*D.X)/(L*M^2): :func:`utility`
+builds that one ``Fraction``, and :func:`compare` clears both points to one M
+and takes the sign of C*(X.X - Y.Y) + M*D.(X - Y) without building any. Values,
+orderings and result types are those of plain entry-by-entry arithmetic;
+float, ``bool`` and mixed points, and parameters without a ``Fraction``,
+keep that arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import cached_property
+from operator import mul, sub
 from typing import Optional
 
 from .formats import scalar_from_json, scalar_to_json, vec_from_json, vec_to_json
@@ -29,6 +40,8 @@ from .geometry import (
     DimensionMismatch,
     Scalar,
     Vec,
+    _rational,
+    clear_denominators,
     dot,
     is_exact,
     scale,
@@ -72,6 +85,17 @@ class SphericalParams:
     def is_exact(self) -> bool:
         return is_exact((self.c,) + self.d)
 
+    @cached_property
+    def _ints(self) -> Optional[tuple]:
+        """(L, C, D) in integers with (c, d) = (C, D)/L, computed on first use;
+        None unless every entry is an ``int`` or a ``Fraction`` and one is a
+        ``Fraction``. Not a field: equality, hash and repr ignore it."""
+        v = (self.c,) + self.d
+        if Fraction not in map(type, v) or not _rational(v):
+            return None
+        L, ints = clear_denominators(v)
+        return L, ints[0], tuple(ints[1:])
+
     def to_dict(self) -> dict:
         return {"c": scalar_to_json(self.c), "d": vec_to_json(self.d)}
 
@@ -113,7 +137,16 @@ class PreferenceClass:
 
 
 def utility(p: SphericalParams, x: Vec) -> Scalar:
-    """Evaluate c*(x.x) + d.x."""
+    """Evaluate c*(x.x) + d.x; one ``Fraction`` through p's integer form.
+
+    A float x pays for one type test before the float arithmetic.
+    """
+    if x and type(x[0]) is not float:
+        ints = p._ints
+        if ints is not None and len(x) == len(ints[2]) and _rational(x):
+            L, C, D = ints
+            M, X = clear_denominators(x)
+            return Fraction(C * sum(map(mul, X, X)) + M * sum(map(mul, D, X)), L * M * M)
     return p.c * dot(x, x) + dot(p.d, x)
 
 
@@ -158,8 +191,18 @@ def compare(p: SphericalParams, x: Vec, y: Vec) -> Ordering:
     when exact, a TIE_REL*(1+|u(x)|+|u(y)|) band in floats). The axiom
     checkers, which see all the utilities of a trial, use its per-trial
     half, tie_cuts, with TIE_REL for ties and axioms.STRICT_REL for strict
-    claims.
+    claims. Two exact points under p's integer form are cleared to one
+    denominator M and ranked by the sign of C*(X.X - Y.Y) + M*D.(X - Y).
     """
+    if x and type(x[0]) is not float:
+        ints = p._ints
+        n = len(x)
+        if ints is not None and n == len(y) == len(ints[2]) and _rational(xy := (*x, *y)):
+            _, C, D = ints
+            M, XY = clear_denominators(xy)
+            X, Y = XY[:n], XY[n:]
+            gap = C * (sum(map(mul, X, X)) - sum(map(mul, Y, Y))) + M * sum(map(mul, D, map(sub, X, Y)))
+            return ordering_from_diff(gap)
     return rank(utility(p, x), utility(p, y))
 
 

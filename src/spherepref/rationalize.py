@@ -38,7 +38,7 @@ from typing import Optional
 from . import lp
 from .formats import scalar_to_json, vec_from_json, vec_to_json
 from .geometry import EXACT, DimensionMismatch, Scalar, Vec, clear_denominators, dot, sub, to_exact
-from .preference import Ordering, SphericalParams, compare, utility
+from .preference import Ordering, SphericalParams, compare
 
 RESTRICT_LINEAR = "linear"
 RESTRICT_EUCLIDEAN = "euclidean"
@@ -371,14 +371,21 @@ def _certificate_search(
 
 
 def verify_witness(data: ObservationSet, params: SphericalParams) -> bool:
-    """Exact re-check: weak pairs weakly higher utility, strict pairs strictly."""
-    data = data.to_exact()
-    p = SphericalParams(Fraction(params.c), tuple(Fraction(v) for v in params.d))
-    for x, y in data.weak:
-        if utility(p, x) - utility(p, y) < 0:
-            return False
-    for x, y in data.strict:
-        if utility(p, x) - utility(p, y) <= 0:
+    """Exact re-check: weak pairs weakly higher utility, strict pairs strictly.
+
+    Floats count verbatim. With each pair's (L, Q, V) and the witness cleared
+    to (C, D), the utility gap is (C*Q + L*D.V) / (K*L^2), so its sign is
+    that of the integer C*Q + L*D.V.
+    """
+    rows = [_pair_ints(x, y) for x, y in data.pairs()]
+    _, ints = clear_denominators((params.c, *params.d))
+    C, D = ints[0], ints[1:]
+    if rows and len(D) != data.dimension:
+        raise DimensionMismatch(f"dimension mismatch: {len(D)} vs {data.dimension}")
+    nweak = len(data.weak)
+    for i, (L, Q, V) in enumerate(rows):
+        gap = C * Q + L * sum(map(mul, D, V))
+        if gap < 0 or (gap == 0 and i >= nweak):
             return False
     return True
 

@@ -361,3 +361,28 @@ def test_float_sample_vector_draws_like_uniform(seed, dim, radius):
     expected = tuple(ref.uniform(-float(radius), float(radius)) for _ in range(dim))
     assert repr(drawn) == repr(expected)
     assert mine.getstate() == ref.getstate()
+
+
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 7),
+    st.one_of(st.floats(1e-6, 1e6), st.integers(1, 9), st.fractions(F(1, 8), 8)),
+)
+def test_exact_sample_vector_draws_sixteenths_like_fraction(seed, dim, radius):
+    # the same values and the same generator state as building each Fraction
+    mine, ref = random.Random(seed), random.Random(seed)
+    drawn = sample_vector(mine, dim, EXACT, radius)
+    span = max(1, round(float(radius) * 16))
+    expected = tuple(F(ref.randint(-span, span), 16) for _ in range(dim))
+    assert repr(drawn) == repr(expected)
+    assert mine.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("checker", [check_oioi, check_perp_diff, check_soioi, check_homotheticity])
+def test_float_checkers_reject_overflowing_utilities(checker):
+    # inf/nan utilities are unusable input, never a verdict
+    with pytest.raises(ValueError, match="not finite"):
+        checker(params_oracle(SphericalParams(-1, (1e308, 1e308, 0))), 20, mode=FLOAT)
+    # a huge int meeting float points overflows inside the trial
+    with pytest.raises(ValueError, match="overflows a float"):
+        checker(params_oracle(SphericalParams(10**400, (1, 0, 0))), 20, mode=FLOAT)

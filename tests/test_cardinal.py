@@ -3,12 +3,14 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spherepref.cardinal import (
     LineSearch,
     NotQuadraticLinear,
+    QuadLinDecomposition,
     _bilinear,
+    _QuadLin,
     check_eventual_linearity,
     check_status_quo_independence,
     coefficient_oracle,
@@ -296,3 +298,51 @@ def bilinear_cases(draw):
 def test_bilinear_matches_the_sum_reference_bit_for_bit(case):
     a, x, z = case
     assert repr(_bilinear(a, x, z)) == repr(reference_bilinear(a, x, z))
+
+
+# coefficient_oracle's and QuadLinDecomposition.evaluate's formula before
+# _QuadLin, kept verbatim as the reference
+def reference_quadlin(a, b, x):
+    return _bilinear(a, x, x) + dot(b, x)
+
+
+quadlin_entries = {
+    "int": st.integers(-10**6, 10**6),
+    "fraction": st.fractions(-100, 100, max_denominator=1000),
+    "float": st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
+    "bool": st.booleans(),
+    "zero": st.just(0),
+}
+quadlin_entries["exact"] = st.one_of(quadlin_entries["int"], quadlin_entries["fraction"])
+quadlin_entries["mixed"] = st.one_of(*quadlin_entries.values())
+
+
+@st.composite
+def quadlin_cases(draw):
+    """A, b and 1-4 points x, each of one kind or mixed; the points share one
+    kernel, so its integer form is computed once and reused."""
+    n = draw(st.integers(1, 5))
+    kinds = sorted(quadlin_entries)
+
+    def vec():
+        return draw(st.tuples(*[quadlin_entries[draw(st.sampled_from(kinds))]] * n))
+
+    a = tuple(vec() for _ in range(n))
+    b = vec()
+    return a, b, [vec() for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=300)
+@given(quadlin_cases())
+@example((((F(1, 2),),), (1,), [(0,)]))  # all-int b at x = 0: int 0
+@example((((F(1, 2),),), (F(1, 3),), [(0,), (F(1, 2),), (0.5,)]))
+@example((((1.5,),), (F(1, 3),), [(F(1, 2),), (2,)]))
+@example((((1, 2), (3, 4)), (1, 2), [(F(1, 2), 1), (1, 1), (0.5, 1)]))
+def test_quadlin_matches_the_bilinear_reference(case):
+    # value and type: repr tells int 0 from Fraction(0) and 0.0 from -0.0
+    a, b, points = case
+    fns = (_QuadLin(a, b).value, coefficient_oracle(a, b), QuadLinDecomposition(a, b, 0).evaluate)
+    for x in points:
+        want = repr(reference_quadlin(a, b, x))
+        for fn in fns:
+            assert repr(fn(x)) == want

@@ -345,6 +345,52 @@ def test_decompose_overflowing_float_utility_exits_two(capsys, tmp_path, doc, fi
     assert err.startswith("error:") and field in err
 
 
+def test_decompose_huge_int_next_to_a_float_exits_two(capsys, tmp_path):
+    # float + 10**400 raised OverflowError with a traceback, exit 1
+    doc = {"A": [[1e300]], "b": [10**400]}
+    code, out, err = run(capsys, "decompose", write(tmp_path, "utility.json", doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "overflows a float" in err and "b[0]" in err
+
+
+@pytest.mark.parametrize("doc", [{"A": [[1]], "b": [10**400]}, {"A": [[10**400]], "b": [1]}])
+def test_decompose_huge_exact_utility(capsys, tmp_path, doc):
+    # exact, so nothing overflows; the residual threshold is compared exactly
+    code, out, _ = run(capsys, "decompose", write(tmp_path, "utility.json", doc))
+    assert code == 0
+    assert json.loads(out) == {"S": doc["A"], "g": doc["b"], "residual": 0}
+
+
+@pytest.mark.parametrize("doc", [
+    {"c": -0.3, "d": [0.1, 0.7, 0.2]},
+    {"c": -1, "d": [1e308, 1e308, 0]},
+])
+def test_exact_check_axioms_takes_float_parameters_verbatim(capsys, tmp_path, doc):
+    # float utilities of rational points were judged at the exact cut 0: the
+    # first document gave a homotheticity violation, the second 3/2/0/9
+    code, out, _ = run(capsys, "check-axioms", write(tmp_path, "params.json", doc), "--trials", "500", "--exact")
+    assert code == 0
+    assert [r["violations"] for r in json.loads(out)] == [0, 0, 0, 0]
+
+
+def test_check_axioms_overflowing_float_utilities_exit_two(capsys, tmp_path):
+    # inf/nan utilities gave a homotheticity violation, exit 1
+    path = write(tmp_path, "params.json", {"c": -1, "d": [1e308, 1e308, 0]})
+    code, out, err = run(capsys, "check-axioms", path, "--trials", "20")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err
+
+
+@pytest.mark.parametrize("doc", [{"c": 10**400, "d": [1, 0, 0]}, {"c": -1, "d": [0, "1/3", 10**400]}])
+def test_check_axioms_huge_exact_parameters_in_float_mode_exit_two(capsys, tmp_path, doc):
+    code, out, err = run(capsys, "check-axioms", write(tmp_path, "params.json", doc), "--trials", "20")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "overflows a float" in err
+
+
 def test_classify_float_center_does_not_overflow(capsys, tmp_path):
     # 2c overflows a float here, -0.5/c does not; the center is (-1/2, -1/2, 0)
     path = write(tmp_path, "huge.json", {"c": 1e308, "d": [1e308, 1e308, 0]})
@@ -387,18 +433,24 @@ def test_one_and_two_dimensional_parameters_still_classify(capsys, tmp_path):
 # negative rationalize verdict carries a certificate that re-checks exactly.
 # Float-mode certificates are not re-checked: float mode does not promise
 # exactly verified output (ROADMAP item 3).
+
+# magnitudes at and beyond the ends of the float range, as JSON numbers and "p/q"
+extremes = st.sampled_from([1e308, -1e308, 10**400, -10**400, 5e-324, f"1/{10**400}"])
 fuzz_scalars = st.one_of(
     st.integers(-3, 3),
     st.sampled_from([0.5, -1.25, 1e-300, 1e308, float("nan"), float("inf"),
                      "1/2", "-3/4", "1/0", "x", "", None, True, [], {}]),
+    extremes,
 )
-good_scalars = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-3/4", 0.5]))
 garbage = st.one_of(fuzz_scalars, st.lists(fuzz_scalars, max_size=4))
 
 
 def mostly(good, bad):
     """``good`` five times in six, else ``bad``."""
     return st.integers(0, 5).flatmap(lambda i: bad if i == 0 else good)
+
+
+good_scalars = mostly(st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-3/4", 0.5])), extremes)
 
 
 def damage(draw, node):

@@ -4,9 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from spherepref.geometry import FLOAT, dot, sq_norm, sub
+from spherepref.geometry import FLOAT, DimensionMismatch, dot, sq_norm, sub
 from spherepref.preference import (
     ANTI_EUCLIDEAN,
     EUCLIDEAN,
@@ -20,6 +20,7 @@ from spherepref.preference import (
     compare,
     distinguishing_pair,
     preference_distance,
+    rank,
     sphere_normal,
     utility,
 )
@@ -219,3 +220,72 @@ def test_class_json_round_trip():
 def test_float_center_matches_the_two_c_formula_while_two_c_is_finite(c, d):
     center = classify(SphericalParams(c, d)).center
     assert repr(center) == repr(tuple(-1.0 / (2.0 * c) * x for x in d))
+
+
+# utility and compare before the integer form, kept verbatim as the reference
+def reference_utility(p, x):
+    return p.c * dot(x, x) + dot(p.d, x)
+
+
+def reference_compare(p, x, y):
+    return rank(reference_utility(p, x), reference_utility(p, y))
+
+
+form_entries = {
+    "int": st.integers(-10**6, 10**6),
+    "fraction": st.fractions(-100, 100, max_denominator=1000),
+    "float": st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
+    "bool": st.booleans(),
+    "zero": st.just(0),
+}
+form_entries["exact"] = st.one_of(form_entries["int"], form_entries["fraction"])
+form_entries["mixed"] = st.one_of(*form_entries.values())
+
+
+@st.composite
+def params_and_points(draw):
+    """Parameters and two points of one length 1-6, each vector all of one
+    kind (int, Fraction, float, bool, zero, int and Fraction) or of every kind."""
+    n = draw(st.integers(1, 6))
+    kinds = sorted(form_entries)
+    c, *d = draw(st.tuples(*[form_entries[draw(st.sampled_from(kinds))]] * (n + 1)))
+    x, y = (draw(st.tuples(*[form_entries[draw(st.sampled_from(kinds))]] * n)) for _ in range(2))
+    return SphericalParams(c, d), x, y
+
+
+@settings(max_examples=500)
+@given(params_and_points())
+@example((SphericalParams(F(1, 2), (0, 0)), (0, 0), (0, 0)))  # Fraction(0), not int 0
+@example((SphericalParams(-0.3, (0.1, 0.7)), (F(1, 16), F(-3, 8)), (F(1, 4), 0)))
+@example((SphericalParams(F(-3, 10), (F(1, 10), 1)), (0.25, 0.5), (F(1, 4), 0)))
+@example((SphericalParams(F(1, 3), (True, 2)), (1, 2), (False, F(1, 2))))
+def test_utility_and_compare_match_the_entrywise_reference(case):
+    # repr tells an int from an equal Fraction or float, and 0.0 from -0.0
+    p, x, y = case
+    for v in (x, y):
+        assert repr(utility(p, v)) == repr(reference_utility(p, v))
+    assert compare(p, x, y) is reference_compare(p, x, y)
+    assert compare(p, y, x) is reference_compare(p, y, x)
+
+
+def test_utility_and_compare_keep_the_dimension_check():
+    p = SphericalParams(F(1, 2), (F(1, 3), 1))
+    for fn in (lambda: utility(p, (1, 2, 3)), lambda: compare(p, (1, 2, 3), (1, 2, 3)),
+               lambda: compare(p, (1, 2), (F(1, 2), 1, 0))):
+        with pytest.raises(DimensionMismatch):
+            fn()
+
+
+def test_integer_form_is_invisible_to_equality_hash_and_json():
+    p = SphericalParams(F(-1, 3), (F(1, 2), 2))
+    q = SphericalParams(F(-1, 3), (F(1, 2), 2))
+    before = (repr(p), hash(p), p.to_dict())
+    assert utility(p, (F(1, 4), 1)) == reference_utility(p, (F(1, 4), 1))
+    assert "_ints" in vars(p) and "_ints" not in vars(q)
+    assert p._ints == (6, -2, (3, 12))
+    assert p == q and hash(p) == hash(q)
+    assert (repr(p), hash(p), p.to_dict()) == before
+    assert {p: 1}[q] == 1
+    # no form without a Fraction, or with a float or a bool
+    for other in (SphericalParams(1, (2, 3)), SphericalParams(0.5, (F(1, 2),)), SphericalParams(F(1, 2), (True,))):
+        assert other._ints is None

@@ -6,10 +6,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spherepref.formats import dumps, scalar_from_json
-from spherepref.geometry import EXACT, FLOAT, DimensionMismatch
+from spherepref.geometry import EXACT, FLOAT, DimensionMismatch, dot
 from spherepref.preference import Ordering, SphericalParams, classify, compare
 from spherepref.rationalize import (
     RESTRICT_ANTI_EUCLIDEAN,
@@ -418,3 +418,64 @@ def test_golden_verdicts_on_float_and_mixed_coordinates():
     assert digest == "8bd75b2762d321f415c2277ca8dd90f13e839ed2fc2d1710c491d1a9c157b83f"
     approx = "".join(dumps(rationalize(data, restriction, mode=FLOAT).to_dict()) for data, restriction in datasets)
     assert hashlib.sha256(approx.encode()).hexdigest() == "e9dd0e81e1c1364b2c0598d2f3093c5c3a0e3c8a333154cde28e3316017674c3"
+
+
+# verify_witness before the integer re-check, kept verbatim as the reference
+# (with utility's old formula inlined)
+def reference_verify_witness(data, params):
+    def u(p, x):
+        return p.c * dot(x, x) + dot(p.d, x)
+
+    data = data.to_exact()
+    p = SphericalParams(F(params.c), tuple(F(v) for v in params.d))
+    for x, y in data.weak:
+        if u(p, x) - u(p, y) < 0:
+            return False
+    for x, y in data.strict:
+        if u(p, x) - u(p, y) <= 0:
+            return False
+    return True
+
+
+witness_entries = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(-100, 100, max_denominator=1000),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0, 0.0, -0.0, 0.1]),
+)
+
+
+@st.composite
+def witness_cases(draw):
+    """Parameters and int/Fraction/float/mixed pairs, five in six oriented by
+    the parameters' exact utility gap (ties weak), so both answers come up."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[witness_entries] * n)
+    c, *d = draw(st.tuples(*[witness_entries] * (n + 1)))
+    weak, strict = [], []
+    for x, y in draw(st.lists(st.tuples(vec, vec), max_size=8)):
+        X, Y = tuple(map(F, x)), tuple(map(F, y))
+        gap = F(c) * (dot(X, X) - dot(Y, Y)) + dot(tuple(map(F, d)), tuple(a - b for a, b in zip(X, Y)))
+        if not draw(st.integers(0, 5)):
+            (weak if draw(st.booleans()) else strict).append((x, y))
+        elif gap == 0:
+            weak.append((x, y))
+        else:
+            strict.append((x, y) if gap > 0 else (y, x))
+    return ObservationSet(n, weak, strict), SphericalParams(c, d)
+
+
+@settings(max_examples=200)
+@given(witness_cases())
+@example((ObservationSet(2, [((0.1, F(1, 3)), (0.1, F(1, 3)))], [((1, 0.5), (0, 0))]), SphericalParams(-0.3, (1, 0))))
+@example((ObservationSet(1, [], [((1,), (0,))]), SphericalParams(F(1, 2), (0.0,))))
+def test_verify_witness_matches_the_fraction_reference(case):
+    data, params = case
+    assert verify_witness(data, params) is reference_verify_witness(data, params)
+
+
+def test_verify_witness_checks_the_dimension():
+    data = ObservationSet(2, [((1, 0), (0, 1))], [])
+    with pytest.raises(DimensionMismatch):
+        verify_witness(data, SphericalParams(1, (1, 2, 3)))
+    assert verify_witness(ObservationSet(2, [], []), SphericalParams(1, (1, 2, 3)))
