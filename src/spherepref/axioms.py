@@ -22,7 +22,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .formats import scalar_to_json, vec_to_json
@@ -31,6 +30,7 @@ from .geometry import (
     FLOAT,
     Scalar,
     Vec,
+    _sixteenths,
     add,
     dot,
     is_zero,
@@ -153,11 +153,6 @@ def _run_trials(axiom: str, trials: int, rng_seed: int, trial: Callable) -> Axio
             if first is None:
                 first = found
     return AxiomReport(axiom, trials, violations, first)
-
-
-@lru_cache(maxsize=1024)
-def _sixteenths(k: int) -> Fraction:
-    return Fraction(k, 16)
 
 
 def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float = 1.0) -> Vec:

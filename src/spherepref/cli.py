@@ -88,7 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", help="parameter JSON file")
     p.add_argument("--count", type=int, default=50, help="number of sampled pairs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius", type=_finite(True), default=2.0, help="sampling box radius")
+    p.add_argument("--radius", type=_finite(True), default=2.0,
+                   help="sampling box radius; coordinates lie on the 1/8 grid, "
+                        "and a radius under 1/16 still samples -1/8, 0 and 1/8")
 
     return parser
 

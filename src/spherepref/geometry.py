@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, float]
@@ -30,6 +31,12 @@ FLOAT = "float"
 
 # Float-mode projection residual target: |dot(result, b)| <= PROJ_TOL*|v||b|.
 PROJ_TOL = 1e-12
+
+
+@lru_cache(maxsize=1024)
+def _sixteenths(k: int) -> Fraction:
+    """Fraction(k, 16), memoized: the sampling grids draw few distinct k."""
+    return Fraction(k, 16)
 
 
 class DimensionMismatch(ValueError):

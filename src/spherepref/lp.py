@@ -23,24 +23,12 @@ becomes the new ``den``; no gcd is ever taken inside the simplex. Row
 scaling multiplies each row of the true tableau, each ratio of one ratio
 test and each reduced cost by a positive factor, so every entering and
 leaving choice is the one a Fraction tableau would make: the pivots, and so
-the outputs, are the same. The multipliers are unscaled on the way out.
+the outputs, are the same.
 Float mode keeps plain Gauss-Jordan pivots on floats with small tolerances.
 
-Conventions on the reported multipliers (for a maximization):
-
-* ``duals[i]`` is the multiplier of constraint i at the optimum. It is >= 0
-  for a ``<=`` row, <= 0 for a ``>=`` row, and free for ``=``. Together with
-  the bound multipliers it satisfies strong duality and complementary
-  slackness, exactly in exact mode.
-* ``farkas[i]`` (present when infeasible) are weights with the same sign
-  conventions such that the weighted combination of all rows cancels every
-  variable that is free, is >= 0 on variables bounded below by zero, and has
-  a strictly negative combined right-hand side: a proof that no feasible
-  point exists.
-
-A lower bound of exactly zero is handled natively (nonnegative column);
-any other bound is materialized as an explicit row and participates in the
-multiplier accounting through ``bound_duals`` / ``farkas_bounds``.
+An outcome reports only the status and, when optimal, the primal point and
+the objective value. A lower bound of exactly zero is handled natively
+(nonnegative column); any other bound is materialized as an explicit row.
 """
 
 from __future__ import annotations
@@ -110,10 +98,6 @@ class LpOutcome:
     status: str
     primal: Optional[Vec] = None
     objective_value: Optional[Scalar] = None
-    duals: Optional[Vec] = None
-    bound_duals: Optional[tuple] = None  # per variable: (lower dual, upper dual)
-    farkas: Optional[Vec] = None
-    farkas_bounds: Optional[tuple] = None
 
 
 class _Tableau:
@@ -271,20 +255,20 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
     nonneg = [b[0] is not None and b[0] == 0 for b in bounds]
 
     # Row list: user constraints first, then materialized bound rows, each
-    # as (k, k * coeffs over original vars, relation, k * rhs, origin).
+    # as (k, k * coeffs over original vars, relation, k * rhs).
     rows: list = []
-    for i, con in enumerate(lp.constraints):
+    for con in lp.constraints:
         k, vals = _scaled(con.coeffs + (con.rhs,), exact)
-        rows.append((k, vals[:-1], con.relation, vals[-1], ("con", i)))
+        rows.append((k, vals[:-1], con.relation, vals[-1]))
     for j, (lo, hi) in enumerate(bounds):
         ej = [0] * nvars
         ej[j] = 1
         if lo is not None and not nonneg[j]:
             k, vals = _scaled(ej + [lo], exact)
-            rows.append((k, vals[:-1], GE, vals[-1], ("lo", j)))
+            rows.append((k, vals[:-1], GE, vals[-1]))
         if hi is not None:
             k, vals = _scaled(ej + [hi], exact)
-            rows.append((k, vals[:-1], LE, vals[-1], ("hi", j)))
+            rows.append((k, vals[:-1], LE, vals[-1]))
 
     # Structural columns: one per nonnegative variable, two per free one.
     struct: list = []  # (var index, +1 | -1)
@@ -296,25 +280,23 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
 
     # Row i's slack is variable ns + i and its artificial ns + m + i, so
     # structural < slack < artificial. Each row is oriented to a nonnegative
-    # right-hand side (row_sign[i] records the flip); it starts with its
-    # slack basic if the slack enters with +1, else with its artificial, and
-    # a slack entering with -1 starts as a nonbasic column. In exact mode
-    # either stands for k_i times the slack or artificial of the unscaled row.
+    # right-hand side; it starts with its slack basic if the slack enters
+    # with +1, else with its artificial, and a slack entering with -1 starts
+    # as a nonbasic column. In exact mode either stands for k_i times the
+    # slack or artificial of the unscaled row.
     m = len(rows)
     art0, nvar = ns + m, ns + 2 * m
     T: list = []
     rhs: list = []
     basis: list = []
     nonbasic = list(range(ns))
-    row_sign: list = []
-    for i, (_, coeffs, rel, b, _) in enumerate(rows):
+    for i, (_, coeffs, rel, b) in enumerate(rows):
         sign = -1 if rel == GE else 1
         if sign * b < 0:
             sign = -sign
         slack = 0 if rel == EQ else (sign if rel == LE else -sign)
         T.append([sign * s * coeffs[j] for j, s in struct])
         rhs.append(sign * b)
-        row_sign.append(sign)
         basis.append(ns + i if slack > 0 else art0 + i)
         if slack < 0:
             nonbasic.append(ns + i)
@@ -322,56 +304,23 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
         row += [cell(-1 if v == ns + i else 0) for v in nonbasic[ns:]]
 
     tab = _Tableau(T, rhs, basis, nonbasic, exact)
-    start = list(basis)
-    scale = [row[0] for row in rows]
-
-    def _extract_multipliers(costs: list, cost_scale: int) -> list:
-        # Row i's multiplier is that of its starting basic column j (true
-        # value (den * cost_j - rc_j) / den, with rc_j = 0 while j is basic),
-        # times k_i for the row scaling, over the positive factor the costs
-        # were scaled by.
-        rc = dict(zip(tab.nonbasic, tab.reduced_costs(costs)))
-        den = tab.den
-        y = []
-        for i, j in enumerate(start):
-            d = rc.get(j, 0)
-            if exact:
-                y.append(Fraction(row_sign[i] * scale[i] * (den * costs[j] - d), den * cost_scale))
-            else:
-                y.append(row_sign[i] * (costs[j] - d))
-        return y
-
-    def _split_multipliers(y: list):
-        con_part = [conv(0)] * len(lp.constraints)
-        lo_part = [conv(0)] * nvars
-        hi_part = [conv(0)] * nvars
-        for yi, (*_, (kind, idx)) in zip(y, rows):
-            if kind == "con":
-                con_part[idx] = yi
-            elif kind == "lo":
-                lo_part[idx] = yi
-            else:
-                hi_part[idx] = yi
-        return tuple(con_part), tuple(zip(lo_part, hi_part))
 
     # Phase 1: drive the artificial columns to zero. Artificial i costs
     # -L / k_i with L the lcm of those k_i: L times the unscaled objective,
     # in integers.
     art_rows = [i for i in range(m) if basis[i] >= art0]
     if art_rows:
-        art_lcm = lcm(*[scale[i] for i in art_rows])
+        art_lcm = lcm(*[rows[i][0] for i in art_rows])
         costs1 = [cell(0)] * nvar
         for i in art_rows:
-            costs1[art0 + i] = cell(-(art_lcm // scale[i]))
+            costs1[art0 + i] = cell(-(art_lcm // rows[i][0]))
         status = _run_simplex(tab, costs1, nvar, tol)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise RuntimeError("phase 1 terminated abnormally")
         value1 = sum(costs1[basis[i]] * rhs[i] for i in range(m))
         infeas_cut = 0 if exact else -_FEAS_TOL * (1 + max(map(abs, rhs), default=0))
         if value1 < infeas_cut:
-            w = _extract_multipliers(costs1, art_lcm)
-            farkas, farkas_bounds = _split_multipliers(w)
-            return LpOutcome(INFEASIBLE, farkas=farkas, farkas_bounds=farkas_bounds)
+            return LpOutcome(INFEASIBLE)
         # Pivot each leftover artificial out of the basis on the lowest
         # numbered non-artificial column with a nonzero entry, if any.
         for i in range(m):
@@ -384,7 +333,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
 
     # Phase 2: the real objective over structural columns, times the lcm of
     # its denominators in exact mode.
-    obj_scale, costs = _scaled(lp.objective, exact)
+    _, costs = _scaled(lp.objective, exact)
     costs2 = [cell(0)] * nvar
     for k, (j, s) in enumerate(struct):
         costs2[k] = costs[j] if s > 0 else -costs[j]
@@ -398,12 +347,8 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
     primal = [conv(0)] * nvars
     for k, (j, s) in enumerate(struct):
         primal[j] = primal[j] + (values[k] if s > 0 else -values[k])
-    y = _extract_multipliers(costs2, obj_scale)
-    duals, bound_duals = _split_multipliers(y)
     return LpOutcome(
         OPTIMAL,
         primal=tuple(primal),
         objective_value=dot(tuple(objective), tuple(primal)),
-        duals=duals,
-        bound_duals=bound_duals,
     )

@@ -37,7 +37,7 @@ from typing import Optional
 
 from . import lp
 from .formats import scalar_to_json, vec_from_json, vec_to_json
-from .geometry import EXACT, DimensionMismatch, Scalar, Vec, clear_denominators, dot, sub, to_exact
+from .geometry import EXACT, DimensionMismatch, Scalar, Vec, _sixteenths, clear_denominators, dot, sub, to_exact
 from .preference import Ordering, SphericalParams, compare
 
 RESTRICT_LINEAR = "linear"
@@ -441,10 +441,11 @@ def generate_dataset(
 ) -> ObservationSet:
     """Sample comparison data consistent with the given parameters.
 
-    Pairs are drawn uniformly from a rational grid inside the box of the
-    given radius; strict comparisons enter the strict relation oriented by
-    the preference, exact ties enter the weak relation in both orientations.
-    The output is rationalizable by construction.
+    Pairs are drawn uniformly from the 1/8 grid: each coordinate is k/8 for
+    an integer |k| <= max(1, round(8 * radius)), so a radius under 1/16
+    still samples -1/8, 0 and 1/8. Strict comparisons enter the strict
+    relation oriented by the preference, exact ties enter the weak relation
+    in both orientations. The output is rationalizable by construction.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -453,16 +454,15 @@ def generate_dataset(
     rng = random.Random(rng_seed)
     n = params.dim
     p = SphericalParams(Fraction(params.c), tuple(Fraction(v) for v in params.d))
-    den = 8
     try:
-        span = max(1, round(float(radius) * den))
+        span = max(1, round(float(radius) * 8))
     except OverflowError:
         raise ValueError(f"radius {radius} is too large") from None
     weak = []
     strict = []
     for _ in range(count):
-        x = tuple(Fraction(rng.randint(-span, span), den) for _ in range(n))
-        y = tuple(Fraction(rng.randint(-span, span), den) for _ in range(n))
+        x = tuple(_sixteenths(2 * rng.randint(-span, span)) for _ in range(n))
+        y = tuple(_sixteenths(2 * rng.randint(-span, span)) for _ in range(n))
         order = compare(p, x, y)
         if order is Ordering.BETTER:
             strict.append((x, y))

@@ -39,50 +39,81 @@ def assert_primal_feasible(lp, out):
                 assert out.primal[j] <= hi
 
 
-def assert_duality(lp, out):
-    """Exact strong duality, dual signs, and complementary slackness."""
-    bounds = lp.bounds or ((None, None),) * len(lp.objective)
-    dual_obj = sum(out.duals[i] * con.rhs for i, con in enumerate(lp.constraints))
-    for j, (lo, hi) in enumerate(bounds):
-        lo_dual, hi_dual = out.bound_duals[j]
-        if lo not in (None, 0):
-            dual_obj += lo_dual * lo
+def _rows(lp):
+    """The LP restated as rows over free variables: its constraints, then
+    one row per bound, each as (coeffs, relation, rhs)."""
+    n = len(lp.objective)
+    rows = [(con.coeffs, con.relation, con.rhs) for con in lp.constraints]
+    for j, (lo, hi) in enumerate(lp.bounds or ()):
+        e = tuple(int(k == j) for k in range(n))
+        if lo is not None:
+            rows.append((e, GE, lo))
         if hi is not None:
-            dual_obj += hi_dual * hi
-    assert dual_obj == out.objective_value
-    for i, con in enumerate(lp.constraints):
-        if con.relation == LE:
-            assert out.duals[i] >= 0
-        elif con.relation == GE:
-            assert out.duals[i] <= 0
-        act = activity(con.coeffs, out.primal)
-        assert out.duals[i] * (act - con.rhs) == 0
+            rows.append((e, LE, hi))
+    return rows
 
 
-def assert_farkas_valid(lp, out):
-    """The returned weights combine the rows into a contradiction."""
-    bounds = lp.bounds or ((None, None),) * len(lp.objective)
-    for i, con in enumerate(lp.constraints):
-        if con.relation == LE:
-            assert out.farkas[i] >= 0
-        elif con.relation == GE:
-            assert out.farkas[i] <= 0
-    combined_rhs = sum(out.farkas[i] * con.rhs for i, con in enumerate(lp.constraints))
-    for j, (lo, hi) in enumerate(bounds):
-        lo_w, hi_w = out.farkas_bounds[j]
-        combined = sum(out.farkas[i] * con.coeffs[j] for i, con in enumerate(lp.constraints))
-        combined += lo_w + hi_w
-        if lo is not None and lo == 0:
-            assert combined >= 0
-        else:
-            assert combined == 0
-        if lo not in (None, 0):
-            assert lo_w <= 0
-            combined_rhs += lo_w * lo
-        if hi is not None:
-            assert hi_w >= 0
-            combined_rhs += hi_w * hi
-    assert combined_rhs < 0
+_SIGN = {LE: (0, None), GE: (None, 0), EQ: (None, None)}
+
+
+def _alternative(lp, farkas=False):
+    """The dual of ``lp`` (maximize -b.y subject to A^T y = c, y >= 0 on
+    ``<=`` rows, <= 0 on ``>=`` rows, free on ``=`` rows), or with
+    ``farkas`` its Farkas system: A^T y = 0, the same signs, -b.y <= 1,
+    maximize -b.y."""
+    rows = _rows(lp)
+    neg_b = tuple(-b for _, _, b in rows)
+    cons = [
+        Constraint(tuple(a[j] for a, _, _ in rows), EQ, 0 if farkas else c)
+        for j, c in enumerate(lp.objective)
+    ]
+    if farkas:
+        cons.append(Constraint(neg_b, LE, 1))
+    return LinearProgram(neg_b, tuple(cons), tuple(_SIGN[rel] for _, rel, _ in rows))
+
+
+def assert_infeasible(lp):
+    """An exact Farkas proof: weights with the rows' signs that cancel every
+    variable and leave -b.y > 0. Returns the Farkas system's outcome."""
+    system = _alternative(lp, farkas=True)
+    out = solve(system)
+    assert out.status == OPTIMAL and out.objective_value > 0
+    assert_primal_feasible(system, out)
+    return out
+
+
+def _ray(lp):
+    """Maximize c.d over the recession directions d of ``lp``'s rows, with
+    c.d <= 1: optimal with value 1 exactly when the dual is infeasible."""
+    cons = [Constraint(a, rel, 0) for a, rel, _ in _rows(lp)]
+    cons.append(Constraint(lp.objective, LE, 1))
+    return LinearProgram(lp.objective, tuple(cons))
+
+
+def assert_certified(lp, out):
+    """Prove ``out.status`` exactly with alternative programs: an optimum
+    by a feasible dual point of equal value, infeasibility by a Farkas point,
+    unboundedness by a feasible point, an infeasible dual and an improving
+    recession direction (the dual's Farkas point)."""
+    dual = _alternative(lp)
+    if out.status == OPTIMAL:
+        assert_primal_feasible(lp, out)
+        d = solve(dual)
+        assert d.status == OPTIMAL and -d.objective_value == out.objective_value
+        assert_primal_feasible(dual, d)
+    elif out.status == INFEASIBLE:
+        assert_infeasible(lp)
+    else:
+        assert out.status == UNBOUNDED
+        zero = LinearProgram((0,) * len(lp.objective), lp.constraints, lp.bounds)
+        z = solve(zero)
+        assert z.status == OPTIMAL
+        assert_primal_feasible(lp, z)
+        assert solve(dual).status == INFEASIBLE
+        ray = _ray(lp)
+        r = solve(ray)
+        assert r.status == OPTIMAL and r.objective_value > 0
+        assert_primal_feasible(ray, r)
 
 
 def test_maximize_margin_unit_box():
@@ -98,8 +129,8 @@ def test_contradictory_rows_certificate():
     out = solve(lp)
     assert out.status == INFEASIBLE
     # the certificate must combine both rows
-    assert out.farkas[0] > 0 and out.farkas[1] < 0
-    assert_farkas_valid(lp, out)
+    weights = assert_infeasible(lp).primal
+    assert weights[0] > 0 and weights[1] < 0
 
 
 def test_small_polytope_optimum():
@@ -114,8 +145,7 @@ def test_small_polytope_optimum():
     # oracle: enumerate the polytope's vertices
     vertices = [(0, 0), (2, 0), (0, 2), (2, 1), (1, 2)]
     assert max(x + y for x, y in vertices) == 3
-    assert_primal_feasible(lp, out)
-    assert_duality(lp, out)
+    assert_certified(lp, out)
 
 
 def test_unbounded():
@@ -178,11 +208,7 @@ def test_random_instances_exact_certificates():
         lp = _random_lp(rng)
         out = solve(lp)
         seen[out.status] += 1
-        if out.status == OPTIMAL:
-            assert_primal_feasible(lp, out)
-            assert_duality(lp, out)
-        elif out.status == INFEASIBLE:
-            assert_farkas_valid(lp, out)
+        assert_certified(lp, out)
     # the generator must exercise all three outcomes
     assert all(v > 0 for v in seen.values()), seen
 
@@ -263,18 +289,26 @@ def _golden_lp(rng):
     return LinearProgram(obj, cons, tuple(bounds))
 
 
+def _digest(outcomes):
+    # every field of each outcome, spelled out so the pin reads the same
+    # however LpOutcome's repr is laid out
+    lines = (repr((o.status, o.primal, o.objective_value)) for o in outcomes)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_golden_outcomes():
     # pinned outcomes (every field, in both modes): any change to the pivot
-    # sequence, the multiplier accounting or the float arithmetic shows here
+    # sequence or the float arithmetic shows here
     rng = random.Random(5)
     lps = [_golden_lp(rng) for _ in range(400)]
     exact = [solve(lp) for lp in lps]
     statuses = [out.status for out in exact]
     assert [statuses.count(s) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)] == [100, 215, 85]
-    digest = hashlib.sha256("\n".join(map(repr, exact)).encode()).hexdigest()
-    assert digest == "10861d6f0aa71e9867cabb53074382319b7b64c364e68b15137db8ed91e2883e"
-    approx = "\n".join(repr(solve(lp, mode=FLOAT)) for lp in lps)
-    assert hashlib.sha256(approx.encode()).hexdigest() == "e30fd53cae83723bccda25cbf7cc9a81edbfe50b5ea7a75e436d4e6adb9e9a57"
+    assert _digest(exact) == "e9ffa4e66c411cf5b606171195de929fcc65cc344de7dc0402cf1a4caba6661c"
+    approx = [solve(lp, mode=FLOAT) for lp in lps]
+    assert _digest(approx) == "b61c5bcbc1ad31da530ea0029d2de89bc96cac14b938b27ea97a212731e529e7"
+    for lp, out in zip(lps, exact):
+        assert_certified(lp, out)
 
 
 def _exact_twin(lp):
@@ -311,11 +345,7 @@ def test_row_scaling_on_awkward_rationals():
         out = solve(lp)
         assert out == solve(twin)
         seen[out.status] += 1
-        if out.status == OPTIMAL:
-            assert_primal_feasible(twin, out)
-            assert_duality(twin, out)
-        elif out.status == INFEASIBLE:
-            assert_farkas_valid(twin, out)
+        assert_certified(twin, out)
     assert all(v > 0 for v in seen.values()), seen
 
 
@@ -368,7 +398,8 @@ def test_golden_tall_outcomes():
     exact = [solve(lp) for lp in lps]
     statuses = [out.status for out in exact]
     assert [statuses.count(s) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)] == [18, 14, 8]
-    digest = hashlib.sha256("\n".join(map(repr, exact)).encode()).hexdigest()
-    assert digest == "5267f80489ec2b60d90081b96fddf728d019adcada8375be3b4bb5aeb8555c56"
-    approx = "\n".join(repr(solve(lp, mode=FLOAT)) for lp in lps)
-    assert hashlib.sha256(approx.encode()).hexdigest() == "324e723f2901c20ec75bb301a2b2f4476da2f30c22a9a45169cb7b6988e9c2f2"
+    assert _digest(exact) == "f8eeaf33db68b3a1d41b3a20125dcfe004e303fe96e110fac6c363bc31ec14d9"
+    approx = [solve(lp, mode=FLOAT) for lp in lps]
+    assert _digest(approx) == "a04ac95457d53140f7304b1e822c9fe6681de1ca97e80b111ce4a6855e23935d"
+    for lp, out in zip(lps, exact):
+        assert_certified(lp, out)

@@ -1,4 +1,7 @@
+import ast
+import sys
 import types
+from pathlib import Path
 
 import spherepref
 
@@ -29,3 +32,22 @@ def test_rationalize_is_the_submodule():
     assert isinstance(spherepref.rationalize, types.ModuleType)
     assert spherepref.rationalize.__name__ == "spherepref.rationalize"
     assert "rationalize" not in spherepref.__all__
+
+
+def test_runtime_is_stdlib_only():
+    # every absolute import in the package is the standard library or the
+    # package itself; relative imports (level > 0) stay inside it
+    src = Path(spherepref.__file__).parent
+    files = sorted(src.glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "spherepref", (path.name, name)
