@@ -26,9 +26,9 @@ from functools import cached_property
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .axioms import AxiomReport, _run_trials, cubic_function, sample_vector
+from .axioms import AxiomReport, _not_finite, _run_trials, cubic_function, sample_vector
 from .formats import scalar_to_json, vec_from_json, vec_to_json
-from .geometry import (EXACT, FLOAT, DimensionMismatch, Scalar, Vec, _rational, add, basis_vector,
+from .geometry import (EXACT, FLOAT, DimensionMismatch, Scalar, Vec, _rational, _sixteenths, add, basis_vector,
                        clear_denominators, dot, neg, scale, sub, zeros)
 from .preference import tie_cuts
 
@@ -230,7 +230,7 @@ def _probe_grid(dim: int, probe_z: Sequence[Vec]) -> list:
             points += [add(ei, ej), sub(ei, ej)]
     rng = random.Random(_PROBE_SEED)
     for _ in range(_N_RANDOM_PROBES):
-        points.append(tuple(Fraction(rng.randint(-16, 16), 8) for _ in range(dim)))
+        points.append(tuple(_sixteenths(2 * rng.randint(-16, 16)) for _ in range(dim)))
     return points
 
 
@@ -307,7 +307,8 @@ def check_status_quo_independence(
 
     Per trial: one direction x and several status quos; the spread of
     extract_f across the status quos must stay within tol relative to the
-    largest value (exactly zero in exact mode).
+    largest value (exactly zero in exact mode). A float trial whose values,
+    spread or cut are not finite is a ValueError.
     """
     if trials < 2:
         raise ValueError("trials must be at least 2")
@@ -318,7 +319,10 @@ def check_status_quo_independence(
         values = [extract_f(u, x, z) for z in quos]
         spread = max(values) - min(values)
         (cut,) = tie_cuts(values, mode, tol)
-        if (spread if mode == EXACT else float(spread)) > cut:
+        gap = spread if mode == EXACT else float(spread)
+        if mode != EXACT and not all(map(math.isfinite, (*values, gap, cut))):
+            raise _not_finite(values)
+        if gap > cut:
             hi = values.index(max(values))
             lo = values.index(min(values))
             return {"x": x, "w": quos[hi], "w2": quos[lo], "spread": spread}

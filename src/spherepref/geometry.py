@@ -5,14 +5,14 @@ mode or ``float`` in float mode; arithmetic follows the entry types, so one
 set of functions serves both modes. Comparisons that feed yes/no decisions
 (rationalizability) are run in exact mode so no tolerance is involved.
 
-Exact vectors with a ``Fraction`` entry go through one integer kernel: their
-denominators are cleared once (:func:`clear_denominators`), the products and
-sums are taken in ``int`` and a single ``Fraction`` is built per result
-(:func:`dot`) or per entry (a Gram-Schmidt step of :func:`project_out`),
-instead of a gcd-normalized ``Fraction`` per operation. The values and the
-result types (``int``, ``Fraction`` or ``float``) are those of plain
-entry-by-entry arithmetic; floats, all-``int`` dot products and mixed
-vectors keep that arithmetic, in the same order.
+:func:`dot` is the plain left-to-right loop for every entry type. Two kernels
+clear denominators once (:func:`clear_denominators`) and work in ``int``. A
+Gram-Schmidt step of :func:`project_out` on rational vectors builds one
+``Fraction`` per entry. :func:`pair_ints` gives the integer row (L, Q, V) of
+an observation (x, y), the one kernel for the sign of c*(x.x - y.y) + d.(x - y):
+``preference.compare``, the LP rows of ``rationalize`` and both of its
+verifiers read it. The values and result types are those of plain
+entry-by-entry arithmetic; floats keep that arithmetic, in the same order.
 """
 
 from __future__ import annotations
@@ -54,23 +54,10 @@ def _rational(v: Sequence) -> bool:
 
 
 def dot(a: Vec, b: Vec) -> Scalar:
-    """Inner product sum(a_i * b_i); exact when entries are rational.
-
-    When one vector starts with a ``Fraction`` and both are all ``int`` or
-    ``Fraction``, the sum is A.B / (La*Lb) over the cleared integer vectors:
-    one ``Fraction``, equal to the entry-by-entry sum. Any other input (floats,
-    all ``int``, a mix with floats) takes the left-to-right loop, so a float
-    result keeps its bits and an all-``int`` one stays ``int``.
-    """
+    """Inner product sum(a_i * b_i), left to right; exact when entries are rational."""
     n = len(a)
     if n != len(b):
         raise DimensionMismatch(f"dimension mismatch: {n} vs {len(b)}")
-    # the first entry's type sends floats to the loop before any scan
-    if (n and type(a[0]) is not float and Fraction in (type(a[0]), type(b[0]))
-            and _rational(a) and (b is a or _rational(b))):
-        la, ia = clear_denominators(a)
-        lb, ib = (la, ia) if b is a else clear_denominators(b)
-        return Fraction(sum(map(operator.mul, ia, ib)), la * lb)
     s = 0
     for i in range(n):
         s += a[i] * b[i]
@@ -106,8 +93,8 @@ def zeros(n: int) -> Vec:
     return (0,) * n
 
 
-def basis_vector(n: int, i: int, one: Scalar = 1) -> Vec:
-    return tuple(one if j == i else 0 for j in range(n))
+def basis_vector(n: int, i: int) -> Vec:
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def is_zero(a: Vec) -> bool:
@@ -147,6 +134,14 @@ def clear_denominators(values: Iterable[Scalar]) -> tuple:
     ratios = [v.as_integer_ratio() for v in values]
     L = math.lcm(*[d for _, d in ratios])
     return L, [a * (L // d) for a, d in ratios]
+
+
+def pair_ints(x: Vec, y: Vec) -> tuple:
+    """(L, Q, V) in integers with (x.x - y.y, x - y) = (Q / L^2, V / L): L is
+    the lcm of the coordinates' denominators, a float taken verbatim."""
+    L, ints = clear_denominators((*x, *y))
+    X, Y = ints[: len(x)], ints[len(x) :]
+    return L, sum(map(operator.mul, X, X)) - sum(map(operator.mul, Y, Y)), tuple(a - b for a, b in zip(X, Y))
 
 
 def _reduce(w: Vec, ortho: Sequence[Vec], unit: bool = False) -> Vec:

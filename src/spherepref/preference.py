@@ -16,11 +16,11 @@ the sphere representative (float mode) or the max-abs-entry representative
 Exact parameters with a ``Fraction`` entry are compiled, once and on first
 use, into an integer form (L, C, D) with (c, d) = (C, D)/L. An exact point x,
 cleared to X/M, then has u(x) = (C*X.X + M*D.X)/(L*M^2): :func:`utility`
-builds that one ``Fraction``, and :func:`compare` clears both points to one M
-and takes the sign of C*(X.X - Y.Y) + M*D.(X - Y) without building any. Values,
-orderings and result types are those of plain entry-by-entry arithmetic;
-float, ``bool`` and mixed points, and parameters without a ``Fraction``,
-keep that arithmetic.
+builds that one ``Fraction``. :func:`compare` takes the sign of C*Q + M*D.V
+over the pair's integer row (M, Q, V) = ``geometry.pair_ints(x, y)`` and
+builds none. Values, orderings and result types are those of plain
+entry-by-entry arithmetic; float, ``bool`` and mixed points, and parameters
+without a ``Fraction``, keep that arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property
-from operator import mul, sub
+from operator import mul
 from typing import Optional
 
 from .formats import scalar_from_json, scalar_to_json, vec_from_json, vec_to_json
@@ -44,6 +44,7 @@ from .geometry import (
     clear_denominators,
     dot,
     is_exact,
+    pair_ints,
     scale,
     to_float,
 )
@@ -191,18 +192,16 @@ def compare(p: SphericalParams, x: Vec, y: Vec) -> Ordering:
     when exact, a TIE_REL*(1+|u(x)|+|u(y)|) band in floats). The axiom
     checkers, which see all the utilities of a trial, use its per-trial
     half, tie_cuts, with TIE_REL for ties and axioms.STRICT_REL for strict
-    claims. Two exact points under p's integer form are cleared to one
-    denominator M and ranked by the sign of C*(X.X - Y.Y) + M*D.(X - Y).
+    claims. Two exact points under p's integer form are ranked by the sign
+    of C*Q + M*D.V over their row (M, Q, V) = pair_ints(x, y), the kernel
+    of the LP rows and of both verifiers in ``rationalize``.
     """
     if x and type(x[0]) is not float:
         ints = p._ints
-        n = len(x)
-        if ints is not None and n == len(y) == len(ints[2]) and _rational(xy := (*x, *y)):
+        if ints is not None and len(x) == len(y) == len(ints[2]) and _rational((*x, *y)):
             _, C, D = ints
-            M, XY = clear_denominators(xy)
-            X, Y = XY[:n], XY[n:]
-            gap = C * (sum(map(mul, X, X)) - sum(map(mul, Y, Y))) + M * sum(map(mul, D, map(sub, X, Y)))
-            return ordering_from_diff(gap)
+            M, Q, V = pair_ints(x, y)
+            return ordering_from_diff(C * Q + M * sum(map(mul, D, V)))
     return rank(utility(p, x), utility(p, y))
 
 

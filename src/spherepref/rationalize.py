@@ -20,10 +20,11 @@ Class-restricted variants force the sign of c (zero for linear, negative
 for Euclidean, positive for anti-Euclidean) through the same margin trick;
 their certificates carry one extra weight for the sign restriction.
 
-Rows are built in integers once per pair: with L the lcm of the pair's
-coordinate denominators (floats taken verbatim), X = L*x and Y = L*y, the
-row is (Q / L^2, V / L) for Q = X.X - Y.Y and V = X - Y. The exact margin LP
-gets its primitive integer multiple; float mode rounds each entry once.
+Rows are built in integers once per pair by ``geometry.pair_ints``: with L
+the lcm of the pair's coordinate denominators (floats taken verbatim),
+X = L*x and Y = L*y, the row is (Q / L^2, V / L) for Q = X.X - Y.Y and
+V = X - Y. The exact margin LP gets its primitive integer multiple; float
+mode rounds each entry once. The verifiers read the same rows.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul, truediv
+from operator import truediv
 from typing import Optional
 
 from . import lp
 from .formats import scalar_to_json, vec_from_json, vec_to_json
-from .geometry import EXACT, DimensionMismatch, Scalar, Vec, _sixteenths, clear_denominators, dot, sub, to_exact
+from .geometry import (EXACT, DimensionMismatch, Scalar, Vec, _sixteenths, clear_denominators, dot, pair_ints, sub,
+                       to_exact)
 from .preference import Ordering, SphericalParams, compare
 
 RESTRICT_LINEAR = "linear"
@@ -178,26 +180,18 @@ def _pair_row(x: Vec, y: Vec):
     return dot(x, x) - dot(y, y), sub(x, y)
 
 
-def _pair_ints(x: Vec, y: Vec) -> tuple:
-    """(L, Q, V) in integers with (x.x - y.y, x - y) = (Q / L^2, V / L): L is
-    the lcm of the coordinates' denominators, a float taken verbatim."""
-    L, ints = clear_denominators(x + y)
-    X, Y = ints[: len(x)], ints[len(x) :]
-    return L, sum(map(mul, X, X)) - sum(map(mul, Y, Y)), tuple(a - b for a, b in zip(X, Y))
-
-
 def _observation_rows(data: ObservationSet, mode: str) -> list:
-    """:func:`_pair_ints` of each pair; float mode rounds each entry once, as (1, q, v),
+    """:func:`pair_ints` of each pair; float mode rounds each entry once, as (1, q, v),
     except that a pair with a float coordinate keeps :func:`_pair_row`'s arithmetic."""
     if mode == EXACT:
-        return [_pair_ints(x, y) for x, y in data.pairs()]
+        return [pair_ints(x, y) for x, y in data.pairs()]
     rows = []
     try:
         for x, y in data.pairs():
             if any(isinstance(c, float) for c in x + y):
                 q, v = _pair_row(x, y)
             else:
-                L, Q, V = _pair_ints(x, y)
+                L, Q, V = pair_ints(x, y)
                 q, v = Q / (L * L), [c / L for c in V]
             rows.append((1, float(q), tuple(map(float, v))))
     except OverflowError:
@@ -373,21 +367,16 @@ def _certificate_search(
 def verify_witness(data: ObservationSet, params: SphericalParams) -> bool:
     """Exact re-check: weak pairs weakly higher utility, strict pairs strictly.
 
-    Floats count verbatim. With each pair's (L, Q, V) and the witness cleared
-    to (C, D), the utility gap is (C*Q + L*D.V) / (K*L^2), so its sign is
-    that of the integer C*Q + L*D.V.
+    The witness and the points count verbatim as rationals (floats are
+    dyadic), and each pair is ranked by :func:`preference.compare`: its sign
+    is that of C*Q + L*D.V over the pair's row :func:`pair_ints` and the
+    witness's integer form (C, D).
     """
-    rows = [_pair_ints(x, y) for x, y in data.pairs()]
-    _, ints = clear_denominators((params.c, *params.d))
-    C, D = ints[0], ints[1:]
-    if rows and len(D) != data.dimension:
-        raise DimensionMismatch(f"dimension mismatch: {len(D)} vs {data.dimension}")
-    nweak = len(data.weak)
-    for i, (L, Q, V) in enumerate(rows):
-        gap = C * Q + L * sum(map(mul, D, V))
-        if gap < 0 or (gap == 0 and i >= nweak):
-            return False
-    return True
+    c, *d = to_exact((params.c, *params.d))
+    p = SphericalParams(c, d)
+    if not all(compare(p, to_exact(x), to_exact(y)) >= Ordering.INDIFFERENT for x, y in data.weak):
+        return False
+    return all(compare(p, to_exact(x), to_exact(y)) is Ordering.BETTER for x, y in data.strict)
 
 
 def verify_certificate(
@@ -401,36 +390,22 @@ def verify_certificate(
     Unrestricted: weights lie in the simplex over the observations, place
     positive mass on the strict side, and cancel both the quadratic terms
     and the difference vectors. Restricted searches relax the quadratic
-    cancellation by the sign restriction's weight.
+    cancellation by the sign restriction's weight, which is nonnegative and
+    absent (or zero) for the other searches. Each pair's terms are Q / L^2
+    and V / L over its row :func:`pair_ints` (floats verbatim).
     """
-    data = data.to_exact()
-    labels = data.labels()
-    pairs = data.pairs()
-    mu = Fraction(restriction_weight) if restriction_weight is not None else Fraction(0)
-    lam = [Fraction(weights.get(lbl, 0)) for lbl in labels]
-    if any(w < 0 for w in lam):
+    mu = Fraction(restriction_weight or 0)
+    lam = [Fraction(weights.get(lbl, 0)) for lbl in data.labels()]
+    if any(w < 0 for w in lam) or mu < 0 or (mu and restriction not in (RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN)):
         return False
-    if sum(lam) + (mu if restriction in (RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN) else 0) != 1:
+    if sum(lam) + mu != 1 or sum(lam[len(data.weak) :]) + mu <= 0:
         return False
-    strict_mass = sum(lam[len(data.weak) :]) + mu
-    if strict_mass <= 0:
+    rows = [pair_ints(x, y) for x, y in data.pairs()]
+    if any(sum(w * Fraction(V[i], L) for w, (L, _, V) in zip(lam, rows)) for i in range(data.dimension)):
         return False
-    quad = Fraction(0)
-    vec = [Fraction(0)] * data.dimension
-    for w, (x, y) in zip(lam, pairs):
-        q, v = _pair_row(x, y)
-        quad += w * q
-        for i in range(data.dimension):
-            vec[i] += w * v[i]
-    if any(vec):
-        return False
-    if restriction is None and quad != 0:
-        return False
-    if restriction == RESTRICT_EUCLIDEAN and quad != mu:
-        return False
-    if restriction == RESTRICT_ANTI_EUCLIDEAN and quad != -mu:
-        return False
-    return True
+    quad = sum(w * Fraction(Q, L * L) for w, (L, Q, _) in zip(lam, rows))
+    want = {RESTRICT_EUCLIDEAN: mu, RESTRICT_ANTI_EUCLIDEAN: -mu}.get(restriction, 0)
+    return restriction == RESTRICT_LINEAR or quad == want
 
 
 def generate_dataset(

@@ -155,6 +155,19 @@ def test_status_quo_independence_reports():
         check_status_quo_independence(u, 1)
 
 
+def test_status_quo_independence_rejects_non_finite_float_trials():
+    # the cubic violates every trial; scaled by 1e308 most even parts overflow
+    cubic = utility_oracle(lambda x: x[0] ** 3 + x[1], 2)
+    assert check_status_quo_independence(cubic, 50, rng_seed=1).violations == 50
+    huge = utility_oracle(lambda x: 1e308 * x[0] ** 3 + x[1], 2)
+    with pytest.raises(ValueError, match="not finite"):
+        check_status_quo_independence(huge, 50, rng_seed=1)
+    # a nan that max and min would step over
+    holed = utility_oracle(lambda x: float("nan") if x[0] > 1 else x[0] * x[0], 2)
+    with pytest.raises(ValueError, match="not finite"):
+        check_status_quo_independence(holed, 50, rng_seed=1)
+
+
 def test_cubic_status_quo_spread_is_visible_by_hand():
     # f at x = e1 differs by 6 between status quos 0 and e1 for U = x1^3 + x2
     u = cubic_utility(3)

@@ -51,3 +51,21 @@ def test_runtime_is_stdlib_only():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "spherepref", (path.name, name)
+
+
+def test_every_import_is_used():
+    # each name a module imports (the package __init__ re-exports, so it is
+    # left out) is read somewhere in that module
+    src = Path(spherepref.__file__).parent
+    files = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

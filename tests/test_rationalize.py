@@ -121,6 +121,48 @@ def test_restriction_is_not_lexicographic():
     assert verify_witness(data, verdict.witness)
 
 
+def test_verify_certificate_rejects_each_broken_condition():
+    # a real certificate passes; each edit breaks one condition and is rejected
+    data = ObservationSet(3, ((E3, ORIGIN), (ORIGIN, E3)), ((E1, E2), (E2, E1)))
+    cert = rationalize(data).certificate
+    assert cert == {"strict:0": F(1, 2), "strict:1": F(1, 2)} and verify_certificate(data, cert)
+    negative = {"weak:0": F(-1, 2), "weak:1": F(-1, 2), "strict:0": 1, "strict:1": 1}
+    assert not verify_certificate(data, negative)
+    assert not verify_certificate(data, {k: 2 * w for k, w in cert.items()})  # total mass 2
+    assert not verify_certificate(data, {"weak:0": F(1, 2), "weak:1": F(1, 2)})  # no strict mass
+    assert not verify_certificate(data, {"strict:0": 1})  # quad cancels, E1 - E2 does not
+
+    anti = rationalize(BLISS, restriction=RESTRICT_ANTI_EUCLIDEAN)
+    assert anti.restriction_weight == F(1, 2)
+    assert verify_certificate(BLISS, anti.certificate, RESTRICT_ANTI_EUCLIDEAN, F(1, 2))
+    doubled = {k: 2 * w for k, w in anti.certificate.items()}  # mass 1, vectors cancel, quad -1
+    assert not verify_certificate(BLISS, doubled)
+    for wrong in (None, 0, F(1, 4), F(-1, 2)):
+        assert not verify_certificate(BLISS, anti.certificate, RESTRICT_ANTI_EUCLIDEAN, wrong)
+    assert not verify_certificate(BLISS, anti.certificate, RESTRICT_EUCLIDEAN, F(1, 2))  # quad is -mu, not mu
+
+    outward = ObservationSet(3, (), tuple((v, ORIGIN) for v in (E1, (-1, 0, 0), E2, (0, -1, 0))))
+    euclid = rationalize(outward, restriction=RESTRICT_EUCLIDEAN)
+    assert verify_certificate(outward, euclid.certificate, RESTRICT_EUCLIDEAN, euclid.restriction_weight)
+    for wrong in (None, 0, euclid.restriction_weight + F(1, 4), -euclid.restriction_weight):
+        assert not verify_certificate(outward, euclid.certificate, RESTRICT_EUCLIDEAN, wrong)
+
+    linear = rationalize(BLISS, restriction=RESTRICT_LINEAR)
+    assert linear.restriction_weight is None
+    assert verify_certificate(BLISS, linear.certificate, RESTRICT_LINEAR)
+    assert not verify_certificate(BLISS, linear.certificate, RESTRICT_LINEAR, F(1, 2))
+    # weak pairs that cancel, with the strict mass taken from a restriction weight
+    # the linear search does not have: the data are rationalizable, by indifference
+    ties = ObservationSet(3, ((E1, ORIGIN), (ORIGIN, E1)), ())
+    assert rationalize(ties, restriction=RESTRICT_LINEAR).rationalizable
+    assert not verify_certificate(ties, {"weak:0": F(1, 2), "weak:1": F(1, 2)}, RESTRICT_LINEAR, 1)
+    # a negative restriction weight would certify Euclidean-rationalizable data
+    x = (F(1, 2), F(1, 2), 0)
+    bowl = ObservationSet(3, (), ((ORIGIN, x), (ORIGIN, tuple(-c for c in x))))
+    assert rationalize(bowl, restriction=RESTRICT_EUCLIDEAN).rationalizable
+    assert not verify_certificate(bowl, {"strict:0": 1, "strict:1": 1}, RESTRICT_EUCLIDEAN, -1)
+
+
 def test_empty_data_rationalizable_under_all_restrictions():
     data = ObservationSet(3, (), ())
     for restriction in (None, RESTRICT_LINEAR, RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN):
@@ -318,10 +360,11 @@ def observation_pairs(draw):
 @example(((0.1, 2**-1074), (0.1, 5)), True)
 def test_integer_rows_match_the_fraction_reference(pair, strict):
     import spherepref.rationalize as rat
+    from spherepref.geometry import pair_ints
 
     x, y = pair
     q, v = rat._pair_row(tuple(map(F, x)), tuple(map(F, y)))
-    L, Q, V = rat._pair_ints(x, y)
+    L, Q, V = pair_ints(x, y)
     assert L > 0 and (F(Q, L * L),) + tuple(F(c, L) for c in V) == (q,) + v
     # float mode rounds each exact entry once, or says it cannot
     if not any(isinstance(c, float) for c in x + y):
