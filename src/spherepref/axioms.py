@@ -4,6 +4,11 @@ Each checker draws seeded samples, builds the orthogonality hypotheses
 constructively (projection, never rejection sampling), queries a comparison
 oracle, and reports violations with the first counterexample found. One
 driver, _run_trials, owns the seeded loop and the report for every checker.
+Each checker has one trial body over a per-mode set of vector operations
+(_FLOAT_OPS, _EXACT_OPS). Float trials are sample_vector, add, project_out
+and scale on tuples. Exact trials run on integer numerators over one
+denominator, drawn with the same randint calls; each point the oracle sees,
+and each counterexample entry, is built once as one Fraction per entry.
 
 Two kinds of oracle are supported. A bare comparison oracle is a black box
 (x, y) -> ordering. An oracle that also exposes its utility lets a checker
@@ -35,6 +40,7 @@ from .geometry import (
     dot,
     is_zero,
     normalize,
+    project_ints,
     project_out,
     scale,
     sub,
@@ -158,12 +164,49 @@ def _run_trials(axiom: str, trials: int, rng_seed: int, trial: Callable) -> Axio
 def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float = 1.0) -> Vec:
     """One random point of the checking box, on the 1/16 grid in exact mode."""
     if mode == EXACT:
-        span = max(1, round(float(radius) * 16))
-        return tuple(_sixteenths(rng.randint(-span, span)) for _ in range(dim))
+        return _grid_point(_grid_draw(rng, dim, mode, radius))
     # random.uniform(lo, hi)'s formula lo + (hi - lo)*random(), hi - lo = hi + hi
     lo, hi = -float(radius), float(radius)
     width, draw = hi + hi, rng.random
     return tuple(lo + width * draw() for _ in range(dim))
+
+
+# A trial's vector arithmetic per mode: (draw, plus, perp, scaled, point). A
+# float vector is a tuple and its own point. An exact vector is (numerators,
+# denominator) in integers; its point is the Fraction tuple that sample_vector,
+# add, project_out and scale give, built once, one Fraction per entry.
+def _grid_draw(rng: random.Random, dim: int, mode: str, radius: float) -> tuple:
+    """An exact draw as (numerators, 16): the randint calls of sample_vector."""
+    span = max(1, round(float(radius) * 16))
+    return tuple(rng.randint(-span, span) for _ in range(dim)), 16
+
+
+def _grid_plus(a: tuple, b: tuple) -> tuple:
+    den = math.lcm(a[1], b[1])
+    ka, kb = den // a[1], den // b[1]
+    return tuple(x * ka + y * kb for x, y in zip(a[0], b[0])), den
+
+
+def _grid_perp(v: tuple, basis: list) -> tuple:
+    """project_out in integers; the basis vectors' denominators cancel."""
+    R, S = project_ints(v[0], [b[0] for b in basis])
+    return R, v[1] * S
+
+
+def _grid_scaled(alpha: Scalar, a: tuple) -> tuple:
+    """alpha * a for an int or Fraction alpha."""
+    return tuple(alpha.numerator * x for x in a[0]), alpha.denominator * a[1]
+
+
+def _grid_point(v: tuple) -> Vec:
+    nums, den = v
+    if den == 16:
+        return tuple(map(_sixteenths, nums))
+    return tuple(Fraction(x, den) for x in nums)
+
+
+_FLOAT_OPS = (sample_vector, add, project_out, scale, lambda v: v)
+_EXACT_OPS = (_grid_draw, _grid_plus, _grid_perp, _grid_scaled, _grid_point)
 
 
 def random_orthonormal_plane(rng: random.Random, dim: int) -> tuple:
@@ -225,16 +268,17 @@ def check_oioi(
     the ranking of w+x+z vs w+y+z.
     """
     n, rel = oracle.dim, TIE_REL if tie_rel is None else tie_rel
+    draw, plus, perp, _, point = _EXACT_OPS if mode == EXACT else _FLOAT_OPS
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
-        w = sample_vector(rng, n, mode, radius)
-        x = sample_vector(rng, n, mode, radius)
-        y = sample_vector(rng, n, mode, radius)
-        z = project_out(sample_vector(rng, n, mode, radius), [x, y])
-        wx, wy = add(w, x), add(w, y)
-        if _ranks_alike(oracle, mode, rel, wx, wy, add(wx, z), add(wy, z)):
+        w = draw(rng, n, mode, radius)
+        x = draw(rng, n, mode, radius)
+        y = draw(rng, n, mode, radius)
+        z = perp(draw(rng, n, mode, radius), [x, y])
+        wx, wy = plus(w, x), plus(w, y)
+        if _ranks_alike(oracle, mode, rel, point(wx), point(wy), point(plus(wx, z)), point(plus(wy, z))):
             return None
-        return {"w": w, "x": x, "y": y, "z": z}
+        return {"w": point(w), "x": point(x), "y": point(y), "z": point(z)}
 
     return _run_trials("oioi", trials, rng_seed, trial)
 
@@ -252,14 +296,15 @@ def check_perp_diff(
     x + d vs y + d.
     """
     n, rel = oracle.dim, TIE_REL if tie_rel is None else tie_rel
+    draw, plus, perp, scaled, point = _EXACT_OPS if mode == EXACT else _FLOAT_OPS
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
-        x = sample_vector(rng, n, mode, radius)
-        y = sample_vector(rng, n, mode, radius)
-        d = project_out(sample_vector(rng, n, mode, radius), [sub(x, y)])
-        if _ranks_alike(oracle, mode, rel, x, y, add(x, d), add(y, d)):
+        x = draw(rng, n, mode, radius)
+        y = draw(rng, n, mode, radius)
+        d = perp(draw(rng, n, mode, radius), [plus(x, scaled(-1, y))])  # x - y, the same bits
+        if _ranks_alike(oracle, mode, rel, point(x), point(y), point(plus(x, d)), point(plus(y, d))):
             return None
-        return {"x": x, "y": y, "d": d}
+        return {"x": point(x), "y": point(y), "d": point(d)}
 
     return _run_trials("perp_diff", trials, rng_seed, trial)
 
@@ -281,18 +326,19 @@ def check_soioi(
     only counts as strict when its margin clears STRICT_REL.
     """
     n, rel = oracle.dim, TIE_REL if tie_rel is None else tie_rel
+    draw, plus, perp, _, point = _EXACT_OPS if mode == EXACT else _FLOAT_OPS
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
-        w = sample_vector(rng, n, mode, radius)
-        x = sample_vector(rng, n, mode, radius)
-        y = project_out(sample_vector(rng, n, mode, radius), [x])
-        a = sample_vector(rng, n, mode, radius)
-        b = project_out(sample_vector(rng, n, mode, radius), [a])
-        wx, wa, wy, wb = add(w, x), add(w, a), add(w, y), add(w, b)
-        wxy, wab = add(wx, y), add(wa, b)
+        w = draw(rng, n, mode, radius)
+        x = draw(rng, n, mode, radius)
+        y = perp(draw(rng, n, mode, radius), [x])
+        a = draw(rng, n, mode, radius)
+        b = perp(draw(rng, n, mode, radius), [a])
+        wx, wa, wy, wb = plus(w, x), plus(w, a), plus(w, y), plus(w, b)
+        wxy, wab = plus(wx, y), plus(wa, b)
         bad = False
         if oracle.utility is not None:
-            vals = [oracle.utility(v) for v in (wx, wa, wy, wb, wxy, wab)]
+            vals = [oracle.utility(point(v)) for v in (wx, wa, wy, wb, wxy, wab)]
             m1, m2, m3 = vals[0] - vals[1], vals[2] - vals[3], vals[4] - vals[5]
             weak_cut, strict_cut = tie_cuts(vals, mode, rel, STRICT_REL)
             if mode != EXACT and not math.isfinite(m1 + m2 + m3 + strict_cut):
@@ -303,27 +349,29 @@ def check_soioi(
                 elif (m1 > strict_cut or m2 > strict_cut) and not m3 > weak_cut:
                     bad = True
         else:
-            o1, o2 = oracle.compare(wx, wa), oracle.compare(wy, wb)
+            o1, o2 = oracle.compare(point(wx), point(wa)), oracle.compare(point(wy), point(wb))
             if o1 >= 0 and o2 >= 0:
-                o3 = oracle.compare(wxy, wab)
+                o3 = oracle.compare(point(wxy), point(wab))
                 if o3 < 0 or ((o1 > 0 or o2 > 0) and o3 <= 0):
                     bad = True
-        return {"w": w, "x": x, "y": y, "a": a, "b": b} if bad else None
+        return {"w": point(w), "x": point(x), "y": point(y), "a": point(a), "b": point(b)} if bad else None
 
     return _run_trials("soioi", trials, rng_seed, trial)
 
 
-def _equal_norm_partner(rng: random.Random, x: Vec, mode: str) -> Vec:
-    """A random vector with the same norm as x.
+def _equal_norm_partner(rng: random.Random, x, mode: str):
+    """A random vector with the same norm as x, in x's mode (see _EXACT_OPS).
 
     Exact mode permutes coordinates and flips signs, which preserves the
     squared norm exactly; float mode applies a chain of plane rotations.
     """
-    n = len(x)
+    nums = x[0] if mode == EXACT else x
+    n = len(nums)
     if mode == EXACT or n == 1:
         order = list(range(n))
         rng.shuffle(order)
-        return tuple(x[order[i]] * rng.choice((1, -1)) for i in range(n))
+        y = tuple(nums[order[i]] * rng.choice((1, -1)) for i in range(n))
+        return (y, x[1]) if mode == EXACT else y
     y = [float(v) for v in x]
     for _ in range(2 * n):
         i, j = rng.sample(range(n), 2)
@@ -348,18 +396,20 @@ def check_homotheticity(
     w+beta*x vs w+beta*y.
     """
     n, rel = oracle.dim, TIE_REL if tie_rel is None else tie_rel
+    draw, plus, _, scaled, point = _EXACT_OPS if mode == EXACT else _FLOAT_OPS
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
-        w = sample_vector(rng, n, mode, radius)
-        x = sample_vector(rng, n, mode, radius)
+        w = draw(rng, n, mode, radius)
+        x = draw(rng, n, mode, radius)
         y = _equal_norm_partner(rng, x, mode)
         if mode == EXACT:
-            beta = Fraction(rng.randint(1, 160), 16)
+            beta = _sixteenths(rng.randint(1, 160))
         else:
             beta = rng.uniform(0.0, 10.0) or 10.0
-        if _ranks_alike(oracle, mode, rel, add(w, x), add(w, y), add(w, scale(beta, x)), add(w, scale(beta, y))):
+        wx, wy, bx, by = plus(w, x), plus(w, y), plus(w, scaled(beta, x)), plus(w, scaled(beta, y))
+        if _ranks_alike(oracle, mode, rel, point(wx), point(wy), point(bx), point(by)):
             return None
-        return {"w": w, "x": x, "y": y, "beta": beta}
+        return {"w": point(w), "x": point(x), "y": point(y), "beta": beta}
 
     return _run_trials("homotheticity", trials, rng_seed, trial)
 

@@ -67,9 +67,12 @@ def utility_oracle(fn: Callable[[Vec], Scalar], dim: int, auto_shift: bool = Fal
     """Wrap a function as a UtilityOracle, enforcing U(0) = 0.
 
     With auto_shift the constant fn(0) is subtracted; otherwise a nonzero
-    value at the origin is an error.
+    value at the origin is an error. A float U(0) that is not finite is an
+    error either way.
     """
     v0 = fn(zeros(dim))
+    if isinstance(v0, float) and not math.isfinite(v0):
+        raise ValueError(f"utility at the origin is {v0}, not 0")
     if auto_shift and v0 != 0:
         base = fn
         return UtilityOracle(dim, lambda x: base(x) - v0, name=name)

@@ -6,10 +6,11 @@ set of functions serves both modes. Comparisons that feed yes/no decisions
 (rationalizability) are run in exact mode so no tolerance is involved.
 
 :func:`dot` is the plain left-to-right loop for every entry type. Two kernels
-clear denominators once (:func:`clear_denominators`) and work in ``int``. A
-Gram-Schmidt step of :func:`project_out` on rational vectors builds one
-``Fraction`` per entry. :func:`pair_ints` gives the integer row (L, Q, V) of
-an observation (x, y), the one kernel for the sign of c*(x.x - y.y) + d.(x - y):
+clear denominators once (:func:`clear_denominators`) and work in ``int``.
+:func:`project_out` on rational vectors runs :func:`project_ints`, integer
+Gram-Schmidt without division, and builds one ``Fraction`` per entry.
+:func:`pair_ints` gives the integer row (L, Q, V) of an observation (x, y),
+the one kernel for the sign of c*(x.x - y.y) + d.(x - y):
 ``preference.compare``, the LP rows of ``rationalize`` and both of its
 verifiers read it. The values and result types are those of plain
 entry-by-entry arithmetic; floats keep that arithmetic, in the same order.
@@ -144,23 +145,35 @@ def pair_ints(x: Vec, y: Vec) -> tuple:
     return L, sum(map(operator.mul, X, X)) - sum(map(operator.mul, Y, Y)), tuple(a - b for a, b in zip(X, Y))
 
 
+def _gs_ints(W: Sequence[int], U: Sequence[int]) -> tuple:
+    """(W*(U.U) - (W.U)*U, U.U): (U.U) times W minus its component along U."""
+    uu = sum(map(operator.mul, U, U))
+    wu = sum(map(operator.mul, W, U))
+    return tuple(x * uu - wu * y for x, y in zip(W, U)), uu
+
+
+def project_ints(V: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple:
+    """(R, S) in integers with project_out(V, basis) = R / S for int vectors:
+    classical Gram-Schmidt without division; S is 1 for an all-zero basis."""
+    ortho, S = [], 1
+    for b in basis:
+        for u in ortho:
+            b = _gs_ints(b, u)[0]
+        if any(b):  # V is reduced along each u as it comes: the u are orthogonal
+            ortho.append(b)
+            V, uu = _gs_ints(V, b)
+            S *= uu
+    return V, S
+
+
 def _reduce(w: Vec, ortho: Sequence[Vec], unit: bool = False) -> Vec:
     """w minus its component along each u in turn; ``unit`` takes dot(u, u) as 1.
-
-    For all-``int``/``Fraction`` w and u the step is, over the cleared
-    integer vectors, (W*(U.U) - (W.U)*U) / (Lw*(U.U)): u's scale cancels, and
-    each entry is one ``Fraction``.
-    """
+    An int-by-int coefficient is a ``Fraction``."""
     for u in ortho:
-        if not unit and type(w[0]) is not float and _rational(w) and _rational(u):
-            lw, iw = clear_denominators(w)
-            iu = clear_denominators(u)[1]
-            uu = sum(map(operator.mul, iu, iu))
-            wu = sum(map(operator.mul, iw, iu))
-            den = lw * uu
-            w = tuple(Fraction(x * uu - wu * y, den) for x, y in zip(iw, iu))
-            continue
-        coeff = dot(w, u) if unit else dot(w, u) / dot(u, u)
+        coeff = dot(w, u)
+        if not unit:
+            uu = dot(u, u)
+            coeff = Fraction(coeff, uu) if type(coeff) is int and type(uu) is int else coeff / uu
         w = tuple(w[i] - coeff * u[i] for i in range(len(w)))
     return w
 
@@ -170,13 +183,18 @@ def project_out(v: Vec, basis: Sequence[Vec]) -> Vec:
 
     Gram-Schmidt drops zero and dependent basis vectors: classical and
     unnormalized for an exact basis, so entries stay rational (``Fraction``s,
-    all-``int`` input included; one per entry and step); else modified,
-    normalized and run twice. The result is orthogonal to every basis vector:
-    exactly in exact mode, within PROJ_TOL*|v||b| in float mode.
+    all-``int`` input included; for all-``int``/``Fraction`` input one per
+    entry, through project_ints); else modified, normalized and run twice.
+    The result is orthogonal to every basis vector: exactly in exact mode,
+    within PROJ_TOL*|v||b| in float mode.
     """
     for b in basis:
         _same_dim(v, b)
     basis = [b for b in basis if not is_zero(b)]
+    if basis and _rational(v) and all(map(_rational, basis)):
+        L, V = clear_denominators(v)
+        R, S = project_ints(V, [clear_denominators(b)[1] for b in basis])
+        return tuple(Fraction(r, L * S) for r in R)
     exact = all(is_exact(b) for b in basis)
     ortho: list[Vec] = []
     for b in basis:

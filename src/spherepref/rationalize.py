@@ -392,10 +392,14 @@ def verify_certificate(
     and the difference vectors. Restricted searches relax the quadratic
     cancellation by the sign restriction's weight, which is nonnegative and
     absent (or zero) for the other searches. Each pair's terms are Q / L^2
-    and V / L over its row :func:`pair_ints` (floats verbatim).
+    and V / L over its row :func:`pair_ints` (floats verbatim). A weight
+    whose label names no observation is rejected.
     """
+    labels = data.labels()
+    if not set(weights) <= set(labels):
+        return False
     mu = Fraction(restriction_weight or 0)
-    lam = [Fraction(weights.get(lbl, 0)) for lbl in data.labels()]
+    lam = [Fraction(weights.get(lbl, 0)) for lbl in labels]
     if any(w < 0 for w in lam) or mu < 0 or (mu and restriction not in (RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN)):
         return False
     if sum(lam) + mu != 1 or sum(lam[len(data.weak) :]) + mu <= 0:

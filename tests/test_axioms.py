@@ -1,11 +1,13 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import spherepref.axioms as ax
 from spherepref.axioms import (
     AxiomReport,
     ComparisonOracle,
@@ -15,6 +17,7 @@ from spherepref.axioms import (
     check_perp_diff,
     check_soioi,
     check_strict_convexity,
+    cubic_function,
     cubic_oracle,
     find_monotone_direction,
     params_oracle,
@@ -24,7 +27,7 @@ from spherepref.axioms import (
 )
 from spherepref.cardinal import check_status_quo_independence, coefficient_oracle, cubic_utility
 from spherepref.formats import dumps
-from spherepref.geometry import EXACT, FLOAT, add, dot, sub
+from spherepref.geometry import EXACT, FLOAT, add, dot, project_out, scale, sub
 from spherepref.preference import (
     Ordering,
     SphericalParams,
@@ -32,6 +35,7 @@ from spherepref.preference import (
     classify,
     compare,
     sphere_normal,
+    tie_cuts,
     utility,
 )
 
@@ -386,3 +390,191 @@ def test_float_checkers_reject_overflowing_utilities(checker):
     # a huge int meeting float points overflows inside the trial
     with pytest.raises(ValueError, match="overflows a float"):
         checker(params_oracle(SphericalParams(10**400, (1, 0, 0))), 20, mode=FLOAT)
+
+
+# The exact trials before they ran on integer numerators, kept verbatim as the
+# reference the integer trials are compared against: Fraction tuples from
+# sample_vector, project_out and add, one Fraction addition per entry.
+def reference_equal_norm_partner(rng, x, mode):
+    n = len(x)
+    if mode == EXACT or n == 1:
+        order = list(range(n))
+        rng.shuffle(order)
+        return tuple(x[order[i]] * rng.choice((1, -1)) for i in range(n))
+    return ax._equal_norm_partner(rng, x, mode)
+
+
+def reference_oioi(oracle, trials, rng_seed=0, mode=FLOAT, radius=1.0):
+    n = oracle.dim
+
+    def trial(rng, t):
+        w = sample_vector(rng, n, mode, radius)
+        x = sample_vector(rng, n, mode, radius)
+        y = sample_vector(rng, n, mode, radius)
+        z = project_out(sample_vector(rng, n, mode, radius), [x, y])
+        wx, wy = add(w, x), add(w, y)
+        if ax._ranks_alike(oracle, mode, ax.TIE_REL, wx, wy, add(wx, z), add(wy, z)):
+            return None
+        return {"w": w, "x": x, "y": y, "z": z}
+
+    return ax._run_trials("oioi", trials, rng_seed, trial)
+
+
+def reference_perp_diff(oracle, trials, rng_seed=0, mode=FLOAT, radius=1.0):
+    n = oracle.dim
+
+    def trial(rng, t):
+        x = sample_vector(rng, n, mode, radius)
+        y = sample_vector(rng, n, mode, radius)
+        d = project_out(sample_vector(rng, n, mode, radius), [sub(x, y)])
+        if ax._ranks_alike(oracle, mode, ax.TIE_REL, x, y, add(x, d), add(y, d)):
+            return None
+        return {"x": x, "y": y, "d": d}
+
+    return ax._run_trials("perp_diff", trials, rng_seed, trial)
+
+
+def reference_soioi(oracle, trials, rng_seed=0, mode=FLOAT, radius=1.0):
+    n = oracle.dim
+
+    def trial(rng, t):
+        w = sample_vector(rng, n, mode, radius)
+        x = sample_vector(rng, n, mode, radius)
+        y = project_out(sample_vector(rng, n, mode, radius), [x])
+        a = sample_vector(rng, n, mode, radius)
+        b = project_out(sample_vector(rng, n, mode, radius), [a])
+        wx, wa, wy, wb = add(w, x), add(w, a), add(w, y), add(w, b)
+        wxy, wab = add(wx, y), add(wa, b)
+        bad = False
+        if oracle.utility is not None:
+            vals = [oracle.utility(v) for v in (wx, wa, wy, wb, wxy, wab)]
+            m1, m2, m3 = vals[0] - vals[1], vals[2] - vals[3], vals[4] - vals[5]
+            weak_cut, strict_cut = tie_cuts(vals, mode, ax.TIE_REL, ax.STRICT_REL)
+            if mode != EXACT and not math.isfinite(m1 + m2 + m3 + strict_cut):
+                raise ax._not_finite(vals)
+            if m1 >= -weak_cut and m2 >= -weak_cut:
+                if m3 < -weak_cut:
+                    bad = True
+                elif (m1 > strict_cut or m2 > strict_cut) and not m3 > weak_cut:
+                    bad = True
+        else:
+            o1, o2 = oracle.compare(wx, wa), oracle.compare(wy, wb)
+            if o1 >= 0 and o2 >= 0:
+                o3 = oracle.compare(wxy, wab)
+                if o3 < 0 or ((o1 > 0 or o2 > 0) and o3 <= 0):
+                    bad = True
+        return {"w": w, "x": x, "y": y, "a": a, "b": b} if bad else None
+
+    return ax._run_trials("soioi", trials, rng_seed, trial)
+
+
+def reference_homotheticity(oracle, trials, rng_seed=0, mode=FLOAT, radius=1.0):
+    n = oracle.dim
+
+    def trial(rng, t):
+        w = sample_vector(rng, n, mode, radius)
+        x = sample_vector(rng, n, mode, radius)
+        y = reference_equal_norm_partner(rng, x, mode)
+        if mode == EXACT:
+            beta = F(rng.randint(1, 160), 16)
+        else:
+            beta = rng.uniform(0.0, 10.0) or 10.0
+        if ax._ranks_alike(oracle, mode, ax.TIE_REL, add(w, x), add(w, y), add(w, scale(beta, x)),
+                           add(w, scale(beta, y))):
+            return None
+        return {"w": w, "x": x, "y": y, "beta": beta}
+
+    return ax._run_trials("homotheticity", trials, rng_seed, trial)
+
+
+REFERENCE_CHECKERS = {
+    check_oioi: reference_oioi,
+    check_perp_diff: reference_perp_diff,
+    check_soioi: reference_soioi,
+    check_homotheticity: reference_homotheticity,
+}
+
+
+def recording(oracle):
+    """The oracle with every call logged, arguments by repr (types included)."""
+    calls = []
+
+    def cmp(x, y):
+        calls.append(("compare", repr(x), repr(y)))
+        return oracle.compare(x, y)
+
+    def util(x):
+        calls.append(("utility", repr(x)))
+        return oracle.utility(x)
+
+    return ComparisonOracle(oracle.dim, cmp, util if oracle.utility else None, oracle.name), calls
+
+
+def _entry_types(counterexample):
+    if counterexample is None:
+        return None
+    return {k: tuple(map(type, v)) if isinstance(v, tuple) else type(v) for k, v in counterexample.items()}
+
+
+def differential_oracle(kind, rng, n):
+    exact = SphericalParams(F(rng.randint(-20, 20), 20), tuple(F(rng.randint(-20, 20), 20) for _ in range(n)))
+    if kind == "params":
+        return params_oracle(exact)
+    if kind == "int_params":  # no Fraction: the plain-arithmetic utility
+        return params_oracle(SphericalParams(rng.randint(-3, 3), tuple(rng.randint(-3, 3) for _ in range(n))))
+    if kind == "compare_only":
+        return ComparisonOracle(n, lambda x, y: compare(exact, x, y), name="compare_only")
+    if kind == "cubic":
+        return cubic_oracle(n) if n >= 2 else utility_comparison_oracle(cubic_function(1), 1)
+    return utility_comparison_oracle(lambda x: x[0] * abs(x[-1]) - x[-1], n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(REFERENCE_CHECKERS, key=lambda c: c.__name__)),
+    st.sampled_from(["params", "int_params", "compare_only", "cubic", "utility"]),
+    st.sampled_from([EXACT, FLOAT]),
+    st.integers(0, 2**32),
+    st.integers(1, 6),
+    st.one_of(st.integers(1, 4), st.floats(0.05, 4.0), st.fractions(F(1, 8), 4), st.just(0.01)),
+    st.integers(1, 12),
+)
+def test_checker_trials_match_the_fraction_reference(checker, kind, mode, seed, dim, radius, trials):
+    # same report, same counterexample types, same oracle calls with equal arguments
+    oracle = differential_oracle(kind, random.Random(seed), dim)
+    mine, mine_calls = recording(oracle)
+    ref, ref_calls = recording(oracle)
+    got = checker(mine, trials, rng_seed=seed, mode=mode, radius=radius)
+    want = REFERENCE_CHECKERS[checker](ref, trials, rng_seed=seed, mode=mode, radius=radius)
+    assert got.to_dict() == want.to_dict()
+    assert _entry_types(got.counterexample) == _entry_types(want.counterexample)
+    assert mine_calls == ref_calls
+
+
+@pytest.mark.parametrize("checker", NECESSITY_CHECKERS)
+def test_exact_checkers_reject_an_infinite_radius_like_the_reference(checker):
+    oracle = params_oracle(SphericalParams(F(-1, 2), (F(1, 3), 0, 0)))
+    errors = []
+    for fn in (checker, REFERENCE_CHECKERS[checker]):
+        with pytest.raises(ValueError) as info:
+            fn(oracle, 5, rng_seed=1, mode=EXACT, radius=float("inf"))
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_exact_checkers_make_no_fraction_additions(monkeypatch):
+    # the exact trials add integer numerators; Fractions are built, never added
+    added = []
+    plain = F.__add__
+
+    def counting(a, b):
+        added.append((a, b))
+        return plain(a, b)
+
+    monkeypatch.setattr(F, "__add__", counting)
+    assert F(1, 2) + F(1, 3) == F(5, 6) and len(added) == 1  # the patch counts
+    added.clear()
+    oracle = params_oracle(SphericalParams(F(-1, 2), (F(1, 3), F(2, 5), F(-1, 4))))
+    for checker in NECESSITY_CHECKERS:
+        assert checker(oracle, 40, rng_seed=3, mode=EXACT).violations == 0
+    assert added == []

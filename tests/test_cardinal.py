@@ -260,6 +260,11 @@ def test_utility_oracle_origin_validation():
     shifted = utility_oracle(lambda x: x[0] + 1, 2, auto_shift=True)
     assert shifted(zeros(2)) == 0
     assert shifted((3, 0)) == 3
+    # a non-finite float at the origin is rejected, never compared or shifted by
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for auto_shift in (False, True):
+            with pytest.raises(ValueError, match="utility at the origin is"):
+                utility_oracle(lambda x, bad=bad: bad if x == (0, 0) else x[0], 2, auto_shift=auto_shift)
 
 
 def test_decomposition_json():

@@ -131,6 +131,9 @@ def test_verify_certificate_rejects_each_broken_condition():
     assert not verify_certificate(data, {k: 2 * w for k, w in cert.items()})  # total mass 2
     assert not verify_certificate(data, {"weak:0": F(1, 2), "weak:1": F(1, 2)})  # no strict mass
     assert not verify_certificate(data, {"strict:0": 1})  # quad cancels, E1 - E2 does not
+    # weights on labels that name no observation are not ignored
+    assert not verify_certificate(data, {**cert, "strict:7": 3, "junk": -1})
+    assert not verify_certificate(data, {**cert, "strict:2": 0})
 
     anti = rationalize(BLISS, restriction=RESTRICT_ANTI_EUCLIDEAN)
     assert anti.restriction_weight == F(1, 2)
