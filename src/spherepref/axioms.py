@@ -171,10 +171,9 @@ def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float
     return tuple(lo + width * draw() for _ in range(dim))
 
 
-# A trial's vector arithmetic per mode: (draw, plus, perp, scaled, point). A
-# float vector is a tuple and its own point. An exact vector is (numerators,
-# denominator) in integers; its point is the Fraction tuple that sample_vector,
-# add, project_out and scale give, built once, one Fraction per entry.
+# A trial's vector operations per mode: (draw, plus, perp, scaled, point). An
+# exact vector is (numerators, denominator) in integers; its point is the
+# Fraction tuple that the float set's functions give on Fraction tuples.
 def _grid_draw(rng: random.Random, dim: int, mode: str, radius: float) -> tuple:
     """An exact draw as (numerators, 16): the randint calls of sample_vector."""
     span = max(1, round(float(radius) * 16))
@@ -360,7 +359,7 @@ def check_soioi(
 
 
 def _equal_norm_partner(rng: random.Random, x, mode: str):
-    """A random vector with the same norm as x, in x's mode (see _EXACT_OPS).
+    """A random vector with the same norm as x, in x's mode (see the comment on _EXACT_OPS).
 
     Exact mode permutes coordinates and flips signs, which preserves the
     squared norm exactly; float mode applies a chain of plane rotations.
