@@ -377,20 +377,16 @@ def check_eventual_linearity(
         cut = search.tol + 1e-12 * max(abs(float(v)) for v in values)
         return h, cut
 
-    def accepted(w: Vec):
-        h, cut = defect(w)
-        return abs(float(h)) <= cut
-
     origin = zeros(n)
-    if accepted(origin):
+    h0, cut = defect(origin)
+    if abs(float(h0)) <= cut:
         return origin
 
     rng = random.Random(search.seed)
     for _ in range(search.directions):
         direction = tuple(rng.gauss(0.0, 1.0) for _ in range(n))
         for sign in (1.0, -1.0):
-            prev_t = 0.0
-            prev_h = defect(origin)[0]
+            prev_t, prev_h = 0.0, h0
             t = 1.0
             while t <= search.max_radius:
                 w = scale(sign * t, direction)
@@ -398,7 +394,7 @@ def check_eventual_linearity(
                 if abs(float(h)) <= cut:
                     return w
                 if float(prev_h) * float(h) < 0:
-                    root = _bisect_defect(defect, direction, sign, prev_t, t, search.bisect_steps)
+                    root = _bisect_defect(defect, direction, sign, prev_t, float(prev_h), t, search.bisect_steps)
                     if root is not None:
                         return root
                 prev_t, prev_h = t, h
@@ -406,8 +402,8 @@ def check_eventual_linearity(
     return None
 
 
-def _bisect_defect(defect, direction: Vec, sign: float, lo: float, hi: float, steps: int) -> Optional[Vec]:
-    h_lo = float(defect(scale(sign * lo, direction))[0])
+def _bisect_defect(defect, direction: Vec, sign: float, lo: float, h_lo: float, hi: float, steps: int) -> Optional[Vec]:
+    """Bisect the defect's sign change on [lo, hi] along the ray; h_lo is its value at lo."""
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         w = scale(sign * mid, direction)

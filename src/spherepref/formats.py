@@ -3,7 +3,8 @@
 Rationals serialize as ``"p/q"`` strings (integers as plain JSON numbers),
 floats as their shortest round-trip decimal. Parsing is the inverse: JSON
 integers stay exact, ``"p/q"`` strings become fractions, everything else is
-a float. Non-finite floats, zero denominators and non-object documents are rejected.
+a float. Non-finite floats, zero denominators, non-object documents and
+documents nested beyond the parser's recursion limit are rejected.
 """
 
 from __future__ import annotations
@@ -64,7 +65,10 @@ def dumps(doc) -> str:
 
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: the document is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: the top level must be a JSON object, not {type(doc).__name__}")
     return doc

@@ -16,9 +16,10 @@ vectors both cancel, with positive mass on the strict side, certify that no
 spherical preference fits. The two routes are exact-arithmetic LPs and must
 agree on every dataset; each negative verdict carries its certificate.
 
-Class-restricted variants force the sign of c (zero for linear, negative
-for Euclidean, positive for anti-Euclidean) through the same margin trick;
-their certificates carry one extra weight for the sign restriction.
+Class-restricted variants force the sign of c: zero for linear (c = 0, no
+quadratic cancellation), negative for Euclidean, positive for anti-Euclidean.
+A signed restriction is one more strict observation (L, Q, V) = (1, sign, 0),
+c*sign > 0, whose certificate weight is ``restriction_weight``.
 
 Rows are built in integers once per pair by ``geometry.pair_ints``: with L
 the lcm of the pair's coordinate denominators (floats taken verbatim),
@@ -45,7 +46,7 @@ from .preference import Ordering, SphericalParams, compare
 RESTRICT_LINEAR = "linear"
 RESTRICT_EUCLIDEAN = "euclidean"
 RESTRICT_ANTI_EUCLIDEAN = "anti_euclidean"
-_RESTRICTIONS = (RESTRICT_LINEAR, RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN)
+_SIGN = {RESTRICT_LINEAR: 0, RESTRICT_EUCLIDEAN: -1, RESTRICT_ANTI_EUCLIDEAN: 1}
 
 _SMALL_DIM_NOTE = (
     "dimension < 3: the axiomatic characterization of spherical preferences "
@@ -208,6 +209,18 @@ def _margin_row(row: tuple, strict: bool, exact: bool) -> tuple:
     return tuple(v // g for v in coeffs) if g > 1 else coeffs
 
 
+def _sign(restriction: Optional[str]) -> Optional[int]:
+    """The sign a restriction forces on c; None for no restriction."""
+    if restriction is not None and restriction not in _SIGN:
+        raise ValueError(f"unknown restriction {restriction!r}")
+    return _SIGN.get(restriction)
+
+
+def _sign_row(sign: int, n: int) -> tuple:
+    """The strict observation (L, Q, V) = (1, sign, 0): c*sign > 0."""
+    return 1, sign, (0,) * n
+
+
 def rationalize(
     data: ObservationSet,
     restriction: Optional[str] = None,
@@ -226,8 +239,7 @@ def rationalize(
     raises :class:`FloatUndecided` when rounding or overflow leaves neither
     a witness nor a certificate.
     """
-    if restriction is not None and restriction not in _RESTRICTIONS:
-        raise ValueError(f"unknown restriction {restriction!r}")
+    sign = _sign(restriction)
     exact = mode == EXACT
     n = data.dimension
     ncoef = n + 1  # c plus u
@@ -237,18 +249,9 @@ def rationalize(
     nweak = len(data.weak)
     pair_rows = [_margin_row(row, i >= nweak, exact) for i, row in enumerate(rows)]
 
-    always = []
-    c_bounds = (-1, 1)
-    if restriction == RESTRICT_LINEAR:
-        c_bounds = (0, 0)
-    elif restriction == RESTRICT_EUCLIDEAN:
-        # c <= -eps
-        always.append(lp.Constraint((1,) + (0,) * n + (1,), lp.LE, 0))
-    elif restriction == RESTRICT_ANTI_EUCLIDEAN:
-        # c >= eps
-        always.append(lp.Constraint((1,) + (0,) * n + (-1,), lp.GE, 0))
-
-    bounds = (c_bounds,) + ((-1, 1),) * n + ((0, 1),)
+    # c*sign >= eps, after the data rows; row generation keeps it active
+    always = [lp.Constraint(_margin_row(_sign_row(sign, n), True, exact), lp.GE, 0)] if sign else []
+    bounds = ((0, 0) if sign == 0 else (-1, 1),) + ((-1, 1),) * n + ((0, 1),)
     objective = (0,) * ncoef + (1,)
 
     def solve_with(active: list) -> lp.LpOutcome:
@@ -320,31 +323,26 @@ def _certificate_search(
     float_margin: float = _FLOAT_MARGIN,
 ) -> CertificateSearch:
     """The certificate LP over ``rows``, the (L, Q, V) of :func:`_observation_rows`;
-    its weights are the output, so each entry is the true Q / L^2 or V / L."""
+    its weights are the output, so each entry is the true Q / L^2 or V / L.
+    A signed restriction's row is the last strict column."""
     n = data.dimension
+    sign = _sign(restriction)
     ratio = Fraction if mode == EXACT else truediv
+    if sign:
+        rows = rows + [_sign_row(sign, n)]
     k = len(rows)
-    has_mu = restriction in (RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN)
-    nvars = k + (1 if has_mu else 0)
 
-    mass = [1] * k + ([1] if has_mu else [])
-    constraints = [lp.Constraint(tuple(mass), lp.EQ, 1)]
-    if restriction != RESTRICT_LINEAR:
-        quad = [ratio(Q, L * L) for L, Q, _ in rows]
-        if restriction == RESTRICT_EUCLIDEAN:
-            quad.append(-1)
-        elif restriction == RESTRICT_ANTI_EUCLIDEAN:
-            quad.append(1)
-        constraints.append(lp.Constraint(tuple(quad), lp.EQ, 0))
+    constraints = [lp.Constraint((1,) * k, lp.EQ, 1)]
+    if sign != 0:
+        constraints.append(lp.Constraint([ratio(Q, L * L) for L, Q, _ in rows], lp.EQ, 0))
     for i in range(n):
-        coord = [ratio(V[i], L) for L, _, V in rows] + ([0] if has_mu else [])
-        constraints.append(lp.Constraint(tuple(coord), lp.EQ, 0))
+        constraints.append(lp.Constraint([ratio(V[i], L) for L, _, V in rows], lp.EQ, 0))
 
-    objective = [0] * len(data.weak) + [1] * len(data.strict) + ([1] if has_mu else [])
+    objective = (0,) * len(data.weak) + (1,) * (k - len(data.weak))
     program = lp.LinearProgram(
-        objective=tuple(objective),
+        objective=objective,
         constraints=tuple(constraints),
-        bounds=((0, None),) * nvars,
+        bounds=((0, None),) * k,
     )
     outcome = lp.solve(program, mode=mode)
     if outcome.status == lp.INFEASIBLE:
@@ -354,9 +352,8 @@ def _certificate_search(
     zero_cut = 0 if mode == EXACT else float_margin
     if outcome.objective_value <= zero_cut:
         return CertificateSearch(p_mass=outcome.objective_value, weights=None)
-    labels = data.labels()
-    weights = {labels[i]: outcome.primal[i] for i in range(k) if outcome.primal[i] != 0}
-    mu = outcome.primal[k] if has_mu else None
+    weights = {lbl: w for lbl, w in zip(data.labels(), outcome.primal) if w != 0}
+    mu = outcome.primal[-1] if sign else None
     return CertificateSearch(
         p_mass=outcome.objective_value,
         weights=weights,
@@ -387,29 +384,28 @@ def verify_certificate(
 ) -> bool:
     """Exact re-check of a negative verdict's certificate.
 
-    Unrestricted: weights lie in the simplex over the observations, place
-    positive mass on the strict side, and cancel both the quadratic terms
-    and the difference vectors. Restricted searches relax the quadratic
-    cancellation by the sign restriction's weight, which is nonnegative and
-    absent (or zero) for the other searches. Each pair's terms are Q / L^2
-    and V / L over its row :func:`pair_ints` (floats verbatim). A weight
-    whose label names no observation is rejected.
+    Weights lie in the simplex over the observations, place positive mass
+    on the strict side, and cancel both the quadratic terms and the
+    difference vectors; a signed restriction's row is one more strict
+    observation, weighted by ``restriction_weight`` (which the other
+    searches lack), and the linear search drops the quadratic cancellation.
+    Each pair's terms are Q / L^2 and V / L over its row :func:`pair_ints`
+    (floats verbatim). A weight whose label names no observation is rejected.
     """
+    sign = _sign(restriction)
     labels = data.labels()
-    if not set(weights) <= set(labels):
+    if not set(weights) <= set(labels) or (restriction_weight and not sign):
         return False
-    mu = Fraction(restriction_weight or 0)
     lam = [Fraction(weights.get(lbl, 0)) for lbl in labels]
-    if any(w < 0 for w in lam) or mu < 0 or (mu and restriction not in (RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN)):
-        return False
-    if sum(lam) + mu != 1 or sum(lam[len(data.weak) :]) + mu <= 0:
-        return False
     rows = [pair_ints(x, y) for x, y in data.pairs()]
+    if sign:
+        lam.append(Fraction(restriction_weight or 0))
+        rows.append(_sign_row(sign, data.dimension))
+    if any(w < 0 for w in lam) or sum(lam) != 1 or sum(lam[len(data.weak) :]) <= 0:
+        return False
     if any(sum(w * Fraction(V[i], L) for w, (L, _, V) in zip(lam, rows)) for i in range(data.dimension)):
         return False
-    quad = sum(w * Fraction(Q, L * L) for w, (L, Q, _) in zip(lam, rows))
-    want = {RESTRICT_EUCLIDEAN: mu, RESTRICT_ANTI_EUCLIDEAN: -mu}.get(restriction, 0)
-    return restriction == RESTRICT_LINEAR or quad == want
+    return sign == 0 or sum(w * Fraction(Q, L * L) for w, (L, Q, _) in zip(lam, rows)) == 0
 
 
 def generate_dataset(

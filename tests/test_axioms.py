@@ -206,6 +206,24 @@ def test_strict_convexity_zero_violations_iff_euclidean():
     assert {"euclidean", "anti_euclidean"} <= seen
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("params", [SphericalParams(0, (0, 2, 0)), SphericalParams(0, (0, 0, 0))],
+                         ids=["linear", "indifference"])
+def test_strict_convexity_fails_at_c_zero(params, mode):
+    # c = 0: an odd trial shifts x orthogonally to d, or draws a free pair when
+    # d = 0, and the midpoint of that indifferent pair only ties y
+    assert check_strict_convexity(params, 20, rng_seed=5, mode=mode).violations >= 1
+
+
+def test_strict_convexity_linear_odd_trial_shifts_orthogonally_to_d():
+    p = SphericalParams(0, (1, -2, 3))
+    assert check_strict_convexity(p, 1, rng_seed=0, mode=EXACT).violations == 0  # the even trial
+    report = check_strict_convexity(p, 2, rng_seed=0, mode=EXACT)
+    assert report.violations == 1
+    x, y = report.counterexample["x"], report.counterexample["y"]
+    assert x != y and dot(sub(y, x), p.d) == 0
+
+
 def test_strict_convexity_orients_each_even_pair_once(monkeypatch):
     # an even trial's pair is oriented by one compare call; asking again in
     # the test cannot return WORSE, so each trial costs at most two calls

@@ -196,6 +196,22 @@ def test_eventual_linearity_cubic():
     assert check_eventual_linearity(u, (1, 0, 0), (0, 1, 0)) == zeros(3)
 
 
+def test_eventual_linearity_evaluates_the_origin_once():
+    # x = y = e1 on a cubic: the defect is 12 everywhere, so no direction finds
+    # a root; the defect at the origin, the only place U(x + y) is read, is
+    # evaluated once and reused as the start of every ray
+    sxy_calls = []
+
+    def cubic(p):
+        if p == (2, 0, 0):
+            sxy_calls.append(p)
+        return p[0] ** 3
+
+    u = utility_oracle(cubic, 3)
+    assert check_eventual_linearity(u, (1, 0, 0), (1, 0, 0), LineSearch(directions=2, max_radius=4.0)) is None
+    assert len(sxy_calls) == 1
+
+
 def test_eventual_linearity_finds_interior_root():
     # U = x1^4 + x1^3 with x = y = e1: the defect is 48*w1 + 12, a genuine
     # sign change away from the origin that bisection must localize

@@ -260,6 +260,17 @@ def test_malformed_documents_exit_two(capsys, tmp_path, command, doc, field):
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize("command", ["classify", "rationalize", "check-axioms", "decompose", "generate"])
+def test_deeply_nested_document_exits_two(capsys, tmp_path, command):
+    # the JSON parser recurses once per level and gives up with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"d": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
 def test_low_dimension_warning_on_stderr(capsys, tmp_path):
     path = write(tmp_path, "d2.json", {"dimension": 2, "weak": [], "strict": [
         {"better": [1, 0], "worse": [0, 0]}]})

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spherepref.formats import scalar_from_json
 from spherepref.geometry import (
+    PROJ_TOL,
     DimensionMismatch,
     _same_dim,
     add,
@@ -94,7 +95,7 @@ def test_project_out_float_residual_bound():
         basis = [tuple(rng.uniform(-1, 1) for _ in range(n)) for _ in range(rng.randint(1, 3))]
         r = project_out(v, basis)
         for b in basis:
-            assert abs(dot(r, b)) <= 1e-12 * max(1e-30, norm(v) * norm(b))
+            assert abs(dot(r, b)) <= PROJ_TOL * max(1e-30, norm(v) * norm(b))
 
 
 def test_project_out_float_near_dependent_basis():
@@ -104,7 +105,7 @@ def test_project_out_float_near_dependent_basis():
     v = (0.2, -0.4, 0.6, 0.8)
     r = project_out(v, [x, y])
     for b in (x, y):
-        assert abs(dot(r, b)) <= 1e-12 * norm(v) * norm(b)
+        assert abs(dot(r, b)) <= PROJ_TOL * norm(v) * norm(b)
 
 
 def test_exactness_helpers():

@@ -17,6 +17,8 @@ from spherepref.rationalize import (
     RESTRICT_LINEAR,
     CertificateSearch,
     ObservationSet,
+    _certificate_search,
+    _observation_rows,
     certificate_lp,
     generate_dataset,
     rationalize,
@@ -164,6 +166,23 @@ def test_verify_certificate_rejects_each_broken_condition():
     bowl = ObservationSet(3, (), ((ORIGIN, x), (ORIGIN, tuple(-c for c in x))))
     assert rationalize(bowl, restriction=RESTRICT_EUCLIDEAN).rationalizable
     assert not verify_certificate(bowl, {"strict:0": 1, "strict:1": 1}, RESTRICT_EUCLIDEAN, -1)
+
+
+@pytest.mark.parametrize("restriction", ["linaer", "Euclidean", "anti-euclidean"])
+def test_unknown_restriction_is_an_error_everywhere(restriction):
+    # a misspelt restriction is never read as no restriction: "linaer" would
+    # accept this unrestricted certificate, "Euclidean" reject a valid one
+    sym = ObservationSet(3, (), ((E1, E2), (E2, E1)))
+    outward = ObservationSet(3, (), tuple((v, ORIGIN) for v in (E1, (-1, 0, 0), E2, (0, -1, 0))))
+    euclid = rationalize(outward, restriction=RESTRICT_EUCLIDEAN)
+    for call in (
+        lambda: rationalize(sym, restriction),
+        lambda: _certificate_search(sym, _observation_rows(sym, EXACT), restriction, EXACT),
+        lambda: verify_certificate(sym, {"strict:0": F(1, 2), "strict:1": F(1, 2)}, restriction),
+        lambda: verify_certificate(outward, euclid.certificate, restriction, euclid.restriction_weight),
+    ):
+        with pytest.raises(ValueError, match="unknown restriction"):
+            call()
 
 
 def test_empty_data_rationalizable_under_all_restrictions():
