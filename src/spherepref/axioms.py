@@ -335,25 +335,23 @@ def check_soioi(
         b = perp(draw(rng, n, mode, radius), [a])
         wx, wa, wy, wb = plus(w, x), plus(w, a), plus(w, y), plus(w, b)
         wxy, wab = plus(wx, y), plus(wa, b)
-        bad = False
         if oracle.utility is not None:
             vals = [oracle.utility(point(v)) for v in (wx, wa, wy, wb, wxy, wab)]
             m1, m2, m3 = vals[0] - vals[1], vals[2] - vals[3], vals[4] - vals[5]
             weak_cut, strict_cut = tie_cuts(vals, mode, rel, STRICT_REL)
             if mode != EXACT and not math.isfinite(m1 + m2 + m3 + strict_cut):
                 raise _not_finite(vals)
-            if m1 >= -weak_cut and m2 >= -weak_cut:
-                if m3 < -weak_cut:
-                    bad = True
-                elif (m1 > strict_cut or m2 > strict_cut) and not m3 > weak_cut:
-                    bad = True
+            o1 = 1 if m1 > strict_cut else 0 if m1 >= -weak_cut else -1
+            o2 = 1 if m2 > strict_cut else 0 if m2 >= -weak_cut else -1
         else:
             o1, o2 = oracle.compare(point(wx), point(wa)), oracle.compare(point(wy), point(wb))
-            if o1 >= 0 and o2 >= 0:
-                o3 = oracle.compare(point(wxy), point(wab))
-                if o3 < 0 or ((o1 > 0 or o2 > 0) and o3 <= 0):
-                    bad = True
-        return {"w": point(w), "x": point(x), "y": point(y), "a": point(a), "b": point(b)} if bad else None
+        if o1 < 0 or o2 < 0:
+            return None
+        # a bare oracle is asked for the consequent only when both antecedents hold
+        o3 = ordering_from_diff(m3, weak_cut) if oracle.utility is not None else oracle.compare(point(wxy), point(wab))
+        if o3 < 0 or ((o1 > 0 or o2 > 0) and o3 <= 0):
+            return {"w": point(w), "x": point(x), "y": point(y), "a": point(a), "b": point(b)}
+        return None
 
     return _run_trials("soioi", trials, rng_seed, trial)
 
@@ -439,7 +437,9 @@ def check_strict_convexity(
     Even trials sample a free pair and orient it; odd trials construct an
     indifferent pair from the class geometry (reflection through the center
     when c != 0, a shift orthogonal to the gradient when c = 0), which is
-    where the linear and anti-Euclidean classes fail.
+    where the linear and anti-Euclidean classes fail. The report's
+    ``trials`` counts the requested trials, the skipped ones included (a
+    zero shift, or x == y).
     """
     n = params.dim
     half = Fraction(1, 2) if params.is_exact and mode == EXACT else 0.5

@@ -255,20 +255,18 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
     nonneg = [b[0] is not None and b[0] == 0 for b in bounds]
 
     # Row list: user constraints first, then materialized bound rows, each
-    # as (k, k * coeffs over original vars, relation, k * rhs).
-    rows: list = []
-    for con in lp.constraints:
-        k, vals = _scaled(con.coeffs + (con.rhs,), exact)
-        rows.append((k, vals[:-1], con.relation, vals[-1]))
+    # scaled to (k, k * coeffs over original vars, relation, k * rhs).
+    cons = [(con.coeffs, con.relation, con.rhs) for con in lp.constraints]
     for j, (lo, hi) in enumerate(bounds):
-        ej = [0] * nvars
-        ej[j] = 1
+        ej = (0,) * j + (1,) + (0,) * (nvars - j - 1)
         if lo is not None and not nonneg[j]:
-            k, vals = _scaled(ej + [lo], exact)
-            rows.append((k, vals[:-1], GE, vals[-1]))
+            cons.append((ej, GE, lo))
         if hi is not None:
-            k, vals = _scaled(ej + [hi], exact)
-            rows.append((k, vals[:-1], LE, vals[-1]))
+            cons.append((ej, LE, hi))
+    rows: list = []
+    for coeffs, rel, b in cons:
+        k, vals = _scaled(coeffs + (b,), exact)
+        rows.append((k, vals[:-1], rel, vals[-1]))
 
     # Structural columns: one per nonnegative variable, two per free one.
     struct: list = []  # (var index, +1 | -1)

@@ -31,6 +31,7 @@ mode rounds each entry once. The verifiers read the same rows.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -127,8 +128,8 @@ class ObservationSet:
                 raise ValueError(f'"{key}" must be a list of {{"better": ..., "worse": ...}} objects')
             return tuple((vec_from_json(p["better"]), vec_from_json(p["worse"])) for p in items)
 
-        if type(doc["dimension"]) is not int or doc["dimension"] < 1:
-            raise ValueError(f'"dimension" must be an integer >= 1, not {doc["dimension"]!r}')
+        if type(doc["dimension"]) is not int or not 1 <= doc["dimension"] <= sys.maxsize:
+            raise ValueError(f'"dimension" must be an integer from 1 to {sys.maxsize}, not {doc["dimension"]!r}')
         return ObservationSet(doc["dimension"], pairs("weak"), pairs("strict"))
 
 
@@ -200,6 +201,15 @@ def _observation_rows(data: ObservationSet, mode: str) -> list:
     return rows
 
 
+def _moved_rows(data: ObservationSet, mode: str) -> tuple:
+    """:func:`_observation_rows` with each V cut down to the coordinates some
+    pair moves, and those coordinates. Another coordinate would only add box
+    rows and split columns to the margin LP and zero rows to the certificate LP."""
+    rows = _observation_rows(data, mode)
+    used = [j for j, col in enumerate(zip(*(V for _, _, V in rows))) if any(col)]
+    return [(L, Q, tuple([V[j] for j in used])) for L, Q, V in rows], used
+
+
 def _margin_row(row: tuple, strict: bool, exact: bool) -> tuple:
     """The margin LP's row (x.x - y.y, x - y, -1 if strict else 0) from the pair's
     (L, Q, V); exact mode makes it a primitive integer row, a positive multiple."""
@@ -234,57 +244,53 @@ def rationalize(
     0 <= eps <= 1, and the class restriction if any. The data is
     rationalizable (within the class) iff the optimum is positive; then the
     optimal (c, u) is returned as a witness. Otherwise the certificate
-    search runs and its optimizer is attached. In float mode an optimum
-    below ``float_margin`` counts as zero; exact mode ignores it. Float mode
-    raises :class:`FloatUndecided` when rounding or overflow leaves neither
-    a witness nor a certificate.
+    search runs and its optimizer is attached. Both LPs cover only the
+    coordinates some pair moves; the others are zero in the witness. In
+    float mode an optimum below ``float_margin`` counts as zero; exact mode
+    ignores it. Float mode raises :class:`FloatUndecided` when rounding or
+    overflow leaves neither a witness nor a certificate.
     """
     sign = _sign(restriction)
     exact = mode == EXACT
-    n = data.dimension
+    rows, used = _moved_rows(data, mode)
+    n = len(used)
     ncoef = n + 1  # c plus u
     eps_col = ncoef
 
-    rows = _observation_rows(data, mode)
     nweak = len(data.weak)
     pair_rows = [_margin_row(row, i >= nweak, exact) for i, row in enumerate(rows)]
 
     # c*sign >= eps, after the data rows; row generation keeps it active
-    always = [lp.Constraint(_margin_row(_sign_row(sign, n), True, exact), lp.GE, 0)] if sign else []
+    always = (lp.Constraint(_margin_row(_sign_row(sign, n), True, exact), lp.GE, 0),) if sign else ()
     bounds = ((0, 0) if sign == 0 else (-1, 1),) + ((-1, 1),) * n + ((0, 1),)
     objective = (0,) * ncoef + (1,)
 
-    def solve_with(active: list) -> lp.LpOutcome:
-        cons = tuple(lp.Constraint(pair_rows[i], lp.GE, 0) for i in active) + tuple(always)
+    # one round with every row, or row generation from a subset above the threshold
+    total = len(pair_rows)
+    active = list(range(total if total <= _ROWGEN_THRESHOLD else _ROWGEN_INITIAL))
+    in_active = set(active)
+    while True:
+        cons = tuple(lp.Constraint(pair_rows[i], lp.GE, 0) for i in active) + always
         outcome = lp.solve(lp.LinearProgram(objective, cons, bounds), mode=mode)
         if outcome.status != lp.OPTIMAL:  # 0 is feasible and the box bounds it
             raise _undecided(mode, f"margin LP terminated with status {outcome.status}")
-        return outcome
-
-    total = len(pair_rows)
-    if total <= _ROWGEN_THRESHOLD:
-        outcome = solve_with(list(range(total)))
-    else:
-        active = list(range(_ROWGEN_INITIAL))
-        in_active = set(active)
-        while True:
-            outcome = solve_with(active)
-            sol = clear_denominators(outcome.primal)[1] if exact else outcome.primal  # exact: a positive multiple
-            violated = [i for i in range(total) if i not in in_active and dot(pair_rows[i], sol) < 0]
-            if not violated:
-                break
-            for i in violated[:_ROWGEN_BATCH]:
-                active.append(i)
-                in_active.add(i)
+        sol = clear_denominators(outcome.primal)[1] if exact else outcome.primal  # exact: a positive multiple
+        violated = [i for i in range(total) if i not in in_active and dot(pair_rows[i], sol) < 0]
+        if not violated:
+            break
+        active += violated[:_ROWGEN_BATCH]
+        in_active.update(violated[:_ROWGEN_BATCH])
 
     eps = outcome.primal[eps_col]
     margin_cut = 0 if exact else float_margin
-    note = _SMALL_DIM_NOTE if n < 3 else None
+    note = _SMALL_DIM_NOTE if data.dimension < 3 else None
     if eps > margin_cut:
-        witness = SphericalParams(outcome.primal[0], outcome.primal[1 : 1 + n])
+        d = [Fraction(0) if exact else 0.0] * data.dimension  # what lp.solve gives a never-basic variable
+        for j, v in zip(used, outcome.primal[1:eps_col]):
+            d[j] = v
         return RationalizabilityVerdict(
             True,
-            witness=witness,
+            witness=SphericalParams(outcome.primal[0], d),
             epsilon=eps,
             restriction=restriction,
             note=note,
@@ -312,7 +318,7 @@ def certificate_lp(data: ObservationSet, mode: str = EXACT) -> CertificateSearch
     the mass on strict observations. The data is rationalizable iff the
     optimum is zero (an infeasible search counts as zero).
     """
-    return _certificate_search(data, _observation_rows(data, mode), None, mode)
+    return _certificate_search(data, _moved_rows(data, mode)[0], None, mode)
 
 
 def _certificate_search(
@@ -322,10 +328,10 @@ def _certificate_search(
     mode: str,
     float_margin: float = _FLOAT_MARGIN,
 ) -> CertificateSearch:
-    """The certificate LP over ``rows``, the (L, Q, V) of :func:`_observation_rows`;
-    its weights are the output, so each entry is the true Q / L^2 or V / L.
-    A signed restriction's row is the last strict column."""
-    n = data.dimension
+    """The certificate LP over ``rows``, the (L, Q, V) of :func:`_observation_rows`
+    or :func:`_moved_rows`; its weights are the output, so each entry is the
+    true Q / L^2 or V / L. A signed restriction's row is the last strict column."""
+    n = len(rows[0][2]) if rows else 0
     sign = _sign(restriction)
     ratio = Fraction if mode == EXACT else truediv
     if sign:
@@ -367,9 +373,12 @@ def verify_witness(data: ObservationSet, params: SphericalParams) -> bool:
     The witness and the points count verbatim as rationals (floats are
     dyadic), and each pair is ranked by :func:`preference.compare`: its sign
     is that of C*Q + L*D.V over the pair's row :func:`pair_ints` and the
-    witness's integer form (C, D).
+    witness's integer form (C, D). A NaN or infinite coefficient fails.
     """
-    c, *d = to_exact((params.c, *params.d))
+    try:
+        c, *d = to_exact((params.c, *params.d))
+    except (ValueError, OverflowError):  # Fraction of a NaN or an infinity
+        return False
     p = SphericalParams(c, d)
     if not all(compare(p, to_exact(x), to_exact(y)) >= Ordering.INDIFFERENT for x, y in data.weak):
         return False
@@ -390,17 +399,22 @@ def verify_certificate(
     observation, weighted by ``restriction_weight`` (which the other
     searches lack), and the linear search drops the quadratic cancellation.
     Each pair's terms are Q / L^2 and V / L over its row :func:`pair_ints`
-    (floats verbatim). A weight whose label names no observation is rejected.
+    (floats verbatim). A weight whose label names no observation, or that is
+    a NaN or an infinity, is rejected.
     """
     sign = _sign(restriction)
     labels = data.labels()
     if not set(weights) <= set(labels) or (restriction_weight and not sign):
         return False
-    lam = [Fraction(weights.get(lbl, 0)) for lbl in labels]
+    lam = [weights.get(lbl, 0) for lbl in labels]
     rows = [pair_ints(x, y) for x, y in data.pairs()]
     if sign:
-        lam.append(Fraction(restriction_weight or 0))
+        lam.append(restriction_weight or 0)
         rows.append(_sign_row(sign, data.dimension))
+    try:
+        lam = [Fraction(w) for w in lam]
+    except (ValueError, OverflowError):  # Fraction of a NaN or an infinity
+        return False
     if any(w < 0 for w in lam) or sum(lam) != 1 or sum(lam[len(data.weak) :]) <= 0:
         return False
     if any(sum(w * Fraction(V[i], L) for w, (L, _, V) in zip(lam, rows)) for i in range(data.dimension)):

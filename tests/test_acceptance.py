@@ -5,6 +5,7 @@ pass line (visible with ``pytest -s`` or in the captured output). Criteria
 with a stated runtime target assert it.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction as F
@@ -27,6 +28,7 @@ from spherepref.cardinal import (
     decompose,
     extract_f,
 )
+from spherepref.formats import dumps
 from spherepref.geometry import EXACT, FLOAT, add, dot, normalize, sub, zeros
 from spherepref.preference import (
     Ordering,
@@ -282,12 +284,14 @@ def test_criterion_9_round_trip():
     start = time.perf_counter()
     rng = random.Random(909)
     worst = 1.0
+    digest = hashlib.sha256()
     for trial in range(100):
         n = 3 + trial % 2
         count = 1000 if n == 3 else 1200
         p = canonicalize(random_exact_params(rng, n))
         data = generate_dataset(p, count, rng_seed=trial)
         verdict = rationalize(data)
+        digest.update(dumps(verdict.to_dict()).encode())
         assert verdict.rationalizable
         assert verify_witness(data, verdict.witness)
         holdout = random.Random(trial + 31_000)
@@ -304,5 +308,7 @@ def test_criterion_9_round_trip():
         rate = agree / total
         worst = min(worst, rate)
         assert rate >= 0.99, (trial, n, rate, p)
+    # the 100 verdict documents, byte for byte: witnesses and margins included
+    assert digest.hexdigest() == "78c98a2ddfc61cdf3635e3a0a0e7575440c8a7df65d9f735f95015667d8d1b40"
     elapsed = time.perf_counter() - start
     report(9, "round trip", f"100 parameter sets, worst agreement {worst:.3f}, {elapsed:.0f}s")

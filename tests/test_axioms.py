@@ -29,6 +29,7 @@ from spherepref.cardinal import check_status_quo_independence, coefficient_oracl
 from spherepref.formats import dumps
 from spherepref.geometry import EXACT, FLOAT, add, dot, project_out, scale, sub
 from spherepref.preference import (
+    TIE_REL,
     Ordering,
     SphericalParams,
     canonicalize,
@@ -127,6 +128,44 @@ def test_cubic_soioi_regression_tuple():
     assert cubic_value(add(w, y)) == cubic_value(add(w, b))  # tie
     # both antecedents weakly hold, yet the combined comparison reverses
     assert cubic_value(add(w, add(x, y))) < cubic_value(add(w, add(a, b)))
+
+
+# One SOIOI trial on scripted utilities of w+x, w+a, w+y, w+b, w+x+y, w+a+b.
+# The largest |value| is 1, so ties are within 2*TIE_REL and strict claims
+# need more than 2*STRICT_REL.
+@pytest.mark.parametrize("values, violated", [
+    ([0.0, 0.0, 1.0, 1.0, 0.5, 0.5], False),  # all tied
+    ([1e-8, 0.0, 1.0, 1.0, 0.5, 0.5], False),  # better, but not strictly: a tie may follow
+    ([1.0, 1.0, 1e-8, 0.0, 0.5, 0.5], False),  # the same for the second antecedent
+    ([1e-6, 0.0, 1.0, 1.0, 0.5, 0.5], True),  # strictly better, then a tie
+    ([1e-6, 0.0, 1.0, 1.0, 0.5 + 1e-6, 0.5], False),  # strictly better twice
+    ([0.0, 2 * TIE_REL, 1.0, 1.0, 0.0, 1e-6], True),  # an antecedent on the tie edge holds
+    ([0.0, 1e-8, 1.0, 1.0, 0.0, 1e-6], False),  # an antecedent past the tie edge fails
+    ([0.0, 0.0, 1.0, 1.0, 0.5, 0.5 + 1e-9], False),  # a consequent inside the tie band
+])
+def test_soioi_decision_rule_on_utility_margins(values, violated):
+    script = iter(values)
+    oracle = ComparisonOracle(dim=3, compare=None, utility=lambda x: next(script))
+    assert check_soioi(oracle, 1, mode=FLOAT).violations == violated
+
+
+@pytest.mark.parametrize("orderings, asked, violated", [
+    ((-1, 1), 2, False),
+    ((1, -1), 2, False),
+    ((0, 0, -1), 3, True),
+    ((0, 0, 0), 3, False),
+    ((1, 0, 0), 3, True),
+    ((0, 1, 1), 3, False),
+])
+def test_soioi_asks_a_bare_oracle_for_the_consequent_only_when_it_matters(orderings, asked, violated):
+    calls = []
+
+    def scripted(x, y):
+        calls.append((x, y))
+        return Ordering(orderings[len(calls) - 1])
+
+    assert check_soioi(ComparisonOracle(dim=3, compare=scripted), 1).violations == violated
+    assert len(calls) == asked
 
 
 def test_cubic_homotheticity_regression_tuple():

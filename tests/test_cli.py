@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -269,6 +270,27 @@ def test_deeply_nested_document_exits_two(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("dimension", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_rationalize_huge_dimension_exits_two(capsys, tmp_path, dimension):
+    # the box rows overflowed: OverflowError and a traceback, exit 1
+    path = write(tmp_path, "huge.json", {"dimension": dimension, "weak": [], "strict": []})
+    code, out, err = run(capsys, "rationalize", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and '"dimension"' in err and "Traceback" not in err
+
+
+def test_rationalize_cost_follows_the_pairs_not_the_dimension(capsys, tmp_path):
+    # no pair moves a coordinate, so both LPs are tiny; only the witness has n entries
+    path = write(tmp_path, "wide.json", {"dimension": 100_000, "weak": [], "strict": []})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "rationalize", path)
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert len(witness["d"]) == 100_000 and not any(witness["d"])
 
 
 def test_low_dimension_warning_on_stderr(capsys, tmp_path):

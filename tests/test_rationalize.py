@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from spherepref.rationalize import (
     RESTRICT_EUCLIDEAN,
     RESTRICT_LINEAR,
     CertificateSearch,
+    FloatUndecided,
     ObservationSet,
     _certificate_search,
     _observation_rows,
@@ -544,3 +546,134 @@ def test_verify_witness_checks_the_dimension():
     with pytest.raises(DimensionMismatch):
         verify_witness(data, SphericalParams(1, (1, 2, 3)))
     assert verify_witness(ObservationSet(2, [], []), SphericalParams(1, (1, 2, 3)))
+
+
+@pytest.mark.parametrize("dimension", [sys.maxsize + 1, 10**400], ids=["maxsize+1", "10**400"])
+def test_dataset_rejects_a_dimension_above_maxsize(dimension):
+    # such a dimension overflowed later, in the witness or the box rows
+    with pytest.raises(ValueError, match='"dimension"'):
+        ObservationSet.from_dict({"dimension": dimension, "weak": [], "strict": []})
+    assert ObservationSet.from_dict({"dimension": sys.maxsize, "weak": [], "strict": []}).dimension == sys.maxsize
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_verifiers_reject_non_finite_floats(bad):
+    # Fraction() raised ValueError or OverflowError on these
+    data = ObservationSet(3, (), ((E1, ORIGIN),))
+    assert verify_witness(data, SphericalParams(0, E1))
+    assert not verify_witness(data, SphericalParams(bad, E1))
+    assert not verify_witness(data, SphericalParams(0, (1, bad, 0)))
+    sym = ObservationSet(3, (), ((E1, E2), (E2, E1)))
+    assert verify_certificate(sym, {"strict:0": F(1, 2), "strict:1": F(1, 2)})
+    assert not verify_certificate(sym, {"strict:0": F(1, 2), "strict:1": bad})
+    outward = ObservationSet(3, (), tuple((v, ORIGIN) for v in (E1, (-1, 0, 0), E2, (0, -1, 0))))
+    euclid = rationalize(outward, restriction=RESTRICT_EUCLIDEAN)
+    assert verify_certificate(outward, euclid.certificate, RESTRICT_EUCLIDEAN, euclid.restriction_weight)
+    assert not verify_certificate(outward, euclid.certificate, RESTRICT_EUCLIDEAN, bad)
+
+
+def pad(data, positions):
+    """data with a zero coordinate at each of the sorted ``positions`` of the padded points."""
+
+    def widen(v):
+        v = list(v)
+        for j in positions:
+            v.insert(j, 0)
+        return tuple(v)
+
+    return ObservationSet(
+        data.dimension + len(positions),
+        tuple((widen(x), widen(y)) for x, y in data.weak),
+        tuple((widen(x), widen(y)) for x, y in data.strict),
+    )
+
+
+@st.composite
+def padded_datasets(draw):
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.builds(F, st.integers(-3, 3), st.integers(1, 2))] * n)
+    pairs = draw(st.lists(st.tuples(vec, vec), max_size=6))
+    nweak = draw(st.integers(0, len(pairs)))
+    extra = draw(st.integers(1, 3))
+    positions = sorted(draw(st.sets(st.integers(0, n + extra - 1), min_size=extra, max_size=extra)))
+    return ObservationSet(n, pairs[:nweak], pairs[nweak:]), positions
+
+
+def outcome(data, restriction, mode):
+    try:
+        return rationalize(data, restriction, mode=mode)
+    except FloatUndecided as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    padded_datasets(),
+    st.sampled_from([None, RESTRICT_LINEAR, RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN]),
+    st.sampled_from([EXACT, FLOAT]),
+)
+def test_inert_coordinates_leave_the_verdict_alone(case, restriction, mode):
+    # a coordinate no pair moves is dropped from both LPs and is zero in the witness
+    data, positions = case
+    padded = pad(data, positions)
+    want, got = outcome(data, restriction, mode), outcome(padded, restriction, mode)
+    if isinstance(want, str):
+        assert got == want
+        return
+    fields = ("rationalizable", "epsilon", "certificate", "p_mass", "restriction_weight")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    if want.rationalizable:
+        zero = F(0) if mode == EXACT else 0.0
+        assert got.witness.c == want.witness.c
+        assert [v for j, v in enumerate(got.witness.d) if j not in positions] == list(want.witness.d)
+        assert all(type(got.witness.d[j]) is type(zero) and got.witness.d[j] == zero for j in positions)
+        assert mode != EXACT or verify_witness(padded, got.witness)
+    else:
+        assert mode != EXACT or verify_certificate(padded, got.certificate, restriction, got.restriction_weight)
+    assert certificate_lp(padded, mode) == certificate_lp(data, mode)
+
+
+def test_lp_sizes_do_not_grow_with_padding(monkeypatch):
+    import spherepref.lp as lp
+
+    shapes = []
+    solve = lp.solve
+
+    def recording(program, mode=EXACT):
+        shapes.append((len(program.objective), len(program.constraints)))
+        return solve(program, mode=mode)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    sym = ObservationSet(2, (), (((1, 0), (0, 1)), ((0, 1), (1, 0))))
+    for data in (sym, pad(sym, [0, 3, 4]), pad(sym, list(range(2, 400)))):
+        shapes.clear()
+        assert not rationalize(data).rationalizable
+        # the margin LP's variables are c, u1, u2 and eps; the certificate
+        # LP's rows are the total mass and the x.x, x1 and x2 cancellations
+        assert shapes == [(4, 2), (2, 4)]
+
+
+def test_row_generation_starts_only_above_the_threshold(monkeypatch):
+    import spherepref.lp as lp
+    import spherepref.rationalize as rat
+
+    sizes = []
+    solve = lp.solve
+
+    def recording(program, mode=EXACT):
+        sizes.append(len(program.constraints))
+        return solve(program, mode=mode)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    p = random_params(random.Random(1001), 3)
+    big = generate_dataset(p, 200, rng_seed=3)
+    assert len(big.strict) >= rat._ROWGEN_THRESHOLD
+    edge = ObservationSet(3, (), big.strict[: rat._ROWGEN_THRESHOLD])
+    small = generate_dataset(p, 30, rng_seed=4)
+    for data in (small, edge):
+        sizes.clear()
+        assert rationalize(data).rationalizable
+        assert sizes == [len(data)]
+    sizes.clear()
+    assert rationalize(big).rationalizable
+    assert sizes[0] == rat._ROWGEN_INITIAL and len(sizes) > 1
