@@ -14,6 +14,17 @@ ratio test's tie-break and the choice of pivot for a leftover artificial
 pick what they would pick there, and a pivot on a stored column computes the
 same numbers the dense pivot does on the columns it keeps.
 
+A free variable is split into x+ - x-, two variables numbered next to each
+other (twins), but a pair stores at most one column. While both twins are
+nonbasic, one's column and reduced cost are the exact negatives of the
+other's (pivots are linear, and IEEE negation and rounding are symmetric in
+sign, so this holds bit for bit in float mode too): Bland's rule and the
+leftover-artificial step are offered both, and choosing the unstored one
+negates the stored column in place. While one twin is basic in row r, the
+other's column is -den * e_r with a reduced cost of exactly 0: it can never
+enter and is not stored. So every pivot, and every stored number, is what
+the tableau with both columns has.
+
 Exact mode pivots fraction-free (Edmonds 1967, Bareiss 1968). Each row is
 scaled once by the lcm of its denominators, so the tableau starts integral,
 and it stays integral over one common positive denominator ``den``: the
@@ -26,16 +37,18 @@ leaving choice is the one a Fraction tableau would make: the pivots, and so
 the outputs, are the same.
 Float mode keeps plain Gauss-Jordan pivots on floats with small tolerances.
 
-An outcome reports only the status and, when optimal, the primal point and
-the objective value. A lower bound of exactly zero is handled natively
-(nonnegative column); any other bound is materialized as an explicit row.
+An outcome reports the status and, when optimal, the primal point and the
+objective value, plus an :class:`LpStats` record of the solve. A lower
+bound of exactly zero is handled natively (nonnegative column); any other
+bound is materialized as an explicit row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from time import perf_counter
 from typing import Optional
 
 from .geometry import EXACT, FLOAT, DimensionMismatch, Scalar, Vec, clear_denominators, dot
@@ -94,10 +107,27 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
+class LpStats:
+    """What one solve did. ``phase1_pivots`` counts the pivots that take
+    leftover artificials out of the basis; ``columns`` is the number of
+    stored columns, which no pivot changes; ``bits`` is the largest bit
+    length among the final ``den`` and right-hand side (0 in float mode)."""
+
+    phase1_pivots: int
+    phase2_pivots: int
+    rows: int
+    columns: int
+    bits: int
+    seconds: float
+
+
+@dataclass(frozen=True)
 class LpOutcome:
     status: str
     primal: Optional[Vec] = None
     objective_value: Optional[Scalar] = None
+    # how the outcome was reached, not what it is: equality and repr ignore it
+    stats: Optional[LpStats] = field(default=None, compare=False, repr=False)
 
 
 class _Tableau:
@@ -109,15 +139,29 @@ class _Tableau:
     one common denominator ``den > 0``; in float mode the entries are floats
     and ``den`` stays 1. Only :meth:`pivot` and :meth:`leaving_row` depend on
     the mode.
+
+    ``twin`` maps each half of a split free variable to the other. A pair
+    stores one column while both halves are nonbasic (the other half's is
+    its negation, see :meth:`flip`) and none while one is basic, so no pivot
+    changes the number of stored columns.
     """
 
-    def __init__(self, T: list, rhs: list, basis: list, nonbasic: list, exact: bool):
+    def __init__(self, T: list, rhs: list, basis: list, nonbasic: list, twin: dict, exact: bool):
         self.T = T
         self.rhs = rhs
         self.basis = basis
         self.nonbasic = nonbasic
+        self.twin = twin
         self.exact = exact
         self.den = 1
+        self.pivots = 0
+
+    def flip(self, k: int) -> None:
+        """Store the twin of ``nonbasic[k]`` in column k: its column is the
+        negated one."""
+        for row in self.T:
+            row[k] = -row[k]
+        self.nonbasic[k] = self.twin[self.nonbasic[k]]
 
     def pivot(self, r: int, k: int) -> None:
         """Swap ``basis[r]`` and ``nonbasic[k]``. Column k is read, then
@@ -165,6 +209,7 @@ class _Tableau:
                             ri[j] = ri[j] - f * row[j]
                     rhs[i] = rhs[i] - f * rhs[r]
         self.basis[r], self.nonbasic[k] = self.nonbasic[k], self.basis[r]
+        self.pivots += 1
 
     def leaving_row(self, k: int, tol) -> int:
         """Ratio test on column k: the row minimizing rhs_i / a_i over
@@ -193,7 +238,7 @@ class _Tableau:
         return best
 
     def reduced_costs(self, costs: list) -> list:
-        """den times the reduced cost of each nonbasic column (just the
+        """den times the reduced cost of each stored column (just the
         reduced costs in float mode); ``costs`` is indexed by variable."""
         rc = [self.den * costs[v] for v in self.nonbasic]
         for i, b in enumerate(self.basis):
@@ -212,15 +257,25 @@ def _scaled(values, exact: bool) -> tuple:
     return clear_denominators(values) if exact else (1, [float(v) for v in values])
 
 
+def _stats(tab: _Tableau, phase1: int, start: float) -> LpStats:
+    bits = max(v.bit_length() for v in (tab.den, *tab.rhs)) if tab.exact else 0
+    return LpStats(phase1, tab.pivots - phase1, len(tab.T), len(tab.nonbasic), bits, perf_counter() - start)
+
+
 def _run_simplex(tab: _Tableau, costs: list, limit: int, tol) -> str:
     """Bland-rule pivoting until optimal or unbounded; only variables
-    numbered below ``limit`` may enter."""
+    numbered below ``limit`` may enter. The unstored twin of a column is
+    offered with the negated reduced cost."""
+    twin = tab.twin
     for _ in range(_MAX_ITER):
         rc = tab.reduced_costs(costs)
         entering = [(v, k) for k, v in enumerate(tab.nonbasic) if v < limit and rc[k] > tol]
+        entering += [(twin[v], k) for k, v in enumerate(tab.nonbasic) if v in twin and -rc[k] > tol]
         if not entering:
             return OPTIMAL
-        k = min(entering)[1]
+        v, k = min(entering)
+        if v != tab.nonbasic[k]:
+            tab.flip(k)
         r = tab.leaving_row(k, tol)
         if r < 0:
             return UNBOUNDED
@@ -236,6 +291,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
     denominator, which makes the same choices a Fraction tableau would;
     FLOAT converts to float and uses small pivot tolerances.
     """
+    start = perf_counter()
     if mode == EXACT:
         conv, cell = Fraction, int
         tol = 0
@@ -268,11 +324,17 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
         k, vals = _scaled(coeffs + (b,), exact)
         rows.append((k, vals[:-1], rel, vals[-1]))
 
-    # Structural columns: one per nonnegative variable, two per free one.
+    # Structural variables: one per nonnegative variable, two per free one,
+    # x+ then x-, twins of each other. Only x+ starts as a stored column.
     struct: list = []  # (var index, +1 | -1)
+    twin: dict = {}
+    nonbasic: list = []
     for j in range(nvars):
+        nonbasic.append(len(struct))
         struct.append((j, 1))
         if not nonneg[j]:
+            v = len(struct)
+            twin[v - 1], twin[v] = v, v - 1
             struct.append((j, -1))
     ns = len(struct)
 
@@ -287,21 +349,20 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
     T: list = []
     rhs: list = []
     basis: list = []
-    nonbasic = list(range(ns))
     for i, (_, coeffs, rel, b) in enumerate(rows):
         sign = -1 if rel == GE else 1
         if sign * b < 0:
             sign = -sign
         slack = 0 if rel == EQ else (sign if rel == LE else -sign)
-        T.append([sign * s * coeffs[j] for j, s in struct])
+        T.append([sign * a for a in coeffs])
         rhs.append(sign * b)
         basis.append(ns + i if slack > 0 else art0 + i)
         if slack < 0:
             nonbasic.append(ns + i)
     for i, row in enumerate(T):
-        row += [cell(-1 if v == ns + i else 0) for v in nonbasic[ns:]]
+        row += [cell(-1 if v == ns + i else 0) for v in nonbasic[nvars:]]
 
-    tab = _Tableau(T, rhs, basis, nonbasic, exact)
+    tab = _Tableau(T, rhs, basis, nonbasic, twin, exact)
 
     # Phase 1: drive the artificial columns to zero. Artificial i costs
     # -L / k_i with L the lcm of those k_i: L times the unscaled objective,
@@ -318,7 +379,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
         value1 = sum(costs1[basis[i]] * rhs[i] for i in range(m))
         infeas_cut = 0 if exact else -_FEAS_TOL * (1 + max(map(abs, rhs), default=0))
         if value1 < infeas_cut:
-            return LpOutcome(INFEASIBLE)
+            return LpOutcome(INFEASIBLE, stats=_stats(tab, tab.pivots, start))
         # Pivot each leftover artificial out of the basis on the lowest
         # numbered non-artificial column with a nonzero entry, if any.
         for i in range(m):
@@ -326,17 +387,22 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
                 row = tab.T[i]
                 nonzero = [k for k, a in enumerate(row) if (a if exact else abs(a) > tol)]
                 cands = [(nonbasic[k], k) for k in nonzero if nonbasic[k] < art0]
+                cands = [(min(v, twin.get(v, v)), k) for v, k in cands]
                 if cands:
-                    tab.pivot(i, min(cands)[1])
+                    v, k = min(cands)
+                    if v != nonbasic[k]:
+                        tab.flip(k)
+                    tab.pivot(i, k)
 
     # Phase 2: the real objective over structural columns, times the lcm of
     # its denominators in exact mode.
+    phase1 = tab.pivots
     _, costs = _scaled(lp.objective, exact)
     costs2 = [cell(0)] * nvar
     for k, (j, s) in enumerate(struct):
         costs2[k] = costs[j] if s > 0 else -costs[j]
     if _run_simplex(tab, costs2, art0, tol) == UNBOUNDED:
-        return LpOutcome(UNBOUNDED)
+        return LpOutcome(UNBOUNDED, stats=_stats(tab, phase1, start))
 
     values = [conv(0)] * ns
     for i, b in enumerate(basis):
@@ -349,4 +415,5 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
         OPTIMAL,
         primal=tuple(primal),
         objective_value=dot(tuple(objective), tuple(primal)),
+        stats=_stats(tab, phase1, start),
     )

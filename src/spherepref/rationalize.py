@@ -34,7 +34,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from operator import truediv
 from typing import Optional
 
@@ -247,9 +247,12 @@ def rationalize(
     search runs and its optimizer is attached. Both LPs cover only the
     coordinates some pair moves; the others are zero in the witness. In
     float mode an optimum below ``float_margin`` counts as zero; exact mode
-    ignores it. Float mode raises :class:`FloatUndecided` when rounding or
-    overflow leaves neither a witness nor a certificate.
+    ignores it, but a ``float_margin`` that is negative or not finite raises
+    ValueError in both modes. Float mode raises :class:`FloatUndecided` when
+    rounding or overflow leaves neither a witness nor a certificate.
     """
+    if not (isfinite(float_margin) and float_margin >= 0):
+        raise ValueError(f"float_margin must be a finite number >= 0, not {float_margin!r}")
     sign = _sign(restriction)
     exact = mode == EXACT
     rows, used = _moved_rows(data, mode)

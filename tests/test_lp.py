@@ -1,10 +1,12 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
-from spherepref.geometry import EXACT, FLOAT
+import spherepref.lp as lp_module
+from spherepref.geometry import EXACT, FLOAT, dot
 from spherepref.lp import (
     EQ,
     GE,
@@ -14,6 +16,7 @@ from spherepref.lp import (
     UNBOUNDED,
     Constraint,
     LinearProgram,
+    LpOutcome,
     solve,
 )
 
@@ -403,3 +406,209 @@ def test_golden_tall_outcomes():
     assert _digest(approx) == "a04ac95457d53140f7304b1e822c9fe6681de1ca97e80b111ce4a6855e23935d"
     for lp, out in zip(lps, exact):
         assert_certified(lp, out)
+
+
+# -- the split-column reference ---------------------------------------------
+#
+# `solve` as it was when every free variable stored two columns, x+ and x-,
+# with `_run_simplex` to match: the differential test below checks that
+# storing one column per split pair changes no outcome and no pivot.
+
+
+def _ref_run_simplex(tab, costs, limit, tol):
+    for _ in range(lp_module._MAX_ITER):
+        rc = tab.reduced_costs(costs)
+        entering = [(v, k) for k, v in enumerate(tab.nonbasic) if v < limit and rc[k] > tol]
+        if not entering:
+            return OPTIMAL
+        k = min(entering)[1]
+        r = tab.leaving_row(k, tol)
+        if r < 0:
+            return UNBOUNDED
+        tab.pivot(r, k)
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
+def reference_solve(lp, mode=EXACT, leftovers=None):
+    """The split-column solve; appends (entering, row) of each pivot that
+    takes a leftover artificial out of the basis to ``leftovers``."""
+    if mode == EXACT:
+        conv, cell = F, int
+        tol = 0
+    else:
+        conv, cell = float, float
+        tol = lp_module._FLOAT_TOL
+    exact = mode == EXACT
+
+    nvars = len(lp.objective)
+    objective = [conv(v) for v in lp.objective]
+    bounds = lp.bounds if lp.bounds is not None else ((None, None),) * nvars
+    nonneg = [b[0] is not None and b[0] == 0 for b in bounds]
+    cons = [(con.coeffs, con.relation, con.rhs) for con in lp.constraints]
+    for j, (lo, hi) in enumerate(bounds):
+        ej = (0,) * j + (1,) + (0,) * (nvars - j - 1)
+        if lo is not None and not nonneg[j]:
+            cons.append((ej, GE, lo))
+        if hi is not None:
+            cons.append((ej, LE, hi))
+    rows = []
+    for coeffs, rel, b in cons:
+        k, vals = lp_module._scaled(coeffs + (b,), exact)
+        rows.append((k, vals[:-1], rel, vals[-1]))
+
+    struct = []
+    for j in range(nvars):
+        struct.append((j, 1))
+        if not nonneg[j]:
+            struct.append((j, -1))
+    ns = len(struct)
+
+    m = len(rows)
+    art0, nvar = ns + m, ns + 2 * m
+    T, rhs, basis = [], [], []
+    nonbasic = list(range(ns))
+    for i, (_, coeffs, rel, b) in enumerate(rows):
+        sign = -1 if rel == GE else 1
+        if sign * b < 0:
+            sign = -sign
+        slack = 0 if rel == EQ else (sign if rel == LE else -sign)
+        T.append([sign * s * coeffs[j] for j, s in struct])
+        rhs.append(sign * b)
+        basis.append(ns + i if slack > 0 else art0 + i)
+        if slack < 0:
+            nonbasic.append(ns + i)
+    for i, row in enumerate(T):
+        row += [cell(-1 if v == ns + i else 0) for v in nonbasic[ns:]]
+
+    tab = lp_module._Tableau(T, rhs, basis, nonbasic, {}, exact)
+
+    art_rows = [i for i in range(m) if basis[i] >= art0]
+    if art_rows:
+        art_lcm = lcm(*[rows[i][0] for i in art_rows])
+        costs1 = [cell(0)] * nvar
+        for i in art_rows:
+            costs1[art0 + i] = cell(-(art_lcm // rows[i][0]))
+        assert _ref_run_simplex(tab, costs1, nvar, tol) == OPTIMAL
+        value1 = sum(costs1[basis[i]] * rhs[i] for i in range(m))
+        infeas_cut = 0 if exact else -lp_module._FEAS_TOL * (1 + max(map(abs, rhs), default=0))
+        if value1 < infeas_cut:
+            return LpOutcome(INFEASIBLE)
+        for i in range(m):
+            if basis[i] >= art0:
+                row = tab.T[i]
+                nonzero = [k for k, a in enumerate(row) if (a if exact else abs(a) > tol)]
+                cands = [(nonbasic[k], k) for k in nonzero if nonbasic[k] < art0]
+                if cands:
+                    if leftovers is not None:
+                        leftovers.append((min(cands)[0], i))
+                    tab.pivot(i, min(cands)[1])
+
+    _, costs = lp_module._scaled(lp.objective, exact)
+    costs2 = [cell(0)] * nvar
+    for k, (j, s) in enumerate(struct):
+        costs2[k] = costs[j] if s > 0 else -costs[j]
+    if _ref_run_simplex(tab, costs2, art0, tol) == UNBOUNDED:
+        return LpOutcome(UNBOUNDED)
+
+    values = [conv(0)] * ns
+    for i, b in enumerate(basis):
+        if b < ns:
+            values[b] = F(rhs[i], tab.den) if exact else rhs[i]
+    primal = [conv(0)] * nvars
+    for k, (j, s) in enumerate(struct):
+        primal[j] = primal[j] + (values[k] if s > 0 else -values[k])
+    return LpOutcome(OPTIMAL, primal=tuple(primal), objective_value=dot(tuple(objective), tuple(primal)))
+
+
+def _mixed_lp(rng):
+    """Free, boxed, half-bounded, fixed and nonnegative variables; LE, GE and
+    EQ rows, sometimes with a redundant multiple of an EQ row (a leftover
+    artificial) and sometimes with no rows at all (unbounded)."""
+
+    def frac(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice([1, 2, 3, 7]))
+
+    nv = rng.randint(1, 5)
+    x0 = [frac(-3, 3) for _ in range(nv)]
+    bounds = []
+    for v in x0:
+        lo, hi = v - frac(0, 4), v + frac(0, 4)
+        bounds.append(rng.choice([(None, None), (None, None), (lo, hi), (lo, None), (None, hi), (v, v), (0, None)]))
+    cons = []
+    for _ in range(rng.randint(0, 7)):
+        a = tuple(rng.choice([0, 0, frac(-6, 6)]) for _ in range(nv))
+        rel = rng.choice([LE, GE, EQ])
+        rhs = activity(a, x0) if rng.random() < 0.6 else frac(-6, 6)
+        cons.append(Constraint(a, rel, rhs))
+        if rel == EQ and rng.random() < 0.5:
+            k = rng.choice([-1, 2, F(1, 3)])
+            cons.append(Constraint(tuple(k * u for u in a), EQ, k * rhs))
+    obj = tuple(rng.choice([0, frac(-6, 6)]) for _ in range(nv))
+    return LinearProgram(obj, tuple(cons), tuple(bounds))
+
+
+def test_one_column_per_split_pair_matches_the_split_reference(monkeypatch):
+    # the same outcome, bit for bit (a float -0.0 would show in the repr), and the
+    # same (entering, leaving) pivot sequence as the split-column reference
+    trace = []
+    pivot = lp_module._Tableau.pivot
+
+    def recording(tab, r, k):
+        trace.append((tab.nonbasic[k], tab.basis[r]))
+        pivot(tab, r, k)
+
+    flips = []
+    flip = lp_module._Tableau.flip
+
+    def counting(tab, k):
+        flips.append(k)
+        flip(tab, k)
+
+    monkeypatch.setattr(lp_module._Tableau, "pivot", recording)
+    monkeypatch.setattr(lp_module._Tableau, "flip", counting)
+    leftovers = []
+    rng = random.Random(1717)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for _ in range(300):
+        lp = _mixed_lp(rng)
+        for mode in (EXACT, FLOAT):
+            trace.clear()
+            want = reference_solve(lp, mode, leftovers)
+            want_trace = list(trace)
+            trace.clear()
+            got = solve(lp, mode)
+            assert repr(got) == repr(want)
+            assert trace == want_trace
+            assert got.stats.phase1_pivots + got.stats.phase2_pivots == len(trace)
+            seen[want.status] += 1
+    assert all(v > 0 for v in seen.values()), seen
+    assert flips and leftovers  # x- entered, and leftover artificials were pivoted out
+
+
+def test_stats_record_the_solve():
+    # x1 free and x2 >= 0: two stored columns, where the split stored three
+    lp = LinearProgram((1, 1), (Constraint((1, 2), LE, 4), Constraint((1, -1), GE, -1)), ((-3, 2), (0, None)))
+    exact, approx = solve(lp), solve(lp, FLOAT)
+    assert exact.primal == (2, 1) and approx.primal == (2.0, 1.0)
+    for out in (exact, approx):
+        s = out.stats
+        assert (s.rows, s.columns) == (4, 2)
+        assert s.phase1_pivots + s.phase2_pivots > 0 and s.seconds >= 0
+    assert exact.stats.bits > 0 and approx.stats.bits == 0
+    # stats describe the run, not the outcome: equality and repr ignore them
+    bare = LpOutcome(exact.status, exact.primal, exact.objective_value)
+    assert exact == bare and repr(exact) == repr(bare)
+    infeasible = solve(LinearProgram((1,), (Constraint((1,), LE, 1), Constraint((1,), GE, 2))))
+    assert infeasible.status == INFEASIBLE and infeasible.stats.phase2_pivots == 0
+    assert solve(LinearProgram((1,), ())).stats.columns == 1
+
+
+def test_golden_pivot_counts():
+    # the pivots behind test_golden_outcomes and test_golden_tall_outcomes
+    rng = random.Random(5)
+    lps = [_golden_lp(rng) for _ in range(400)]
+    rng = random.Random(11)
+    lps += [_tall_lp(rng) for _ in range(40)]
+    for mode, want in ((EXACT, 3118), (FLOAT, 3072)):
+        stats = [solve(lp, mode).stats for lp in lps]
+        assert sum(s.phase1_pivots + s.phase2_pivots for s in stats) == want

@@ -677,3 +677,43 @@ def test_row_generation_starts_only_above_the_threshold(monkeypatch):
     sizes.clear()
     assert rationalize(big).rationalizable
     assert sizes[0] == rat._ROWGEN_INITIAL and len(sizes) > 1
+
+
+@pytest.mark.parametrize("margin", [-1, -1e-12, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_float_margin_must_be_finite_and_nonnegative(margin, mode):
+    # a negative margin once accepted the zero witness on a strict 2-cycle
+    cycle = ObservationSet(3, (), ((E1, E2), (E2, E1)))
+    with pytest.raises(ValueError, match="float_margin"):
+        rationalize(cycle, mode=mode, float_margin=margin)
+    assert not rationalize(cycle, mode=FLOAT, float_margin=0).rationalizable
+
+
+def test_margin_lp_stores_one_column_per_variable(monkeypatch):
+    # c, u_1..u_n and eps: n + 2 stored columns at every pivot, where two
+    # columns per free variable would store 2n + 3 (2n + 2 under linear)
+    import spherepref.lp as lp
+
+    margin = []
+    solve = lp.solve
+
+    def recording(program, mode=EXACT):
+        out = solve(program, mode=mode)
+        if program.bounds[-1] == (0, 1):  # eps in [0, 1]: the margin LP
+            margin.append(out.stats)
+        return out
+
+    monkeypatch.setattr(lp, "solve", recording)
+    rng = random.Random(4242)
+    for trial in range(24):
+        n = 3 + trial % 3
+        data = generate_dataset(random_params(rng, n), 12, rng_seed=trial)
+        if trial % 2:
+            data = corrupt(rng, data)
+        moved = sum(any(x[j] != y[j] for x, y in data.weak + data.strict) for j in range(n))
+        restriction = (None, RESTRICT_LINEAR, RESTRICT_EUCLIDEAN, RESTRICT_ANTI_EUCLIDEAN)[trial % 4]
+        for mode in (EXACT, FLOAT):
+            margin.clear()
+            rationalize(data, restriction, mode=mode)
+            assert margin and all(s.columns == moved + 2 for s in margin)
+            assert sum(s.phase1_pivots + s.phase2_pivots for s in margin) > 0
