@@ -38,6 +38,7 @@ from .geometry import (
     _sixteenths,
     add,
     dot,
+    finite_param,
     is_zero,
     normalize,
     project_ints,
@@ -54,6 +55,7 @@ from .preference import (
     compare,
     ordering_from_diff,
     rank,
+    sphere_normal,
     tie_cuts,
     utility,
 )
@@ -137,15 +139,18 @@ class AxiomReport:
         }
 
 
-def _run_trials(axiom: str, trials: int, rng_seed: int, trial: Callable) -> AxiomReport:
+def _run_trials(axiom: str, trials: int, rng_seed: int, trial: Callable, mode: str = FLOAT) -> AxiomReport:
     """The seeded trial loop of every checker.
 
     ``trial(rng, t)`` runs trial number t on the shared generator and returns
-    its counterexample dict, or None when the trial finds no violation. A
-    trial whose arithmetic overflows a float is a ValueError.
+    its counterexample dict, or None when the trial finds no violation. An
+    unknown ``mode`` and a trial whose arithmetic overflows a float are each
+    a ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if mode not in (EXACT, FLOAT):
+        raise ValueError(f"unknown arithmetic mode: {mode!r}")
     rng = random.Random(rng_seed)
     violations = 0
     first = None
@@ -162,11 +167,15 @@ def _run_trials(axiom: str, trials: int, rng_seed: int, trial: Callable) -> Axio
 
 
 def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float = 1.0) -> Vec:
-    """One random point of the checking box, on the 1/16 grid in exact mode."""
+    """One random point of the checking box, on the 1/16 grid in exact mode.
+
+    A radius that is not finite and > 0 is a ValueError.
+    """
     if mode == EXACT:
         return _grid_point(_grid_draw(rng, dim, mode, radius))
     # random.uniform(lo, hi)'s formula lo + (hi - lo)*random(), hi - lo = hi + hi
-    lo, hi = -float(radius), float(radius)
+    hi = float(finite_param("radius", radius, positive=True))
+    lo = -hi
     width, draw = hi + hi, rng.random
     return tuple(lo + width * draw() for _ in range(dim))
 
@@ -176,7 +185,7 @@ def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float
 # Fraction tuple that the float set's functions give on Fraction tuples.
 def _grid_draw(rng: random.Random, dim: int, mode: str, radius: float) -> tuple:
     """An exact draw as (numerators, 16): the randint calls of sample_vector."""
-    span = max(1, round(float(radius) * 16))
+    span = max(1, round(float(finite_param("radius", radius, positive=True)) * 16))
     return tuple(rng.randint(-span, span) for _ in range(dim)), 16
 
 
@@ -251,6 +260,11 @@ def _ranks_alike(oracle: ComparisonOracle, mode: str, rel: float, a: Vec, b: Vec
     return ordering_from_diff(m1, cut) == ordering_from_diff(m2, cut)
 
 
+def _tie_rel(tie_rel: Optional[float]) -> float:
+    """The checkers' tie width: TIE_REL by default, else a finite number >= 0."""
+    return TIE_REL if tie_rel is None else finite_param("tie_rel", tie_rel)
+
+
 def check_oioi(
     oracle: ComparisonOracle,
     trials: int,
@@ -266,7 +280,7 @@ def check_oioi(
     orthogonal to x and y, and require the ranking of w+x vs w+y to equal
     the ranking of w+x+z vs w+y+z.
     """
-    n, rel = oracle.dim, TIE_REL if tie_rel is None else tie_rel
+    n, rel = oracle.dim, _tie_rel(tie_rel)
     draw, plus, perp, _, point = _EXACT_OPS if mode == EXACT else _FLOAT_OPS
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
@@ -279,7 +293,7 @@ def check_oioi(
             return None
         return {"w": point(w), "x": point(x), "y": point(y), "z": point(z)}
 
-    return _run_trials("oioi", trials, rng_seed, trial)
+    return _run_trials("oioi", trials, rng_seed, trial, mode)
 
 
 def check_perp_diff(
@@ -294,7 +308,7 @@ def check_perp_diff(
     not alter their ranking: for d orthogonal to x - y, x vs y ranks like
     x + d vs y + d.
     """
-    n, rel = oracle.dim, TIE_REL if tie_rel is None else tie_rel
+    n, rel = oracle.dim, _tie_rel(tie_rel)
     draw, plus, perp, scaled, point = _EXACT_OPS if mode == EXACT else _FLOAT_OPS
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
@@ -305,7 +319,7 @@ def check_perp_diff(
             return None
         return {"x": point(x), "y": point(y), "d": point(d)}
 
-    return _run_trials("perp_diff", trials, rng_seed, trial)
+    return _run_trials("perp_diff", trials, rng_seed, trial, mode)
 
 
 def check_soioi(
@@ -324,7 +338,7 @@ def check_soioi(
     strictly when either antecedent is strict. In float mode an antecedent
     only counts as strict when its margin clears STRICT_REL.
     """
-    n, rel = oracle.dim, TIE_REL if tie_rel is None else tie_rel
+    n, rel = oracle.dim, _tie_rel(tie_rel)
     draw, plus, perp, _, point = _EXACT_OPS if mode == EXACT else _FLOAT_OPS
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
@@ -353,7 +367,7 @@ def check_soioi(
             return {"w": point(w), "x": point(x), "y": point(y), "a": point(a), "b": point(b)}
         return None
 
-    return _run_trials("soioi", trials, rng_seed, trial)
+    return _run_trials("soioi", trials, rng_seed, trial, mode)
 
 
 def _equal_norm_partner(rng: random.Random, x, mode: str):
@@ -392,7 +406,7 @@ def check_homotheticity(
     scale beta in (0, 10], and require w+x vs w+y to rank like
     w+beta*x vs w+beta*y.
     """
-    n, rel = oracle.dim, TIE_REL if tie_rel is None else tie_rel
+    n, rel = oracle.dim, _tie_rel(tie_rel)
     draw, plus, _, scaled, point = _EXACT_OPS if mode == EXACT else _FLOAT_OPS
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
@@ -408,7 +422,7 @@ def check_homotheticity(
             return None
         return {"w": point(w), "x": point(x), "y": point(y), "beta": beta}
 
-    return _run_trials("homotheticity", trials, rng_seed, trial)
+    return _run_trials("homotheticity", trials, rng_seed, trial, mode)
 
 
 def find_monotone_direction(params: SphericalParams) -> Optional[Vec]:
@@ -472,58 +486,33 @@ def check_strict_convexity(
             return {"x": x, "y": y}
         return None
 
-    return _run_trials("strict_convexity", trials, rng_seed, trial)
+    return _run_trials("strict_convexity", trials, rng_seed, trial, mode)
 
 
-def antipodal_indifference(
-    params: SphericalParams,
-    w: Vec,
-    r: float,
-    plane: tuple,
-    tol: Optional[float] = None,
-) -> tuple:
+def antipodal_indifference(params: SphericalParams, w: Vec, r: float, plane: tuple) -> tuple:
     """Find an indifferent antipodal pair on a circle around w.
 
     The circle is w + r*(cos t * e1 + sin t * e2) for the orthonormal plane
-    (e1, e2). The gap g(t) = u(point(t)) - u(point(t + pi)) satisfies
-    g(t + pi) = -g(t), so it either vanishes at t = 0 or changes sign on
-    [0, pi]; bisection then drives it below tol = 1e-9 * (1 + r^2).
-    Float arithmetic only.
+    (e1, e2). Its points lie on one sphere around w, where u(x) - u(y) =
+    n.(x - y) with n = sphere_normal(params, w), so the gap between point(t)
+    and its antipode is 2r(a cos t + b sin t) with a = n.e1 and b = n.e2,
+    and t = atan2(-a, b) makes it zero. No tolerance is involved. Float
+    arithmetic only; a radius r that is not finite and > 0, or a point that
+    is not finite (NaN parameters, an overflow), is a ValueError.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    finite_param("r", r, positive=True)
     e1, e2 = (to_float(e) for e in plane)
     for e in (e1, e2):
         if abs(float(dot(e, e)) - 1.0) > 1e-9:
             raise ValueError("plane vectors must be unit length")
     if abs(float(dot(e1, e2))) > 1e-9:
         raise ValueError("plane vectors must be orthogonal")
-    p = SphericalParams(float(params.c), to_float(params.d))
     wf = to_float(w)
-    r = float(r)
-    if tol is None:
-        tol = 1e-9 * (1.0 + r * r)
-
-    def point(t: float) -> Vec:
-        ct, st = r * math.cos(t), r * math.sin(t)
-        return tuple(wf[i] + ct * e1[i] + st * e2[i] for i in range(len(wf)))
-
-    def gap(t: float) -> float:
-        return utility(p, point(t)) - utility(p, point(t + math.pi))
-
-    lo, glo = 0.0, gap(0.0)
-    if abs(glo) <= tol:
-        return point(lo), point(lo + math.pi)
-    hi, ghi = math.pi, gap(math.pi)
-    if glo * ghi > 0:  # pragma: no cover - contradicts g(t+pi) = -g(t)
-        raise RuntimeError("no sign change on the half circle; numerical mode bug")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gmid = gap(mid)
-        if abs(gmid) <= tol:
-            return point(mid), point(mid + math.pi)
-        if glo * gmid < 0:
-            hi = mid
-        else:
-            lo, glo = mid, gmid
-    raise RuntimeError("bisection failed to meet the indifference tolerance")  # pragma: no cover
+    normal = sphere_normal(SphericalParams(float(params.c), to_float(params.d)), wf)
+    t = math.atan2(-dot(normal, e1), dot(normal, e2))
+    ct, st = r * math.cos(t), r * math.sin(t)
+    v = tuple(ct * a + st * b for a, b in zip(e1, e2))
+    x, y = add(wf, v), sub(wf, v)
+    if not all(map(math.isfinite, x + y)):
+        raise ValueError(f"the antipodal pair {list(x)}, {list(y)} is not finite")
+    return x, y

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 from .axioms import AxiomReport, _not_finite, _run_trials, cubic_function, sample_vector
 from .formats import scalar_to_json, vec_from_json, vec_to_json
 from .geometry import (EXACT, FLOAT, DimensionMismatch, Scalar, Vec, _rational, _sixteenths, add, basis_vector,
-                       clear_denominators, dot, neg, scale, sub, zeros)
+                       clear_denominators, dot, finite_param, neg, scale, sub, zeros)
 from .preference import tie_cuts
 
 # Reconstruction residual above RESIDUAL_REL*(1 + max |U|) rejects the oracle.
@@ -253,6 +253,7 @@ def decompose(
     residual exactly zero. A float S entry, g entry, probed value or residual
     that is not finite (the utility overflowed) is a ValueError naming it.
     """
+    finite_param("residual_rel", residual_rel)
     n = u.dim
     if probe_z is None or len(probe_z) == 0:
         probe_z = [zeros(n)]
@@ -315,6 +316,7 @@ def check_status_quo_independence(
     """
     if trials < 2:
         raise ValueError("trials must be at least 2")
+    finite_param("tol", tol)
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
         x = sample_vector(rng, u.dim, mode, radius)
@@ -331,7 +333,7 @@ def check_status_quo_independence(
             return {"x": x, "w": quos[hi], "w2": quos[lo], "spread": spread}
         return None
 
-    return _run_trials("status_quo_independence", trials, rng_seed, trial)
+    return _run_trials("status_quo_independence", trials, rng_seed, trial, mode)
 
 
 @dataclass(frozen=True)
@@ -357,8 +359,11 @@ def check_eventual_linearity(
     [U(w+y) - U(w-y)] is evaluated at the origin and along random lines
     with doubling radii; a sign change is refined by bisection. Returns a
     root within tolerance, or None when the budget is exhausted (which is
-    a report of failure to find one, not a proof of absence).
+    a report of failure to find one, not a proof of absence). The budget's
+    tol must be a finite number >= 0 and its max_radius a finite number > 0.
     """
+    finite_param("tol", search.tol)
+    finite_param("max_radius", search.max_radius, positive=True)
     n = u.dim
     sx, sy, sxy = tuple(x), tuple(y), add(x, y)
 
@@ -418,5 +423,5 @@ def _bisect_defect(defect, direction: Vec, sign: float, lo: float, h_lo: float, 
 
 
 def u_orthogonal(dec: QuadLinDecomposition, x: Vec, z: Vec, tol: float = 1e-9) -> bool:
-    """Endogenous orthogonality: |x^T S z| within tol."""
-    return abs(dec.quadratic_form(x, z)) <= tol
+    """Endogenous orthogonality: |x^T S z| within tol, a finite number >= 0."""
+    return abs(dec.quadratic_form(x, z)) <= finite_param("tol", tol)

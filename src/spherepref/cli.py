@@ -27,10 +27,6 @@ _RESTRICT_CHOICES = {
 }
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _finite(positive: bool):
     """argparse type: a finite float, > 0 if ``positive`` else >= 0."""
     def number(text: str) -> float:
@@ -107,13 +103,13 @@ def _cmd_classify(args) -> int:
 
 def _cmd_rationalize(args) -> int:
     if args.mode == EXACT and args.tol is not None:
-        raise UsageError("exact mode admits no tolerance override")
+        raise ValueError("exact mode admits no tolerance override")
     data = rat.ObservationSet.from_dict(load_document(args.dataset))
     restriction = _RESTRICT_CHOICES[args.restrict] if args.restrict else None
-    if data.dimension < 3:
-        print("note:", rat._SMALL_DIM_NOTE, file=sys.stderr)
     kwargs = {} if args.tol is None else {"float_margin": args.tol}
     verdict = rat.rationalize(data, restriction=restriction, mode=args.mode, **kwargs)
+    if verdict.note is not None:
+        print("note:", verdict.note, file=sys.stderr)
     print(dumps(verdict.to_dict()))
     return 0 if verdict.rationalizable else 1
 
@@ -131,9 +127,9 @@ def _resolve_comparison_oracle(args) -> axioms.ComparisonOracle:
 
 def _cmd_check_axioms(args) -> int:
     if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
+        raise ValueError("--trials must be at least 1")
     if args.mode == EXACT and args.tol is not None:
-        raise UsageError("exact mode admits no tolerance override")
+        raise ValueError("exact mode admits no tolerance override")
     oracle = _resolve_comparison_oracle(args)
     if oracle.dim < 3:
         print(
@@ -151,7 +147,7 @@ def _cmd_check_axioms(args) -> int:
         )
     ]
     print(dumps([r.to_dict() for r in reports]))
-    return 0 if all(r.violations == 0 for r in reports) else 1
+    return 0 if all(r.ok for r in reports) else 1
 
 
 def _resolve_utility_oracle(args) -> cardinal.UtilityOracle:
@@ -177,7 +173,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_generate(args) -> int:
     if args.count < 1:
-        raise UsageError("--count must be at least 1")
+        raise ValueError("--count must be at least 1")
     params = _load_params(args.params)
     data = rat.generate_dataset(params, args.count, rng_seed=args.seed, radius=args.radius)
     print(dumps(data.to_dict()))

@@ -49,6 +49,15 @@ def _same_dim(a: Sequence, b: Sequence) -> None:
         raise DimensionMismatch(f"dimension mismatch: {len(a)} vs {len(b)}")
 
 
+def finite_param(name: str, value: Scalar, positive: bool = False) -> Scalar:
+    """``value`` if it is a finite number >= 0 (> 0 when ``positive``), else a
+    ValueError naming the parameter: the rule for every tolerance (>= 0) and
+    radius (> 0) a caller passes in."""
+    if not ((0 < value if positive else 0 <= value) and value < math.inf):
+        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, not {value!r}")
+    return value
+
+
 def _rational(v: Sequence) -> bool:
     """True when every entry is exactly an ``int`` or a ``Fraction``."""
     return {int, Fraction}.issuperset(map(type, v))

@@ -376,7 +376,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
         status = _run_simplex(tab, costs1, nvar, tol)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise RuntimeError("phase 1 terminated abnormally")
-        value1 = sum(costs1[basis[i]] * rhs[i] for i in range(m))
+        value1 = dot([costs1[v] for v in basis], rhs)
         infeas_cut = 0 if exact else -_FEAS_TOL * (1 + max(map(abs, rhs), default=0))
         if value1 < infeas_cut:
             return LpOutcome(INFEASIBLE, stats=_stats(tab, tab.pivots, start))

@@ -249,7 +249,7 @@ def canonicalize(p: SphericalParams, mode: str | None = None) -> SphericalParams
     if mode == FLOAT:
         c = float(p.c)
         d = to_float(p.d)
-        length = math.sqrt(c * c + sum(x * x for x in d))
+        length = math.sqrt(c * c + dot(d, d))  # left to right: the same bits on every Python
         return SphericalParams(c / length, tuple(x / length for x in d))
     raise ValueError(f"unknown arithmetic mode: {mode!r}")
 

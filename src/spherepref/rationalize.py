@@ -34,14 +34,14 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd
 from operator import truediv
 from typing import Optional
 
 from . import lp
 from .formats import scalar_to_json, vec_from_json, vec_to_json
-from .geometry import (EXACT, DimensionMismatch, Scalar, Vec, _sixteenths, clear_denominators, dot, pair_ints, sub,
-                       to_exact)
+from .geometry import (EXACT, DimensionMismatch, Scalar, Vec, _sixteenths, clear_denominators, dot, finite_param,
+                       pair_ints, sub, to_exact)
 from .preference import Ordering, SphericalParams, compare
 
 RESTRICT_LINEAR = "linear"
@@ -251,8 +251,7 @@ def rationalize(
     ValueError in both modes. Float mode raises :class:`FloatUndecided` when
     rounding or overflow leaves neither a witness nor a certificate.
     """
-    if not (isfinite(float_margin) and float_margin >= 0):
-        raise ValueError(f"float_margin must be a finite number >= 0, not {float_margin!r}")
+    finite_param("float_margin", float_margin)
     sign = _sign(restriction)
     exact = mode == EXACT
     rows, used = _moved_rows(data, mode)
@@ -441,8 +440,7 @@ def generate_dataset(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    finite_param("radius", radius, positive=True)
     rng = random.Random(rng_seed)
     n = params.dim
     p = SphericalParams(Fraction(params.c), tuple(Fraction(v) for v in params.d))

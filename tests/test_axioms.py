@@ -199,6 +199,46 @@ def test_trials_validation():
         check_oioi(oracle, 0)
 
 
+TRIAL_CHECKERS = NECESSITY_CHECKERS + (check_strict_convexity, check_status_quo_independence)
+
+
+def trial_subject(checker):
+    """What each trial checker checks: an oracle, parameters or a utility."""
+    if checker is check_strict_convexity:
+        return SphericalParams(-1, (0, 0, 0))
+    if checker is check_status_quo_independence:
+        return cubic_utility(3)
+    return cubic_oracle(3)
+
+
+@pytest.mark.parametrize("mode", ["EXACT", "exakt", None])
+@pytest.mark.parametrize("checker", TRIAL_CHECKERS)
+def test_trial_checkers_reject_an_unknown_mode(checker, mode):
+    # an unknown mode once ran float trials: check_oioi gave 4 float violations for "EXACT"
+    with pytest.raises(ValueError, match="unknown arithmetic mode"):
+        checker(trial_subject(checker), 20, rng_seed=1, mode=mode)
+
+
+@pytest.mark.parametrize("radius", [0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+@pytest.mark.parametrize("checker", TRIAL_CHECKERS)
+def test_trial_checkers_reject_a_radius_that_is_not_finite_and_positive(checker, mode, radius):
+    # a zero radius once let the cubic pass all four necessity checkers
+    with pytest.raises(ValueError, match="radius must be a finite number > 0"):
+        checker(trial_subject(checker), 20, rng_seed=1, mode=mode, radius=radius)
+
+
+@pytest.mark.parametrize("tie_rel", [-1e-9, math.nan, math.inf])
+@pytest.mark.parametrize("checker", NECESSITY_CHECKERS)
+def test_necessity_checkers_reject_a_tie_rel_that_is_not_finite_and_nonnegative(checker, tie_rel):
+    # nan once made finite utilities "not finite"; inf once gave soioi 224 violations
+    oracle = cubic_oracle(3)
+    with pytest.raises(ValueError, match="tie_rel must be a finite number >= 0"):
+        checker(oracle, 20, rng_seed=4, tie_rel=tie_rel)
+    assert checker(oracle, 20, rng_seed=4, tie_rel=None) == checker(oracle, 20, rng_seed=4, tie_rel=TIE_REL)
+    assert checker(oracle, 20, rng_seed=4, tie_rel=0).trials == 20
+
+
 def test_find_monotone_direction():
     assert find_monotone_direction(SphericalParams(0, (1, 0, 0))) == (1, 0, 0)
     assert find_monotone_direction(SphericalParams(-1, (0, 0, 0))) is None
@@ -313,6 +353,45 @@ def test_antipodal_indifference_generic_params():
         assert abs(utility(p, x) - utility(p, y)) <= 1e-9 * (1 + r * r)
         # consistent with the sphere gradient: the normal separates ties
         assert abs(dot(sphere_normal(p, w), sub(x, y))) <= 1e-8
+
+
+def test_antipodal_indifference_is_exact_up_to_rounding_far_from_the_origin():
+    # the pair is judged in exact arithmetic, floats taken verbatim as rationals
+    def exact_gap(pe, centre, v):
+        return utility(pe, add(centre, v)) - utility(pe, sub(centre, v))
+
+    rng = random.Random(18)
+    crossings = 0
+    for trial in range(200):
+        n = rng.choice([3, 4, 5, 6])
+        p = SphericalParams(rng.uniform(-1, 1), tuple(rng.uniform(-1, 1) for _ in range(n)))
+        w = tuple(10.0 ** rng.randint(0, 6) * rng.uniform(-1, 1) for _ in range(n))
+        r = rng.uniform(0.2, 2.0)
+        e1, e2 = random_orthonormal_plane(rng, n)
+        x, y = antipodal_indifference(p, w, r, (e1, e2))
+        pe = SphericalParams(F(p.c), tuple(map(F, p.d)))
+        ux = utility(pe, tuple(map(F, x)))
+        assert abs(ux - utility(pe, tuple(map(F, y)))) <= F(1e-12) * (1 + abs(ux))
+        # the gap of the exactly antipodal pair at angle s: 2r(a cos s + b sin s)
+        we = tuple(map(F, w))
+        grad = [2 * pe.c * wi + di for wi, di in zip(we, pe.d)]
+        a, b = dot(grad, tuple(map(F, e1))), dot(grad, tuple(map(F, e2)))
+        if a * a + b * b < F(1e-12) * dot(grad, grad):
+            continue  # the circle is nearly level: every angle ties
+        t = math.atan2(dot(sub(x, w), e2), dot(sub(x, w), e1))
+        signs = set()
+        for s in (t - 1e-6, t + 1e-6):
+            v = tuple(F(r * math.cos(s)) * F(p1) + F(r * math.sin(s)) * F(p2) for p1, p2 in zip(e1, e2))
+            gap = exact_gap(pe, we, v)
+            signs.add((gap > 0) - (gap < 0))
+        assert signs == {-1, 1}
+        crossings += 1
+    assert crossings >= 190
+    plane = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        antipodal_indifference(SphericalParams(math.nan, (1.0, 0.0, 0.0)), (0.0, 0.0, 0.0), 1.0, plane)
+    with pytest.raises(ValueError, match="finite"):
+        antipodal_indifference(SphericalParams(-1.0, (1.0, 0.0, 0.0)), (0.0, 0.0, 0.0), math.inf, plane)
 
 
 def test_antipodal_indifference_validates_plane():

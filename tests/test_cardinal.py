@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction as F
@@ -224,6 +225,84 @@ def test_eventual_linearity_finds_interior_root():
     lhs = u(add(w, sxy)) - u(tuple(w[i] - sxy[i] for i in range(2)))
     rhs = 2 * (u(add(w, x)) - u(tuple(w[i] - x[i] for i in range(2))))
     assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+def banded_cubic(levels, calls):
+    """x1^3 times levels(|x2|): with x = y = e1 the six points of a defect all
+    share w's x2, and the defect is 12 * levels(|w2|)."""
+    def fn(p):
+        calls.append(p)
+        return p[0] ** 3 * levels(abs(p[1]))
+    return utility_oracle(fn, 3)
+
+
+def first_direction(seed=0, n=3):
+    rng = random.Random(seed)
+    return tuple(rng.gauss(0.0, 1.0) for _ in range(n))
+
+
+def test_eventual_linearity_root_at_a_doubling_radius():
+    # defect 12 out to radius 1, 0 from radius 2 on: no sign change, the
+    # root is the radius-2 point itself
+    direction = first_direction()
+    band = 1.5 * abs(direction[1])
+    calls = []
+    u = banded_cubic(lambda a: 1 if a < band else 0, calls)
+    calls.clear()
+    w = check_eventual_linearity(u, (1, 0, 0), (1, 0, 0), LineSearch(directions=1))
+    assert w == tuple(2.0 * v for v in direction)
+    assert len(calls) == 3 * 6  # the origin, radius 1, radius 2
+
+
+def test_eventual_linearity_moves_on_when_bisection_runs_out():
+    # defect 12, then -12 past radius 1.5, then 0 past radius 3: the sign
+    # change between radii 1 and 2 is a jump with no root, so bisection uses
+    # all its steps and the search goes on to the root at radius 4
+    direction = first_direction()
+    d1 = abs(direction[1])
+    calls = []
+    u = banded_cubic(lambda a: 1 if a < 1.5 * d1 else -1 if a < 3 * d1 else 0, calls)
+    calls.clear()
+    w = check_eventual_linearity(u, (1, 0, 0), (1, 0, 0), LineSearch(directions=1, bisect_steps=5))
+    assert w == tuple(4.0 * v for v in direction)
+    assert len(calls) == (3 + 5 + 1) * 6  # the origin, radii 1 and 2, 5 bisection steps, radius 4
+
+
+@pytest.mark.parametrize("residual_rel", [-1, math.nan, math.inf])
+def test_decompose_rejects_a_residual_rel_that_is_not_finite_and_nonnegative(residual_rel):
+    # nan once accepted the cubic (residual 6); -1 once rejected an exact fit
+    for u in (cubic_utility(3), coefficient_oracle(IDENTITY3, (1, 0, 0))):
+        with pytest.raises(ValueError, match="residual_rel must be a finite number >= 0"):
+            decompose(u, residual_rel=residual_rel)
+    assert decompose(coefficient_oracle(IDENTITY3, (1, 0, 0)), residual_rel=0).residual == 0
+
+
+@pytest.mark.parametrize("tol", [-1, math.nan, math.inf])
+def test_status_quo_independence_rejects_a_tol_that_is_not_finite_and_nonnegative(tol):
+    # -1 once reported 20 of 20 violations on the exact quadratic x.x
+    u = coefficient_oracle(IDENTITY3, (0, 0, 0))
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        check_status_quo_independence(u, 20, tol=tol)
+    assert check_status_quo_independence(u, 20, tol=1e-9).violations == 0
+
+
+@pytest.mark.parametrize("budget", [{"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+                                    {"max_radius": 0.0}, {"max_radius": math.nan}, {"max_radius": math.inf}])
+def test_eventual_linearity_rejects_a_budget_that_is_not_finite(budget):
+    # a nan or negative tol once reported no root for x.x + (1, 2, 3).x, whose defect is 0 everywhere
+    u = coefficient_oracle(IDENTITY3, (1, 2, 3))
+    name = next(iter(budget))
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        check_eventual_linearity(u, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), LineSearch(**budget))
+
+
+@pytest.mark.parametrize("tol", [-1, math.nan, math.inf])
+def test_u_orthogonal_rejects_a_tol_that_is_not_finite_and_nonnegative(tol):
+    # nan once called e1 and e2 non-orthogonal
+    dec = decompose(coefficient_oracle(IDENTITY3, (0, 0, 0)))
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        u_orthogonal(dec, (1, 0, 0), (0, 1, 0), tol=tol)
+    assert u_orthogonal(dec, (1, 0, 0), (0, 1, 0), tol=0)
 
 
 def test_u_orthogonal():

@@ -89,6 +89,22 @@ def test_canonicalize_float():
     assert p.c**2 + sum(x * x for x in p.d) == pytest.approx(1.0)
 
 
+def test_float_canonicalize_sums_left_to_right():
+    # the built-in sum of floats is compensated from Python 3.12; the length
+    # must be the plain left-to-right sum on every version
+    rng = random.Random(12)
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        c = rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)
+        d = tuple(rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(n))
+        squares = 0.0
+        for x in d:
+            squares += x * x
+        length = math.sqrt(c * c + squares)
+        got = canonicalize(SphericalParams(c, d), mode=FLOAT)
+        assert repr((got.c, got.d)) == repr((c / length, tuple(x / length for x in d)))
+
+
 def test_canonicalize_exact():
     assert canonicalize(SphericalParams(0, (0, 3, 0))) == SphericalParams(0, (0, 1, 0))
     assert canonicalize(SphericalParams(3, (0, 0, 0))) == SphericalParams(1, (0, 0, 0))

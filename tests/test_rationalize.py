@@ -225,6 +225,12 @@ def test_generate_dataset_validates_count():
         generate_dataset(SphericalParams(0, (1, 0, 0)), 0, rng_seed=1)
 
 
+@pytest.mark.parametrize("radius", [0, -1, math.nan, math.inf])
+def test_generate_dataset_rejects_a_radius_that_is_not_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="radius must be a finite number > 0"):
+        generate_dataset(SphericalParams(0, (1, 0, 0)), 5, rng_seed=1, radius=radius)
+
+
 def test_generate_dataset_round_trip():
     rng = random.Random(17)
     for trial in range(15):
