@@ -169,15 +169,30 @@ def _run_trials(axiom: str, trials: int, rng_seed: int, trial: Callable, mode: s
 def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float = 1.0) -> Vec:
     """One random point of the checking box, on the 1/16 grid in exact mode.
 
-    A radius that is not finite and > 0 is a ValueError.
+    A radius that is not finite and > 0, or too large for the box's width to
+    be a finite float, is a ValueError.
     """
     if mode == EXACT:
         return _grid_point(_grid_draw(rng, dim, mode, radius))
     # random.uniform(lo, hi)'s formula lo + (hi - lo)*random(), hi - lo = hi + hi
-    hi = float(finite_param("radius", radius, positive=True))
+    hi = _box_radius(radius, 2)
     lo = -hi
     width, draw = hi + hi, rng.random
     return tuple(lo + width * draw() for _ in range(dim))
+
+
+def _box_radius(radius: float, width: int) -> float:
+    """``radius`` as a float, when it is finite and > 0 and ``width`` times
+    it (the box's width in radii: 2, or 16 grid steps per radius) is a finite
+    float; else a ValueError."""
+    finite_param("radius", radius, positive=True)
+    try:
+        hi = float(radius)
+    except OverflowError:  # a huge int or Fraction
+        hi = math.inf
+    if not math.isfinite(hi * width):
+        raise ValueError(f"radius {radius} is too large")
+    return hi
 
 
 # A trial's vector operations per mode: (draw, plus, perp, scaled, point). An
@@ -185,7 +200,7 @@ def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float
 # Fraction tuple that the float set's functions give on Fraction tuples.
 def _grid_draw(rng: random.Random, dim: int, mode: str, radius: float) -> tuple:
     """An exact draw as (numerators, 16): the randint calls of sample_vector."""
-    span = max(1, round(float(finite_param("radius", radius, positive=True)) * 16))
+    span = max(1, round(_box_radius(radius, 16) * 16))
     return tuple(rng.randint(-span, span) for _ in range(dim)), 16
 
 
@@ -453,17 +468,28 @@ def check_strict_convexity(
     when c != 0, a shift orthogonal to the gradient when c = 0), which is
     where the linear and anti-Euclidean classes fail. The report's
     ``trials`` counts the requested trials, the skipped ones included (a
-    zero shift, or x == y).
+    zero shift, or x == y). In float mode a trial whose utilities, or the
+    gap between two of them, overflow a float is a ValueError.
     """
     n = params.dim
     half = Fraction(1, 2) if params.is_exact and mode == EXACT else 0.5
     center = classify(params).center
 
+    def ranked(a: Vec, b: Vec) -> Ordering:
+        """compare(params, a, b), but float utilities or a gap between them
+        that overflow are a ValueError, not a tie."""
+        if mode == EXACT:
+            return compare(params, a, b)
+        ua, ub = utility(params, a), utility(params, b)
+        if not math.isfinite(ua - ub + abs(ua) + abs(ub)):
+            raise _not_finite((ua, ub))
+        return rank(ua, ub)
+
     def trial(rng: random.Random, t: int) -> Optional[dict]:
         if t % 2 == 0:
             x = sample_vector(rng, n, mode, radius)
             y = sample_vector(rng, n, mode, radius)
-            if compare(params, x, y) is Ordering.WORSE:
+            if ranked(x, y) is Ordering.WORSE:
                 x, y = y, x
         else:
             s = sample_vector(rng, n, mode, radius)
@@ -481,8 +507,8 @@ def check_strict_convexity(
             return None
         mid = tuple(half * (x[i] + y[i]) for i in range(n))
         # an even trial's pair is oriented already: rank is antisymmetric
-        weakly_better = t % 2 == 0 or compare(params, x, y) is not Ordering.WORSE
-        if weakly_better and compare(params, mid, y) is not Ordering.BETTER:
+        weakly_better = t % 2 == 0 or ranked(x, y) is not Ordering.WORSE
+        if weakly_better and ranked(mid, y) is not Ordering.BETTER:
             return {"x": x, "y": y}
         return None
 

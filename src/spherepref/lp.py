@@ -25,16 +25,26 @@ other's column is -den * e_r with a reduced cost of exactly 0: it can never
 enter and is not stored. So every pivot, and every stored number, is what
 the tableau with both columns has.
 
+The augmented dictionary [D | rhs] is stored as a list of lines along its
+longer side, chosen once per solve from its shape: by column when there are
+more rows than stored columns (the margin LP of ``rationalize``, about 37
+rows by n + 2 columns), by row otherwise (its certificate LP, n + 2 rows by
+one column per observation). A pivot then rebuilds a few long lines instead
+of many short ones. One update serves both layouts because the dual
+dictionary is the negative transpose of the primal one (Vanderbei, *Linear
+Programming*, ch. 5): along a column the cross entry only changes sign, and
+every number is the one the row-major tableau computes.
+
 Exact mode pivots fraction-free (Edmonds 1967, Bareiss 1968). Each row is
 scaled once by the lcm of its denominators, so the tableau starts integral,
 and it stays integral over one common positive denominator ``den``: the
-true tableau is ``T / den``. A pivot on p = T[r][c] maps every other row to
-(T[i] * p - T[i][c] * T[r]) / den, a division that is always exact, and p
-becomes the new ``den``; no gcd is ever taken inside the simplex. Row
-scaling multiplies each row of the true tableau, each ratio of one ratio
-test and each reduced cost by a positive factor, so every entering and
-leaving choice is the one a Fraction tableau would make: the pivots, and so
-the outputs, are the same.
+true tableau is A / den with A = [D | rhs]. A pivot on p = A[r][c] maps
+each entry A[i][j] off row r to (A[i][j] * p - A[i][c] * A[r][j]) / den, a
+division that is always exact, and p becomes the new ``den``; no gcd is
+ever taken inside the simplex. Row scaling multiplies each row of the true
+tableau, each ratio of one ratio test and each reduced cost by a positive
+factor, so every entering and leaving choice is the one a Fraction tableau
+would make: the pivots, and so the outputs, are the same.
 Float mode keeps plain Gauss-Jordan pivots on floats with small tolerances.
 
 An outcome reports the status and, when optimal, the primal point and the
@@ -133,12 +143,18 @@ class LpOutcome:
 class _Tableau:
     """The current basis as a dictionary: only the nonbasic columns.
 
-    ``T[i][k]`` is row i's entry in the column of variable ``nonbasic[k]``;
-    the basic variable ``basis[i]`` has an implied unit column. In exact
-    mode every entry is an integer and the true tableau is ``T / den`` for
-    one common denominator ``den > 0``; in float mode the entries are floats
-    and ``den`` stays 1. Only :meth:`pivot` and :meth:`leaving_row` depend on
-    the mode.
+    The augmented dictionary [D | rhs] has row i for the basic variable
+    ``basis[i]`` (whose unit column is implied), column k for the nonbasic
+    variable ``nonbasic[k]``, and the right-hand side as its last column,
+    number ``len(nonbasic)``. It is stored as ``lines`` along its longer
+    side, picked once from the shape: one line per column, the rhs line last,
+    when there are more rows than stored columns, else one line per row, each
+    ending with its rhs entry. ``column(k)`` and ``row(i)`` read either way,
+    the stored side in place and the other entry by entry; what they return
+    is read only. In exact mode every entry is an integer and the true
+    tableau is ``[D | rhs] / den`` for one common denominator ``den > 0``; in
+    float mode the entries are floats and ``den`` stays 1. Only
+    :meth:`pivot` and :meth:`leaving_row` depend on the mode.
 
     ``twin`` maps each half of a split free variable to the other. A pair
     stores one column while both halves are nonbasic (the other half's is
@@ -146,9 +162,17 @@ class _Tableau:
     changes the number of stored columns.
     """
 
-    def __init__(self, T: list, rhs: list, basis: list, nonbasic: list, twin: dict, exact: bool):
-        self.T = T
-        self.rhs = rhs
+    def __init__(self, rows: list, basis: list, nonbasic: list, twin: dict, exact: bool):
+        """``rows`` are the rows of [D | rhs]."""
+        self.by_col = len(rows) > len(nonbasic)
+        lines = self.lines = [list(c) for c in zip(*rows)] if self.by_col else rows
+
+        def across(j: int) -> list:
+            """Entry j of every line: a row when stored by column, a column
+            when stored by row."""
+            return [line[j] for line in lines]
+
+        self.column, self.row = (lines.__getitem__, across) if self.by_col else (across, lines.__getitem__)
         self.basis = basis
         self.nonbasic = nonbasic
         self.twin = twin
@@ -156,58 +180,95 @@ class _Tableau:
         self.den = 1
         self.pivots = 0
 
+    @property
+    def rhs(self) -> list:
+        """The last column of [D | rhs]."""
+        return self.column(len(self.nonbasic))
+
     def flip(self, k: int) -> None:
         """Store the twin of ``nonbasic[k]`` in column k: its column is the
         negated one."""
-        for row in self.T:
-            row[k] = -row[k]
+        if self.by_col:
+            self.lines[k] = [-v for v in self.lines[k]]
+        else:
+            for line in self.lines:
+                line[k] = -line[k]
         self.nonbasic[k] = self.twin[self.nonbasic[k]]
 
     def pivot(self, r: int, k: int) -> None:
-        """Swap ``basis[r]`` and ``nonbasic[k]``. Column k is read, then
-        overwritten with the leaving variable's unit column, which the row
-        operations turn into that variable's new column."""
-        T, rhs = self.T, self.rhs
-        col = [row[k] for row in T]
-        one, zero = (self.den, 0) if self.exact else (1.0, 0.0)
-        for i, row in enumerate(T):
-            row[k] = one if i == r else zero
-        row = T[r]
+        """Swap ``basis[r]`` and ``nonbasic[k]``: column k becomes the
+        leaving variable's column, and every line is updated in one pass.
+
+        The pivot line P is row r, or column k when stored by column, and
+        every other line L meets it at the cross entry f = L[pos] (pos = k
+        along a row, r along a column). The dual dictionary is the negative
+        transpose of the primal one, so one update serves both layouts; only
+        the sign of ``cross`` differs.
+        """
+        lines = self.lines
+        x, pos, cross = (k, r, -1) if self.by_col else (r, k, 1)
+        P = lines[x]
         if self.exact:
-            # Edmonds' integer pivot: row r keeps its integers and its pivot
-            # becomes the common denominator; every other row i becomes
-            # (T[i] * p - f_i * T[r]) / den, an exact division because each
-            # entry is a minor of the integral start.
-            p = col[r]
-            if p < 0:  # keep den positive; T[r] / p is unchanged
-                row = T[r] = [-v for v in row]
-                rhs[r] = -rhs[r]
-                p = -p
-            den, b = self.den, rhs[r]
-            for i, ri in enumerate(T):
-                if i == r:
-                    continue
-                f = col[i]
-                if f:
-                    T[i] = [(a * p - f * w) // den for a, w in zip(ri, row)]
-                else:
-                    T[i] = [a * p // den for a in ri]
-                rhs[i] = (rhs[i] * p - f * b) // den
+            # Edmonds' integer pivot on p = |P[pos]|: row r keeps its
+            # integers (times the sign s of the pivot) and p becomes the
+            # common denominator; every other entry becomes
+            # (a * p - f * w) / den, an exact division because each entry is
+            # a minor of the integral start. With W[pos] = p + cross*s*den
+            # the same formula gives line L's entry in the leaving column
+            # (-s*f along a row) or in row r (s*f along a column).
+            den = self.den
+            s = 1 if P[pos] > 0 else -1
+            W = P if s > 0 else [-v for v in P]
+            p = W[pos]
+            W[pos] = p + cross * s * den
+            for j, L in enumerate(lines):
+                if j != x:
+                    f = L[pos]
+                    lines[j] = [(a * p - f * w) // den for a, w in zip(L, W)] if f else [a * p // den for a in L]
+            if cross < 0:
+                W = [-w for w in W]
+            W[pos] = s * den
+            lines[x] = W
             self.den = p
         else:
-            piv = col[r]
-            if piv != 1:
-                for j in range(len(row)):
-                    if row[j]:
-                        row[j] = row[j] / piv
-                rhs[r] = rhs[r] / piv
-            for i, ri in enumerate(T):
-                f = col[i]
-                if i != r and f:
-                    for j in range(len(row)):
-                        if row[j]:
-                            ri[j] = ri[j] - f * row[j]
-                    rhs[i] = rhs[i] - f * rhs[r]
+            # Gauss-Jordan in place, each number as the row-major tableau
+            # computed it: row r is divided by the pivot where it is nonzero
+            # (its rhs always), each row i with f_i = D[i][k] nonzero
+            # subtracts f_i times it where it is nonzero (from the rhs
+            # always), and the leaving column is q = 1/piv in row r and
+            # 0.0 - f_i*q elsewhere (0.0 when q is 0).
+            piv = P[pos]
+            q = 1.0 / piv
+            if self.by_col:
+                rhs = lines[-1]
+                nz = [i for i, c in enumerate(P) if c and i != r]
+                for L in lines:
+                    w = L[r]
+                    if L is not P and (w or L is rhs):
+                        w = L[r] = w / piv
+                        if w or L is rhs:
+                            for i in nz:
+                                L[i] = L[i] - P[i] * w
+                W = [0.0] * len(P)
+                if q:
+                    for i in nz:
+                        W[i] = 0.0 - P[i] * q
+                W[r] = q
+                lines[k] = W
+            else:
+                last = len(P) - 1
+                P[k] = 1.0
+                for j, v in enumerate(P):
+                    if v or j == last:
+                        P[j] = v / piv
+                nz = [j for j, w in enumerate(P) if (w or j == last) and j != k]
+                for L in lines:
+                    f = L[k]
+                    if L is not P:
+                        L[k] = 0.0 - f * q if f and q else 0.0
+                        if f:
+                            for j in nz:
+                                L[j] = L[j] - f * P[j]
         self.basis[r], self.nonbasic[k] = self.nonbasic[k], self.basis[r]
         self.pivots += 1
 
@@ -215,12 +276,11 @@ class _Tableau:
         """Ratio test on column k: the row minimizing rhs_i / a_i over
         a_i > tol, ties broken by the lower basis index; -1 when no entry
         qualifies."""
-        T, rhs, basis = self.T, self.rhs, self.basis
+        col, rhs, basis = self.column(k), self.column(len(self.nonbasic)), self.basis
         best = -1
         if self.exact:
             # den cancels from rhs_i / a_i; compare by cross-multiplication
-            for i, row in enumerate(T):
-                a = row[k]
+            for i, a in enumerate(col):
                 if a > 0:
                     if best >= 0:
                         diff = rhs[i] * best_a - best_b * a
@@ -229,8 +289,7 @@ class _Tableau:
                     best, best_a, best_b = i, a, rhs[i]
         else:
             best_key = None
-            for i, row in enumerate(T):
-                a = row[k]
+            for i, a in enumerate(col):
                 if a > tol:
                     key = (rhs[i] / a, basis[i])
                     if best_key is None or key < best_key:
@@ -241,10 +300,11 @@ class _Tableau:
         """den times the reduced cost of each stored column (just the
         reduced costs in float mode); ``costs`` is indexed by variable."""
         rc = [self.den * costs[v] for v in self.nonbasic]
+        row_of = self.row
         for i, b in enumerate(self.basis):
             cb = costs[b]
             if cb:
-                row = self.T[i]
+                row = row_of(i)
                 for k in range(len(rc)):
                     if row[k]:
                         rc[k] = rc[k] - cb * row[k]
@@ -259,7 +319,7 @@ def _scaled(values, exact: bool) -> tuple:
 
 def _stats(tab: _Tableau, phase1: int, start: float) -> LpStats:
     bits = max(v.bit_length() for v in (tab.den, *tab.rhs)) if tab.exact else 0
-    return LpStats(phase1, tab.pivots - phase1, len(tab.T), len(tab.nonbasic), bits, perf_counter() - start)
+    return LpStats(phase1, tab.pivots - phase1, len(tab.basis), len(tab.nonbasic), bits, perf_counter() - start)
 
 
 def _run_simplex(tab: _Tableau, costs: list, limit: int, tol) -> str:
@@ -361,8 +421,9 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
             nonbasic.append(ns + i)
     for i, row in enumerate(T):
         row += [cell(-1 if v == ns + i else 0) for v in nonbasic[nvars:]]
+        row.append(rhs[i])
 
-    tab = _Tableau(T, rhs, basis, nonbasic, twin, exact)
+    tab = _Tableau(T, basis, nonbasic, twin, exact)
 
     # Phase 1: drive the artificial columns to zero. Artificial i costs
     # -L / k_i with L the lcm of those k_i: L times the unscaled objective,
@@ -376,6 +437,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
         status = _run_simplex(tab, costs1, nvar, tol)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise RuntimeError("phase 1 terminated abnormally")
+        rhs = tab.rhs
         value1 = dot([costs1[v] for v in basis], rhs)
         infeas_cut = 0 if exact else -_FEAS_TOL * (1 + max(map(abs, rhs), default=0))
         if value1 < infeas_cut:
@@ -384,9 +446,8 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
         # numbered non-artificial column with a nonzero entry, if any.
         for i in range(m):
             if basis[i] >= art0:
-                row = tab.T[i]
-                nonzero = [k for k, a in enumerate(row) if (a if exact else abs(a) > tol)]
-                cands = [(nonbasic[k], k) for k in nonzero if nonbasic[k] < art0]
+                row = zip(nonbasic, tab.row(i))  # stops before the rhs entry
+                cands = [(v, k) for k, (v, a) in enumerate(row) if v < art0 and (a if exact else abs(a) > tol)]
                 cands = [(min(v, twin.get(v, v)), k) for v, k in cands]
                 if cands:
                     v, k = min(cands)
@@ -405,6 +466,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
         return LpOutcome(UNBOUNDED, stats=_stats(tab, phase1, start))
 
     values = [conv(0)] * ns
+    rhs = tab.rhs
     for i, b in enumerate(basis):
         if b < ns:
             values[b] = Fraction(rhs[i], tab.den) if exact else rhs[i]

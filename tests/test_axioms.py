@@ -714,3 +714,45 @@ def test_exact_checkers_make_no_fraction_additions(monkeypatch):
     for checker in NECESSITY_CHECKERS:
         assert checker(oracle, 40, rng_seed=3, mode=EXACT).violations == 0
     assert added == []
+
+
+def test_float_strict_convexity_rejects_utilities_that_overflow():
+    # a Euclidean preference has no violations; once x.x overflows, inf - inf
+    # must not rank as a tie (a tie counts as a violation)
+    euclid = SphericalParams(-1.0, (1.0, 0.0, 0.0))
+    assert check_strict_convexity(euclid, 20, radius=1e150).violations == 0
+    for radius in (1e154, 1e155, 1e307):
+        with pytest.raises(ValueError, match=r"float utilities \[-inf, -inf\] or their differences are not finite"):
+            check_strict_convexity(euclid, 20, radius=radius)
+    # a gap that overflows between finite utilities is not a tie either
+    linear = SphericalParams(0.0, (1e308, 1e308, 0.0))
+    with pytest.raises(ValueError, match="not finite"):
+        check_strict_convexity(linear, 20, radius=1.0)
+
+
+@pytest.mark.parametrize(
+    "mode, radius",
+    [(FLOAT, 1e308), (FLOAT, 10**400), (EXACT, 2e307), (EXACT, F(10**400, 3))],
+    ids=["float-1e308", "float-int", "exact-2e307", "exact-fraction"],
+)
+def test_a_radius_too_large_for_the_box_is_named(mode, radius):
+    # the box's width is 2 * radius, and 16 grid steps per radius in exact mode
+    message = f"radius {radius} is too large"
+    with pytest.raises(ValueError) as info:
+        sample_vector(random.Random(0), 3, mode, radius)
+    assert str(info.value) == message
+    euclid = SphericalParams(-1.0, (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError) as info:
+        check_strict_convexity(euclid, 4, mode=mode, radius=radius)
+    assert str(info.value) == message
+    for checker in NECESSITY_CHECKERS:
+        with pytest.raises(ValueError) as info:
+            checker(params_oracle(euclid), 4, mode=mode, radius=radius)
+        assert str(info.value) == message
+
+
+def test_the_largest_radii_still_draw():
+    # just under each limit every coordinate is finite
+    rng = random.Random(0)
+    assert all(math.isfinite(v) for v in sample_vector(rng, 3, FLOAT, 8.98e307))
+    assert all(math.isfinite(v) for v in sample_vector(rng, 3, EXACT, 1.12e307))

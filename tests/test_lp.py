@@ -7,6 +7,8 @@ import pytest
 
 import spherepref.lp as lp_module
 from spherepref.geometry import EXACT, FLOAT, dot
+from spherepref.preference import SphericalParams
+from spherepref.rationalize import certificate_lp, generate_dataset, rationalize
 from spherepref.lp import (
     EQ,
     GE,
@@ -408,6 +410,135 @@ def test_golden_tall_outcomes():
         assert_certified(lp, out)
 
 
+# -- the row-major tableau -----------------------------------------------------
+#
+# `lp._Tableau` as it was when it always stored one list per row, copied so
+# that the references below share no code with the tableau under test, which
+# stores the longer side of [D | rhs]: the lock-step test checks every entry
+# after every pivot against it.
+
+
+class _RowTableau:
+    """The current basis as a dictionary: only the nonbasic columns.
+
+    ``T[i][k]`` is row i's entry in the column of variable ``nonbasic[k]``;
+    the basic variable ``basis[i]`` has an implied unit column. In exact
+    mode every entry is an integer and the true tableau is ``T / den`` for
+    one common denominator ``den > 0``; in float mode the entries are floats
+    and ``den`` stays 1. Only :meth:`pivot` and :meth:`leaving_row` depend on
+    the mode.
+
+    ``twin`` maps each half of a split free variable to the other. A pair
+    stores one column while both halves are nonbasic (the other half's is
+    its negation, see :meth:`flip`) and none while one is basic, so no pivot
+    changes the number of stored columns.
+    """
+
+    def __init__(self, T: list, rhs: list, basis: list, nonbasic: list, twin: dict, exact: bool):
+        self.T = T
+        self.rhs = rhs
+        self.basis = basis
+        self.nonbasic = nonbasic
+        self.twin = twin
+        self.exact = exact
+        self.den = 1
+        self.pivots = 0
+
+    def flip(self, k: int) -> None:
+        """Store the twin of ``nonbasic[k]`` in column k: its column is the
+        negated one."""
+        for row in self.T:
+            row[k] = -row[k]
+        self.nonbasic[k] = self.twin[self.nonbasic[k]]
+
+    def pivot(self, r: int, k: int) -> None:
+        """Swap ``basis[r]`` and ``nonbasic[k]``. Column k is read, then
+        overwritten with the leaving variable's unit column, which the row
+        operations turn into that variable's new column."""
+        T, rhs = self.T, self.rhs
+        col = [row[k] for row in T]
+        one, zero = (self.den, 0) if self.exact else (1.0, 0.0)
+        for i, row in enumerate(T):
+            row[k] = one if i == r else zero
+        row = T[r]
+        if self.exact:
+            # Edmonds' integer pivot: row r keeps its integers and its pivot
+            # becomes the common denominator; every other row i becomes
+            # (T[i] * p - f_i * T[r]) / den, an exact division because each
+            # entry is a minor of the integral start.
+            p = col[r]
+            if p < 0:  # keep den positive; T[r] / p is unchanged
+                row = T[r] = [-v for v in row]
+                rhs[r] = -rhs[r]
+                p = -p
+            den, b = self.den, rhs[r]
+            for i, ri in enumerate(T):
+                if i == r:
+                    continue
+                f = col[i]
+                if f:
+                    T[i] = [(a * p - f * w) // den for a, w in zip(ri, row)]
+                else:
+                    T[i] = [a * p // den for a in ri]
+                rhs[i] = (rhs[i] * p - f * b) // den
+            self.den = p
+        else:
+            piv = col[r]
+            if piv != 1:
+                for j in range(len(row)):
+                    if row[j]:
+                        row[j] = row[j] / piv
+                rhs[r] = rhs[r] / piv
+            for i, ri in enumerate(T):
+                f = col[i]
+                if i != r and f:
+                    for j in range(len(row)):
+                        if row[j]:
+                            ri[j] = ri[j] - f * row[j]
+                    rhs[i] = rhs[i] - f * rhs[r]
+        self.basis[r], self.nonbasic[k] = self.nonbasic[k], self.basis[r]
+        self.pivots += 1
+
+    def leaving_row(self, k: int, tol) -> int:
+        """Ratio test on column k: the row minimizing rhs_i / a_i over
+        a_i > tol, ties broken by the lower basis index; -1 when no entry
+        qualifies."""
+        T, rhs, basis = self.T, self.rhs, self.basis
+        best = -1
+        if self.exact:
+            # den cancels from rhs_i / a_i; compare by cross-multiplication
+            for i, row in enumerate(T):
+                a = row[k]
+                if a > 0:
+                    if best >= 0:
+                        diff = rhs[i] * best_a - best_b * a
+                        if diff > 0 or (diff == 0 and basis[i] > basis[best]):
+                            continue
+                    best, best_a, best_b = i, a, rhs[i]
+        else:
+            best_key = None
+            for i, row in enumerate(T):
+                a = row[k]
+                if a > tol:
+                    key = (rhs[i] / a, basis[i])
+                    if best_key is None or key < best_key:
+                        best_key, best = key, i
+        return best
+
+    def reduced_costs(self, costs: list) -> list:
+        """den times the reduced cost of each stored column (just the
+        reduced costs in float mode); ``costs`` is indexed by variable."""
+        rc = [self.den * costs[v] for v in self.nonbasic]
+        for i, b in enumerate(self.basis):
+            cb = costs[b]
+            if cb:
+                row = self.T[i]
+                for k in range(len(rc)):
+                    if row[k]:
+                        rc[k] = rc[k] - cb * row[k]
+        return rc
+
+
 # -- the split-column reference ---------------------------------------------
 #
 # `solve` as it was when every free variable stored two columns, x+ and x-,
@@ -480,7 +611,7 @@ def reference_solve(lp, mode=EXACT, leftovers=None):
     for i, row in enumerate(T):
         row += [cell(-1 if v == ns + i else 0) for v in nonbasic[ns:]]
 
-    tab = lp_module._Tableau(T, rhs, basis, nonbasic, {}, exact)
+    tab = _RowTableau(T, rhs, basis, nonbasic, {}, exact)
 
     art_rows = [i for i in range(m) if basis[i] >= art0]
     if art_rows:
@@ -551,11 +682,13 @@ def test_one_column_per_split_pair_matches_the_split_reference(monkeypatch):
     # the same outcome, bit for bit (a float -0.0 would show in the repr), and the
     # same (entering, leaving) pivot sequence as the split-column reference
     trace = []
-    pivot = lp_module._Tableau.pivot
 
-    def recording(tab, r, k):
-        trace.append((tab.nonbasic[k], tab.basis[r]))
-        pivot(tab, r, k)
+    def recording(pivot):
+        def wrapped(tab, r, k):
+            trace.append((tab.nonbasic[k], tab.basis[r]))
+            pivot(tab, r, k)
+
+        return wrapped
 
     flips = []
     flip = lp_module._Tableau.flip
@@ -564,7 +697,8 @@ def test_one_column_per_split_pair_matches_the_split_reference(monkeypatch):
         flips.append(k)
         flip(tab, k)
 
-    monkeypatch.setattr(lp_module._Tableau, "pivot", recording)
+    for cls in (lp_module._Tableau, _RowTableau):
+        monkeypatch.setattr(cls, "pivot", recording(cls.pivot))
     monkeypatch.setattr(lp_module._Tableau, "flip", counting)
     leftovers = []
     rng = random.Random(1717)
@@ -612,3 +746,113 @@ def test_golden_pivot_counts():
     for mode, want in ((EXACT, 3118), (FLOAT, 3072)):
         stats = [solve(lp, mode).stats for lp in lps]
         assert sum(s.phase1_pivots + s.phase2_pivots for s in stats) == want
+
+
+class _LockStep(lp_module._Tableau):
+    """The tableau under test, run against a row-major :class:`_RowTableau`
+    built from copies of the same start: every call goes to both, and after
+    each pivot and flip every entry, rhs, ``den``, ``basis`` and ``nonbasic``
+    must agree, floats by repr (so -0.0 shows)."""
+
+    shapes = []  # (rows, stored columns, stored by column) of each tableau built
+
+    def __init__(self, rows, basis, nonbasic, twin, exact):
+        T, rhs = [row[:-1] for row in rows], [row[-1] for row in rows]
+        self.ref = _RowTableau(T, rhs, list(basis), list(nonbasic), twin, exact)
+        super().__init__(rows, basis, nonbasic, twin, exact)
+        _LockStep.shapes.append((len(basis), len(nonbasic), self.by_col))
+        self.check()
+
+    def check(self):
+        ref = self.ref
+        want = [row + [b] for row, b in zip(ref.T, ref.rhs)]
+        assert repr([self.row(i) for i in range(len(self.basis))]) == repr(want)
+        cols = [[row[k] for row in want] for k in range(len(self.nonbasic) + 1)]
+        assert repr([self.column(k) for k in range(len(cols))]) == repr(cols)
+        assert (self.den, self.basis, self.nonbasic) == (ref.den, ref.basis, ref.nonbasic)
+
+    def pivot(self, r, k):
+        super().pivot(r, k)
+        self.ref.pivot(r, k)
+        self.check()
+
+    def flip(self, k):
+        super().flip(k)
+        self.ref.flip(k)
+        self.check()
+
+    def leaving_row(self, k, tol):
+        got = super().leaving_row(k, tol)
+        assert got == self.ref.leaving_row(k, tol)
+        return got
+
+    def reduced_costs(self, costs):
+        got = super().reduced_costs(costs)
+        assert repr(got) == repr(self.ref.reduced_costs(costs))
+        return got
+
+
+def test_line_storage_pivots_in_lock_step_with_the_row_tableau(monkeypatch):
+    # tall programs store columns, wide and square ones rows; either way every
+    # number after every pivot is the row-major tableau's, in both modes
+    monkeypatch.setattr(lp_module, "_Tableau", _LockStep)
+    _LockStep.shapes = []
+    rng = random.Random(2020)
+    lps = [_mixed_lp(rng) for _ in range(150)] + [_tall_lp(rng) for _ in range(6)]
+    for lp in lps:
+        for mode in (EXACT, FLOAT):
+            solve(lp, mode)
+    # the margin LP (tall) and the certificate LP (wide) of generated data
+    rng = random.Random(2021)
+    for t in range(16):
+        n = 2 + t % 4
+        params = SphericalParams(F(rng.choice([-2, -1, 1])), tuple(F(rng.randint(-4, 4), 2) for _ in range(n)))
+        data = generate_dataset(params, 8 + 2 * t, rng_seed=t)
+        for mode in (EXACT, FLOAT):
+            rationalize(data, restriction=("euclidean", "anti_euclidean")[t % 2], mode=mode)
+            certificate_lp(data, mode)
+    shapes = _LockStep.shapes
+    assert all(by_col == (m > n) for m, n, by_col in shapes)  # by column exactly when taller than wide
+    assert any(m > n for m, n, _ in shapes) and any(m < n for m, n, _ in shapes) and any(m == n for m, n, _ in shapes)
+
+
+@pytest.mark.parametrize(
+    "lp, want, shape, pivots",
+    [
+        (LinearProgram((), (Constraint((), LE, 1),)), (OPTIMAL, (), 0), (1, 0), 0),
+        (LinearProgram((), (Constraint((), GE, 1),)), (INFEASIBLE, None, None), (1, 1), 0),
+        (LinearProgram((), (Constraint((), EQ, 0),)), (OPTIMAL, (), 0), (1, 0), 0),
+        (LinearProgram((1,), ()), (UNBOUNDED, None, None), (0, 1), 0),
+        (LinearProgram((-1,), (), ((0, None),)), (OPTIMAL, (0,), 0), (0, 1), 0),
+        (LinearProgram((1, 2, -1), (Constraint((1, 1, 1), LE, 4),), ((0, None),) * 3), (OPTIMAL, (0, 4, 0), 8), (1, 3), 2),
+        (
+            LinearProgram((1, -2, 3, 1), (Constraint((2, 1, F(1, 2), 1), EQ, 3),), ((0, None),) * 4),
+            (OPTIMAL, (0, 0, 6, 0), 18),
+            (1, 4),
+            2,
+        ),
+        (
+            LinearProgram((1, 1), (Constraint((1, 2), LE, 4), Constraint((3, 1), LE, 6)), ((0, None), (0, None))),
+            (OPTIMAL, (F(8, 5), F(6, 5)), F(14, 5)),
+            (2, 2),
+            2,
+        ),
+        (
+            LinearProgram((1, -1), (Constraint((1, 1), LE, 2), Constraint((1, -1), GE, -1)), ((None, None), (0, None))),
+            (OPTIMAL, (2, 0), 2),
+            (2, 2),
+            1,
+        ),
+    ],
+)
+def test_edge_shapes(lp, want, shape, pivots):
+    # no column, no row, one row and square programs, in both modes
+    status, primal, value = want
+    for mode in (EXACT, FLOAT):
+        out = solve(lp, mode)
+        if mode == FLOAT and primal is not None:
+            primal, value = tuple(map(float, primal)), float(value)
+            assert {type(v) for v in out.primal} <= {float}
+        assert (out.status, out.primal, out.objective_value) == (status, primal, value)
+        assert (out.stats.rows, out.stats.columns) == shape
+        assert out.stats.phase1_pivots + out.stats.phase2_pivots == pivots
