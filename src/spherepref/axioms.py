@@ -16,9 +16,10 @@ classify all the orderings inside one trial under one tie rule: the cuts of
 preference.tie_cuts, TIE_REL wide for ties and STRICT_REL wide for strict
 claims, shared by the whole trial, which removes spurious boundary flips in
 float mode; exact mode uses the true sign. Pairwise comparisons (the oracles
-built here and preference.compare) follow preference.rank. For black-box
-oracles the absence of violations is reported as "no violation found in N
-trials", never as the axiom holding.
+built here and preference.compare) follow preference.rank, which refuses a
+float gap that is not finite, as the per-trial checks do; sampling radii
+follow geometry.box_radius. For black-box oracles the absence of violations
+is reported as "no violation found in N trials", never as the axiom holding.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .geometry import (
     Vec,
     _sixteenths,
     add,
+    box_radius,
     dot,
     finite_param,
     is_zero,
@@ -51,6 +53,7 @@ from .preference import (
     TIE_REL,
     Ordering,
     SphericalParams,
+    _not_finite,
     classify,
     compare,
     ordering_from_diff,
@@ -169,30 +172,15 @@ def _run_trials(axiom: str, trials: int, rng_seed: int, trial: Callable, mode: s
 def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float = 1.0) -> Vec:
     """One random point of the checking box, on the 1/16 grid in exact mode.
 
-    A radius that is not finite and > 0, or too large for the box's width to
-    be a finite float, is a ValueError.
+    A radius that geometry.box_radius refuses is a ValueError.
     """
     if mode == EXACT:
         return _grid_point(_grid_draw(rng, dim, mode, radius))
     # random.uniform(lo, hi)'s formula lo + (hi - lo)*random(), hi - lo = hi + hi
-    hi = _box_radius(radius, 2)
+    hi = box_radius(radius, 2)
     lo = -hi
     width, draw = hi + hi, rng.random
     return tuple(lo + width * draw() for _ in range(dim))
-
-
-def _box_radius(radius: float, width: int) -> float:
-    """``radius`` as a float, when it is finite and > 0 and ``width`` times
-    it (the box's width in radii: 2, or 16 grid steps per radius) is a finite
-    float; else a ValueError."""
-    finite_param("radius", radius, positive=True)
-    try:
-        hi = float(radius)
-    except OverflowError:  # a huge int or Fraction
-        hi = math.inf
-    if not math.isfinite(hi * width):
-        raise ValueError(f"radius {radius} is too large")
-    return hi
 
 
 # A trial's vector operations per mode: (draw, plus, perp, scaled, point). An
@@ -200,7 +188,7 @@ def _box_radius(radius: float, width: int) -> float:
 # Fraction tuple that the float set's functions give on Fraction tuples.
 def _grid_draw(rng: random.Random, dim: int, mode: str, radius: float) -> tuple:
     """An exact draw as (numerators, 16): the randint calls of sample_vector."""
-    span = max(1, round(_box_radius(radius, 16) * 16))
+    span = max(1, round(box_radius(radius, 16) * 16))
     return tuple(rng.randint(-span, span) for _ in range(dim)), 16
 
 
@@ -246,13 +234,6 @@ def random_orthonormal_plane(rng: random.Random, dim: int) -> tuple:
         e2 = project_out(raw, [e1])
         if math.sqrt(float(dot(e2, e2))) > 1e-8:
             return e1, normalize(e2)
-
-
-def _not_finite(vals) -> ValueError:
-    """The error for a float trial whose utility differences and cut do not
-    sum to a finite float: inf or nan in any of them propagates to the sum."""
-    return ValueError(f"the float utilities {list(vals)} or their differences are not finite; "
-                      "use exact mode (--exact)")
 
 
 def _ranks_alike(oracle: ComparisonOracle, mode: str, rel: float, a: Vec, b: Vec, c: Vec, d: Vec) -> bool:
@@ -468,28 +449,18 @@ def check_strict_convexity(
     when c != 0, a shift orthogonal to the gradient when c = 0), which is
     where the linear and anti-Euclidean classes fail. The report's
     ``trials`` counts the requested trials, the skipped ones included (a
-    zero shift, or x == y). In float mode a trial whose utilities, or the
-    gap between two of them, overflow a float is a ValueError.
+    zero shift, or x == y). A float trial whose utilities, or the gap
+    between two of them, overflow is a ValueError (preference.rank's).
     """
     n = params.dim
     half = Fraction(1, 2) if params.is_exact and mode == EXACT else 0.5
     center = classify(params).center
 
-    def ranked(a: Vec, b: Vec) -> Ordering:
-        """compare(params, a, b), but float utilities or a gap between them
-        that overflow are a ValueError, not a tie."""
-        if mode == EXACT:
-            return compare(params, a, b)
-        ua, ub = utility(params, a), utility(params, b)
-        if not math.isfinite(ua - ub + abs(ua) + abs(ub)):
-            raise _not_finite((ua, ub))
-        return rank(ua, ub)
-
     def trial(rng: random.Random, t: int) -> Optional[dict]:
         if t % 2 == 0:
             x = sample_vector(rng, n, mode, radius)
             y = sample_vector(rng, n, mode, radius)
-            if ranked(x, y) is Ordering.WORSE:
+            if compare(params, x, y) is Ordering.WORSE:
                 x, y = y, x
         else:
             s = sample_vector(rng, n, mode, radius)
@@ -507,8 +478,8 @@ def check_strict_convexity(
             return None
         mid = tuple(half * (x[i] + y[i]) for i in range(n))
         # an even trial's pair is oriented already: rank is antisymmetric
-        weakly_better = t % 2 == 0 or ranked(x, y) is not Ordering.WORSE
-        if weakly_better and ranked(mid, y) is not Ordering.BETTER:
+        weakly_better = t % 2 == 0 or compare(params, x, y) is not Ordering.WORSE
+        if weakly_better and compare(params, mid, y) is not Ordering.BETTER:
             return {"x": x, "y": y}
         return None
 

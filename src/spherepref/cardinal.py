@@ -26,11 +26,11 @@ from functools import cached_property
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .axioms import AxiomReport, _not_finite, _run_trials, cubic_function, sample_vector
+from .axioms import AxiomReport, _run_trials, cubic_function, sample_vector
 from .formats import scalar_to_json, vec_from_json, vec_to_json
 from .geometry import (EXACT, FLOAT, DimensionMismatch, Scalar, Vec, _rational, _sixteenths, add, basis_vector,
                        clear_denominators, dot, finite_param, neg, scale, sub, zeros)
-from .preference import tie_cuts
+from .preference import _not_finite, tie_cuts
 
 # Reconstruction residual above RESIDUAL_REL*(1 + max |U|) rejects the oracle.
 RESIDUAL_REL = 1e-6

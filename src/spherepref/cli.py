@@ -102,8 +102,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_rationalize(args) -> int:
-    if args.mode == EXACT and args.tol is not None:
-        raise ValueError("exact mode admits no tolerance override")
     data = rat.ObservationSet.from_dict(load_document(args.dataset))
     restriction = _RESTRICT_CHOICES[args.restrict] if args.restrict else None
     kwargs = {} if args.tol is None else {"float_margin": args.tol}
@@ -128,8 +126,6 @@ def _resolve_comparison_oracle(args) -> axioms.ComparisonOracle:
 def _cmd_check_axioms(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    if args.mode == EXACT and args.tol is not None:
-        raise ValueError("exact mode admits no tolerance override")
     oracle = _resolve_comparison_oracle(args)
     if oracle.dim < 3:
         print(
@@ -196,9 +192,11 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "mode", None) == EXACT and args.tol is not None:  # rationalize, check-axioms
+            raise ValueError("exact mode admits no tolerance override")
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, MemoryError) as exc:  # a MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -58,6 +58,19 @@ def finite_param(name: str, value: Scalar, positive: bool = False) -> Scalar:
     return value
 
 
+def box_radius(radius: Scalar, width: int) -> float:
+    """The rule for every sampling radius: ``radius`` as a float, if it is
+    finite and > 0 and a box ``width`` >= 2 radii wide has a finite float width."""
+    finite_param("radius", radius, positive=True)
+    try:
+        hi = float(radius)
+    except OverflowError:  # a huge int or Fraction
+        hi = math.inf
+    if not math.isfinite(hi * width):
+        raise ValueError(f"radius {radius} is too large")
+    return hi
+
+
 def _rational(v: Sequence) -> bool:
     """True when every entry is exactly an ``int`` or a ``Fraction``."""
     return {int, Fraction}.issuperset(map(type, v))

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from time import perf_counter
 from typing import Optional
@@ -185,6 +186,11 @@ class _Tableau:
         """The last column of [D | rhs]."""
         return self.column(len(self.nonbasic))
 
+    def orient(self, v: int, k: int) -> None:
+        """Store variable v, ``nonbasic[k]`` or its twin, in column k."""
+        if v != self.nonbasic[k]:
+            self.flip(k)
+
     def flip(self, k: int) -> None:
         """Store the twin of ``nonbasic[k]`` in column k: its column is the
         negated one."""
@@ -231,44 +237,30 @@ class _Tableau:
             lines[x] = W
             self.den = p
         else:
-            # Gauss-Jordan in place, each number as the row-major tableau
-            # computed it: row r is divided by the pivot where it is nonzero
-            # (its rhs always), each row i with f_i = D[i][k] nonzero
-            # subtracts f_i times it where it is nonzero (from the rhs
-            # always), and the leaving column is q = 1/piv in row r and
-            # 0.0 - f_i*q elsewhere (0.0 when q is 0).
+            # Gauss-Jordan, each number as the row-major tableau computed it:
+            # row r (R: P by row, the lines' cross entries by column) is
+            # divided by the pivot where it is nonzero (its rhs always),
+            # column k (C) becomes the unit column e_r, and each row i with
+            # C[i] nonzero subtracts C[i]*R where R is nonzero (from the rhs
+            # always), which turns e_r into the leaving column. One loop
+            # stores each line's entry at pos and reduces the lines that change.
             piv = P[pos]
-            q = 1.0 / piv
-            if self.by_col:
-                rhs = lines[-1]
-                nz = [i for i, c in enumerate(P) if c and i != r]
-                for L in lines:
-                    w = L[r]
-                    if L is not P and (w or L is rhs):
-                        w = L[r] = w / piv
-                        if w or L is rhs:
-                            for i in nz:
-                                L[i] = L[i] - P[i] * w
-                W = [0.0] * len(P)
-                if q:
-                    for i in nz:
-                        W[i] = 0.0 - P[i] * q
-                W[r] = q
-                lines[k] = W
-            else:
-                last = len(P) - 1
-                P[k] = 1.0
-                for j, v in enumerate(P):
-                    if v or j == last:
-                        P[j] = v / piv
-                nz = [j for j, w in enumerate(P) if (w or j == last) and j != k]
-                for L in lines:
-                    f = L[k]
-                    if L is not P:
-                        L[k] = 0.0 - f * q if f and q else 0.0
-                        if f:
-                            for j in nz:
-                                L[j] = L[j] - f * P[j]
+            crossing = [L[pos] for L in lines]
+            R, C = (crossing, P) if self.by_col else (P, crossing)
+            R[k] = 1.0
+            R = [v / piv if v else v for v in R[:-1]] + [R[-1] / piv]
+            unit = [0.0] * len(C)
+            unit[r] = R[k]
+            lines[x], across = (unit, R) if self.by_col else (R, unit)
+            C[r] = 0.0  # row r is divided, not reduced
+            rows, cols = C, R[:-1] + [True]  # nonzero where a row or a column changes
+            V, F, outer, inner = (C, R, cols, rows) if self.by_col else (R, C, rows, cols)
+            inner = list(compress(range(len(inner)), inner))
+            for L, f, w, live in zip(lines, F, across, outer):
+                L[pos] = w
+                if live:
+                    for z in inner:
+                        L[z] = L[z] - V[z] * f
         self.basis[r], self.nonbasic[k] = self.nonbasic[k], self.basis[r]
         self.pivots += 1
 
@@ -334,8 +326,7 @@ def _run_simplex(tab: _Tableau, costs: list, limit: int, tol) -> str:
         if not entering:
             return OPTIMAL
         v, k = min(entering)
-        if v != tab.nonbasic[k]:
-            tab.flip(k)
+        tab.orient(v, k)
         r = tab.leaving_row(k, tol)
         if r < 0:
             return UNBOUNDED
@@ -451,8 +442,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
                 cands = [(min(v, twin.get(v, v)), k) for v, k in cands]
                 if cands:
                     v, k = min(cands)
-                    if v != nonbasic[k]:
-                        tab.flip(k)
+                    tab.orient(v, k)
                     tab.pivot(i, k)
 
     # Phase 2: the real objective over structural columns, times the lcm of
@@ -476,6 +466,6 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
     return LpOutcome(
         OPTIMAL,
         primal=tuple(primal),
-        objective_value=dot(tuple(objective), tuple(primal)),
+        objective_value=conv(dot(tuple(objective), tuple(primal))),  # dot of no entries is the int 0
         stats=_stats(tab, phase1, start),
     )

@@ -21,6 +21,9 @@ over the pair's integer row (M, Q, V) = ``geometry.pair_ints(x, y)`` and
 builds none. Values, orderings and result types are those of plain
 entry-by-entry arithmetic; float, ``bool`` and mixed points, and parameters
 without a ``Fraction``, keep that arithmetic.
+
+The tie rule :func:`rank` raises ValueError on a float utility gap that is
+not finite (an overflow, never a tie), so every pairwise comparison does.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .geometry import (
     Scalar,
     Vec,
     _rational,
+    box_radius,
     clear_denominators,
     dot,
     is_exact,
@@ -160,14 +164,24 @@ def ordering_from_diff(diff: Scalar, tol: Scalar = 0) -> Ordering:
     return Ordering.INDIFFERENT
 
 
+def _not_finite(vals) -> ValueError:
+    """The error for float utilities whose gaps (and tie cut) do not sum to
+    a finite float: inf or nan in any of them propagates to the sum."""
+    return ValueError(f"the float utilities {list(vals)} or their differences are not finite; "
+                      "use exact mode (--exact)")
+
+
 def rank(ux: Scalar, uy: Scalar) -> Ordering:
     """The pairwise tie rule: utility ux against utility uy.
 
     An exact difference gives the true sign; a float one ties within the
-    relative band TIE_REL*(1+|ux|+|uy|).
+    relative band TIE_REL*(1+|ux|+|uy|), or is a ValueError if that sum
+    or the gap is not finite.
     """
     diff = ux - uy
     if isinstance(diff, float):
+        if not math.isfinite(diff + abs(ux) + abs(uy)):
+            raise _not_finite((ux, uy))
         return ordering_from_diff(diff, TIE_REL * (1.0 + abs(ux) + abs(uy)))
     return ordering_from_diff(diff)
 
@@ -233,9 +247,11 @@ def canonicalize(p: SphericalParams, mode: str | None = None) -> SphericalParams
     """Positively rescale (c, d) to its canonical representative.
 
     Float mode divides by the Euclidean length of (c, d), landing on the unit
-    sphere. Exact mode divides by the largest absolute entry instead, keeping
-    every coordinate rational. Both represent the same preference. The zero
-    pair (total indifference) has no canonical form and raises ValueError.
+    sphere (by the largest absolute entry first if that length overflows or
+    underflows). Exact mode divides by the largest absolute entry instead,
+    keeping every coordinate rational. Both represent the same preference.
+    The zero pair (total indifference), or a float one that is not finite,
+    has no canonical form and raises ValueError.
     """
     if p.is_zero:
         raise ValueError("the indifference preference has no canonical parameters")
@@ -250,6 +266,12 @@ def canonicalize(p: SphericalParams, mode: str | None = None) -> SphericalParams
         c = float(p.c)
         d = to_float(p.d)
         length = math.sqrt(c * c + dot(d, d))  # left to right: the same bits on every Python
+        if not 0 < length < math.inf:
+            m = max(map(abs, (c, *d)))  # NaN in c makes m NaN
+            if not (0 < m < math.inf and all(map(math.isfinite, d))):
+                raise ValueError(f"float parameters must be finite and not all zero, not {[c, *d]}")
+            c, d = c / m, tuple(x / m for x in d)
+            length = math.sqrt(c * c + dot(d, d))
         return SphericalParams(c / length, tuple(x / length for x in d))
     raise ValueError(f"unknown arithmetic mode: {mode!r}")
 
@@ -286,12 +308,13 @@ def distinguishing_pair(
     """Search for (x, y) ranked differently by p1 and p2.
 
     Random sampling over a box; returns the first pair on which the two
-    comparisons disagree, or None when the probe budget is exhausted.
+    comparisons disagree, or None when the probe budget is exhausted. A
+    radius that geometry.box_radius refuses is a ValueError.
     """
-    n = p1.dim
+    n, hi = p1.dim, box_radius(radius, 2)
     for _ in range(probes):
-        x = tuple(rng.uniform(-radius, radius) for _ in range(n))
-        y = tuple(rng.uniform(-radius, radius) for _ in range(n))
+        x = tuple(rng.uniform(-hi, hi) for _ in range(n))
+        y = tuple(rng.uniform(-hi, hi) for _ in range(n))
         if compare(p1, x, y) != compare(p2, x, y):
             return (x, y)
     return None

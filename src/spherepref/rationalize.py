@@ -40,8 +40,8 @@ from typing import Optional
 
 from . import lp
 from .formats import scalar_to_json, vec_from_json, vec_to_json
-from .geometry import (EXACT, DimensionMismatch, Scalar, Vec, _sixteenths, clear_denominators, dot, finite_param,
-                       pair_ints, sub, to_exact)
+from .geometry import (EXACT, DimensionMismatch, Scalar, Vec, _sixteenths, box_radius, clear_denominators, dot,
+                       finite_param, pair_ints, sub, to_exact)
 from .preference import Ordering, SphericalParams, compare
 
 RESTRICT_LINEAR = "linear"
@@ -440,14 +440,10 @@ def generate_dataset(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    finite_param("radius", radius, positive=True)
+    span = max(1, round(box_radius(radius, 8) * 8))
     rng = random.Random(rng_seed)
     n = params.dim
     p = SphericalParams(Fraction(params.c), tuple(Fraction(v) for v in params.d))
-    try:
-        span = max(1, round(float(radius) * 8))
-    except OverflowError:
-        raise ValueError(f"radius {radius} is too large") from None
     weak = []
     strict = []
     for _ in range(count):

@@ -730,6 +730,16 @@ def test_float_strict_convexity_rejects_utilities_that_overflow():
         check_strict_convexity(linear, 20, radius=1.0)
 
 
+def test_both_oracle_kinds_refuse_float_gaps_that_are_not_finite():
+    # both ranked an overflowing pair INDIFFERENT; the tie rule now refuses it
+    euclid = SphericalParams(-1.0, (1.0, 0.0, 0.0))
+    oracles = (params_oracle(euclid), utility_comparison_oracle(lambda x: -dot(x, x) + x[0], 3))
+    for oracle in oracles:
+        assert oracle.compare((1e150, 0.0, 0.0), (0.0, 0.0, 0.0)) is Ordering.WORSE
+        with pytest.raises(ValueError, match="not finite"):
+            oracle.compare((1e200, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+
 @pytest.mark.parametrize(
     "mode, radius",
     [(FLOAT, 1e308), (FLOAT, 10**400), (EXACT, 2e307), (EXACT, F(10**400, 3))],

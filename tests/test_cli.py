@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -280,6 +281,16 @@ def test_rationalize_huge_dimension_exits_two(capsys, tmp_path, dimension):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and '"dimension"' in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["--exact", "--float"])
+def test_rationalize_witness_too_large_for_memory_exits_two(capsys, tmp_path, mode):
+    # the witness list of sys.maxsize zeros is refused before anything is
+    # allocated: a MemoryError traceback, exit 1
+    path = write(tmp_path, "max.json", {"dimension": sys.maxsize, "weak": [], "strict": []})
+    code, out, err = run(capsys, "rationalize", path, mode)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "MemoryError" in err and "Traceback" not in err
 
 
 def test_rationalize_cost_follows_the_pairs_not_the_dimension(capsys, tmp_path):

@@ -853,6 +853,7 @@ def test_edge_shapes(lp, want, shape, pivots):
         if mode == FLOAT and primal is not None:
             primal, value = tuple(map(float, primal)), float(value)
             assert {type(v) for v in out.primal} <= {float}
+            assert type(out.objective_value) is float  # the program with no variables gave the int 0
         assert (out.status, out.primal, out.objective_value) == (status, primal, value)
         assert (out.stats.rows, out.stats.columns) == shape
         assert out.stats.phase1_pivots + out.stats.phase2_pivots == pivots

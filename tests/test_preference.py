@@ -211,6 +211,45 @@ def test_distinguishing_pair_found_for_distinct_params():
     assert found >= 15
 
 
+@pytest.mark.parametrize("radius", [math.inf, math.nan, 0, -1.0])
+def test_distinguishing_pair_rejects_a_radius_that_is_not_finite_and_positive(radius):
+    # inf drew nan coordinates and nan drew nan: both ranked everything indifferent
+    # and returned None; 0 and -1 searched a point or a reversed box
+    p1, p2 = SphericalParams(-1.0, (0.0, 0.0)), SphericalParams(1.0, (0.0, 0.0))
+    with pytest.raises(ValueError, match="radius"):
+        distinguishing_pair(p1, p2, random.Random(0), radius=radius)
+
+
+def test_the_tie_rule_refuses_float_gaps_that_are_not_finite():
+    # (1e200)^2 overflows: u(x) = -inf against u(y) = 0 ranked INDIFFERENT
+    p = SphericalParams(-1.0, (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="not finite"):
+        compare(p, (1e200, 0.0, 0.0), (0.0, 0.0, 0.0))
+    # an infinite or NaN utility, an overflowing gap, or a tie band |ux| + |uy| that overflows
+    for ux, uy in ((math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0), (1e308, -1e308), (1e308, 1e308)):
+        with pytest.raises(ValueError, match="not finite"):
+            rank(ux, uy)
+    assert rank(1e307, 1e307) is Ordering.INDIFFERENT and rank(1e307, -1e307) is Ordering.BETTER
+    with pytest.raises(ValueError, match="not finite"):
+        distinguishing_pair(p, SphericalParams(1.0, (0.0, 0.0, 0.0)), random.Random(0), radius=1e200)
+
+
+@pytest.mark.parametrize("scale_", [1e200, 1e-200, 5e-324])
+def test_float_canonicalize_survives_squares_that_overflow_or_underflow(scale_):
+    # 1e200 gave the zero pair (an infinite length); 1e-200 divided by zero
+    p = SphericalParams(scale_, (scale_, 0.0, -scale_))
+    want = canonicalize(SphericalParams(1.0, (1.0, 0.0, -1.0)), mode=FLOAT)
+    assert canonicalize(p, mode=FLOAT) == want
+    assert preference_distance(p, SphericalParams(1.0, (1.0, 0.0, -1.0))) == 0.0
+    assert preference_distance(p, SphericalParams(-1.0, (-1.0, 0.0, 1.0))) == pytest.approx(math.pi)
+
+
+@pytest.mark.parametrize("c, d", [(math.inf, (1.0,)), (1.0, (math.nan,)), (math.nan, (1.0,)), (F(1, 10**400), (0,))])
+def test_float_canonicalize_rejects_parameters_without_a_finite_direction(c, d):
+    with pytest.raises(ValueError, match="finite"):
+        canonicalize(SphericalParams(c, d), mode=FLOAT)
+
+
 def test_params_json_round_trip():
     p = SphericalParams(F(-1, 3), (F(2, 7), 1, F(0)))
     doc = p.to_dict()
