@@ -37,6 +37,14 @@ def _finite(positive: bool):
     return number
 
 
+def _dimension(text: str) -> int:
+    """argparse type: an integer from 1 to sys.maxsize, as a dataset's "dimension"."""
+    value = int(text)
+    if not 1 <= value <= sys.maxsize:
+        raise argparse.ArgumentTypeError(f"the dimension must be an integer from 1 to {sys.maxsize}, not {text!r}")
+    return value
+
+
 def _add_mode_flags(parser: argparse.ArgumentParser, default: str) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--exact", dest="mode", action="store_const", const=EXACT,
@@ -67,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-axioms", help="run the axiom checkers on an oracle")
     p.add_argument("oracle", help="parameter JSON file, or a built-in oracle name "
                                   f"({', '.join(sorted(axioms.BUILTIN_ORACLES))})")
-    p.add_argument("--dim", type=int, default=3, help="dimension for built-in oracles")
+    p.add_argument("--dim", type=_dimension, default=3, help="dimension for built-in oracles")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_finite(False), help="tolerance override (float mode only)")
@@ -76,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="split a utility into quadratic + linear parts")
     p.add_argument("oracle", help="JSON file with {\"A\": [[...]], \"b\": [...]}, or a "
                                   f"built-in name ({', '.join(sorted(cardinal.BUILTIN_UTILITIES))})")
-    p.add_argument("--dim", type=int, default=3, help="dimension for built-in oracles")
+    p.add_argument("--dim", type=_dimension, default=3, help="dimension for built-in oracles")
     p.add_argument("--tol", type=_finite(False), default=cardinal.RESIDUAL_REL,
                    help="relative residual acceptance threshold")
 

@@ -41,11 +41,14 @@ and it stays integral over one common positive denominator ``den``: the
 true tableau is A / den with A = [D | rhs]. A pivot on p = A[r][c] maps
 each entry A[i][j] off row r to (A[i][j] * p - A[i][c] * A[r][j]) / den, a
 division that is always exact, and p becomes the new ``den``; no gcd is
-ever taken inside the simplex. Row scaling multiplies each row of the true
-tableau, each ratio of one ratio test and each reduced cost by a positive
-factor, so every entering and leaving choice is the one a Fraction tableau
-would make: the pivots, and so the outputs, are the same.
-Float mode keeps plain Gauss-Jordan pivots on floats with small tolerances.
+ever taken inside the simplex. Each line of A is one integer that packs its
+entries into fixed-width fields (Kronecker substitution), so a pivot updates
+a line with three big-int operations, whatever its length. Row scaling
+multiplies each row of the true tableau, each ratio of one ratio test and
+each reduced cost by a positive factor, so every entering and leaving choice
+is the one a Fraction tableau would make: the pivots, and so the outputs,
+are the same. Float mode keeps plain Gauss-Jordan pivots on floats with
+small tolerances.
 
 An outcome reports the status and, when optimal, the primal point and the
 objective value, plus an :class:`LpStats` record of the solve. A lower
@@ -58,7 +61,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from math import lcm
+from math import lcm, prod
+from operator import mul
+from struct import Struct
 from time import perf_counter
 from typing import Optional
 
@@ -150,12 +155,19 @@ class _Tableau:
     number ``len(nonbasic)``. It is stored as ``lines`` along its longer
     side, picked once from the shape: one line per column, the rhs line last,
     when there are more rows than stored columns, else one line per row, each
-    ending with its rhs entry. ``column(k)`` and ``row(i)`` read either way,
-    the stored side in place and the other entry by entry; what they return
-    is read only. In exact mode every entry is an integer and the true
-    tableau is ``[D | rhs] / den`` for one common denominator ``den > 0``; in
-    float mode the entries are floats and ``den`` stays 1. Only
-    :meth:`pivot` and :meth:`leaving_row` depend on the mode.
+    ending with its rhs entry. ``column(k)`` and ``row(i)`` read either way;
+    what they return is read only. In float mode a line is a list of floats
+    and ``den`` stays 1.
+
+    In exact mode the true tableau is ``[D | rhs] / den`` for one common
+    denominator ``den > 0``, and a line is one int, sum(entry_i * 2**(b*i)):
+    entry i is the signed field at bits [b*i, b*(i+1)), and a linear
+    combination of lines is the same combination of their entries. The
+    width b = 64 * ``words`` is fixed once per solve. Every entry (``den``
+    too) is, up to sign, a minor of the integral start [D | rhs], which
+    Hadamard's inequality bounds (:func:`_minor_bits`); one bit more holds
+    the sign, one the pivot line's temporary entry p +- den, and the bits of
+    the largest sum of |cost| the combination in :meth:`reduced_costs`.
 
     ``twin`` maps each half of a split free variable to the other. A pair
     stores one column while both halves are nonbasic (the other half's is
@@ -163,23 +175,50 @@ class _Tableau:
     changes the number of stored columns.
     """
 
-    def __init__(self, rows: list, basis: list, nonbasic: list, twin: dict, exact: bool):
-        """``rows`` are the rows of [D | rhs]."""
+    def __init__(self, rows: list, basis: list, nonbasic: list, twin: dict, exact: bool, costs: tuple):
+        """``rows`` are the rows of [D | rhs]; ``costs`` are the cost vectors
+        that :meth:`reduced_costs` will be given."""
         self.by_col = len(rows) > len(nonbasic)
         lines = self.lines = [list(c) for c in zip(*rows)] if self.by_col else rows
+        if exact:
+            w = self.words = -(-(_minor_bits(rows) + max(sum(map(abs, c)) for c in costs).bit_length() + 2) // 64)
+            b, fields = 64 * w, len(rows) if self.by_col else len(nonbasic) + 1
+            self.b, self.mask, self.half = b, (1 << b) - 1, 1 << (b - 1)
+            self.bias = self.half * ((1 << (b * fields)) - 1) // self.mask  # the top bit of every field
+            self.struct = Struct("<" + ("Q" * (w - 1) + "q") * fields)  # a field's top word is signed
+            raw = [self.struct.pack(*line) if w == 1 else b"".join(v.to_bytes(8 * w, "little", signed=True) for v in line)
+                   for line in lines]
+            lines[:] = [(int.from_bytes(r, "little") ^ self.bias) - self.bias for r in raw]
 
-        def across(j: int) -> list:
-            """Entry j of every line: a row when stored by column, a column
-            when stored by row."""
-            return [line[j] for line in lines]
+            def stored(j: int) -> list:
+                return self.unpack(lines[j])
 
-        self.column, self.row = (lines.__getitem__, across) if self.by_col else (across, lines.__getitem__)
+            def across(j: int) -> list:
+                bias, shift, mask, half = self.bias, self.b * j, self.mask, self.half
+                return [((L + bias) >> shift & mask) - half for L in lines]
+        else:
+            stored = lines.__getitem__
+
+            def across(j: int) -> list:
+                return [line[j] for line in lines]
+
+        # entry j of every line: a row when stored by column, a column when stored by row
+        self.column, self.row = (stored, across) if self.by_col else (across, stored)
         self.basis = basis
         self.nonbasic = nonbasic
         self.twin = twin
         self.exact = exact
         self.den = 1
         self.pivots = 0
+
+    def unpack(self, line: int) -> list:
+        """The entries of a packed line: adding ``bias`` makes every field
+        nonnegative and the xor makes it two's complement, read by 64-bit words."""
+        words, w = self.struct.unpack(((line + self.bias) ^ self.bias).to_bytes(self.struct.size, "little")), self.words
+        values = list(words[w - 1 :: w])
+        for t in range(w - 2, -1, -1):
+            values = [(v << 64) + low for v, low in zip(values, words[t::w])]
+        return values
 
     @property
     def rhs(self) -> list:
@@ -195,7 +234,10 @@ class _Tableau:
         """Store the twin of ``nonbasic[k]`` in column k: its column is the
         negated one."""
         if self.by_col:
-            self.lines[k] = [-v for v in self.lines[k]]
+            self.lines[k] = -self.lines[k] if self.exact else [-v for v in self.lines[k]]
+        elif self.exact:
+            shift = self.b * k + 1
+            self.lines[:] = [L - (f << shift) for L, f in zip(self.lines, self.column(k))]
         else:
             for line in self.lines:
                 line[k] = -line[k]
@@ -215,26 +257,22 @@ class _Tableau:
         x, pos, cross = (k, r, -1) if self.by_col else (r, k, 1)
         P = lines[x]
         if self.exact:
-            # Edmonds' integer pivot on p = |P[pos]|: row r keeps its
-            # integers (times the sign s of the pivot) and p becomes the
-            # common denominator; every other entry becomes
-            # (a * p - f * w) / den, an exact division because each entry is
-            # a minor of the integral start. With W[pos] = p + cross*s*den
-            # the same formula gives line L's entry in the leaving column
-            # (-s*f along a row) or in row r (s*f along a column).
-            den = self.den
-            s = 1 if P[pos] > 0 else -1
-            W = P if s > 0 else [-v for v in P]
-            p = W[pos]
-            W[pos] = p + cross * s * den
-            for j, L in enumerate(lines):
+            # Edmonds' integer pivot on p = |P[pos]|: row r keeps its integers
+            # (times the sign s of the pivot) and p becomes the common
+            # denominator; every other line L becomes (L * p - f * W) / den
+            # with f = L[pos], a floor division that is exact because every
+            # field of the numerator is a multiple of den (each new entry is a
+            # minor of the integral start). With W[pos] = p + cross*s*den the
+            # same formula gives L's entry in the leaving column (-s*f along a
+            # row) or in row r (s*f along a column).
+            den, shift = self.den, self.b * pos
+            F = self.row(r) if self.by_col else self.column(k)  # every line's entry at pos
+            s = 1 if F[x] > 0 else -1
+            p, W = s * F[x], (P if s > 0 else -P) + (cross * s * den << shift)
+            for j, (L, f) in enumerate(zip(lines, F)):
                 if j != x:
-                    f = L[pos]
-                    lines[j] = [(a * p - f * w) // den for a, w in zip(L, W)] if f else [a * p // den for a in L]
-            if cross < 0:
-                W = [-w for w in W]
-            W[pos] = s * den
-            lines[x] = W
+                    lines[j] = (L * p - f * W) // den if f else L * p // den
+            lines[x] = cross * W - (cross * p << shift)  # W[pos] = s * den
             self.den = p
         else:
             # Gauss-Jordan, each number as the row-major tableau computed it:
@@ -292,6 +330,10 @@ class _Tableau:
         """den times the reduced cost of each stored column (just the
         reduced costs in float mode); ``costs`` is indexed by variable."""
         rc = [self.den * costs[v] for v in self.nonbasic]
+        if self.exact and not self.by_col:
+            # one packed combination of the rows, unpacked once
+            combined = sum(costs[b] * L for b, L in zip(self.basis, self.lines) if costs[b])
+            return [c - a for c, a in zip(rc, self.unpack(combined))]
         row_of = self.row
         for i, b in enumerate(self.basis):
             cb = costs[b]
@@ -301,6 +343,13 @@ class _Tableau:
                     if row[k]:
                         rc[k] = rc[k] - cb * row[k]
         return rc
+
+
+def _minor_bits(rows: list) -> int:
+    """A bit length above every |minor| of the integer matrix with these
+    rows: by Hadamard's inequality a minor is at most the product of the
+    Euclidean norms of its rows, and of its columns (each counted as >= 1)."""
+    return min((prod(max(1, sum(map(mul, vec, vec))) for vec in vecs).bit_length() + 1) // 2 for vecs in (rows, zip(*rows)))
 
 
 def _scaled(values, exact: bool) -> tuple:
@@ -414,17 +463,23 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
         row += [cell(-1 if v == ns + i else 0) for v in nonbasic[nvars:]]
         row.append(rhs[i])
 
-    tab = _Tableau(T, basis, nonbasic, twin, exact)
-
-    # Phase 1: drive the artificial columns to zero. Artificial i costs
-    # -L / k_i with L the lcm of those k_i: L times the unscaled objective,
-    # in integers.
+    # Phase 1 drives the artificial columns to zero: artificial i costs
+    # -L / k_i with L the lcm of those k_i, i.e. L times the unscaled
+    # objective, in integers. Phase 2 prices the real objective over the
+    # structural columns, times the lcm of its denominators in exact mode.
     art_rows = [i for i in range(m) if basis[i] >= art0]
+    costs1 = [cell(0)] * nvar
     if art_rows:
         art_lcm = lcm(*[rows[i][0] for i in art_rows])
-        costs1 = [cell(0)] * nvar
         for i in art_rows:
             costs1[art0 + i] = cell(-(art_lcm // rows[i][0]))
+    _, costs = _scaled(lp.objective, exact)
+    costs2 = [cell(0)] * nvar
+    for k, (j, s) in enumerate(struct):
+        costs2[k] = costs[j] if s > 0 else -costs[j]
+
+    tab = _Tableau(T, basis, nonbasic, twin, exact, (costs1, costs2))
+    if art_rows:
         status = _run_simplex(tab, costs1, nvar, tol)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise RuntimeError("phase 1 terminated abnormally")
@@ -445,13 +500,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
                     tab.orient(v, k)
                     tab.pivot(i, k)
 
-    # Phase 2: the real objective over structural columns, times the lcm of
-    # its denominators in exact mode.
     phase1 = tab.pivots
-    _, costs = _scaled(lp.objective, exact)
-    costs2 = [cell(0)] * nvar
-    for k, (j, s) in enumerate(struct):
-        costs2[k] = costs[j] if s > 0 else -costs[j]
     if _run_simplex(tab, costs2, art0, tol) == UNBOUNDED:
         return LpOutcome(UNBOUNDED, stats=_stats(tab, phase1, start))
 

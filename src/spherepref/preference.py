@@ -152,7 +152,10 @@ def utility(p: SphericalParams, x: Vec) -> Scalar:
             L, C, D = ints
             M, X = clear_denominators(x)
             return Fraction(C * sum(map(mul, X, X)) + M * sum(map(mul, D, X)), L * M * M)
-    return p.c * dot(x, x) + dot(p.d, x)
+    try:
+        return p.c * dot(x, x) + dot(p.d, x)
+    except OverflowError as exc:  # a huge int or Fraction meets a float
+        raise ValueError(f"a parameter or coordinate overflows a float: {exc}") from None
 
 
 def ordering_from_diff(diff: Scalar, tol: Scalar = 0) -> Ordering:
@@ -263,8 +266,10 @@ def canonicalize(p: SphericalParams, mode: str | None = None) -> SphericalParams
         m = max(abs(c), *(abs(x) for x in d)) if d else abs(c)
         return SphericalParams(c / m, tuple(x / m for x in d))
     if mode == FLOAT:
-        c = float(p.c)
-        d = to_float(p.d)
+        try:
+            c, d = float(p.c), to_float(p.d)
+        except OverflowError as exc:
+            raise ValueError(f"a parameter overflows a float: {exc}") from None
         length = math.sqrt(c * c + dot(d, d))  # left to right: the same bits on every Python
         if not 0 < length < math.inf:
             m = max(map(abs, (c, *d)))  # NaN in c makes m NaN

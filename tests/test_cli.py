@@ -195,6 +195,16 @@ def test_decompose_builtin_cubic_rejects_dimension_zero(capsys):
     assert "dimension" in err
 
 
+@pytest.mark.parametrize("command", ["decompose", "check-axioms"])
+@pytest.mark.parametrize("dim", [str(sys.maxsize + 1), str(10**400), "-1"])
+def test_dimension_outside_one_to_maxsize_exits_two(capsys, command, dim):
+    # decompose raised OverflowError with a traceback, exit 1, for 2**63; past
+    # sys.maxsize check-axioms built sample vectors without bound
+    code, out, err = run(capsys, command, "cubic1", "--dim", dim)
+    assert (code, out) == (2, "")
+    assert "dimension must be an integer from 1 to" in err and "Traceback" not in err
+
+
 def test_unusable_numbers_exit_two(capsys, tmp_path):
     # a zero denominator and non-finite floats are unusable input, not a verdict
     for command, doc in (

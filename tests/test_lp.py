@@ -755,11 +755,12 @@ class _LockStep(lp_module._Tableau):
     must agree, floats by repr (so -0.0 shows)."""
 
     shapes = []  # (rows, stored columns, stored by column) of each tableau built
+    events = set()  # (64-bit words per field, stored by column, "pivot" | "flip") in exact mode
 
-    def __init__(self, rows, basis, nonbasic, twin, exact):
+    def __init__(self, rows, basis, nonbasic, twin, exact, costs):
         T, rhs = [row[:-1] for row in rows], [row[-1] for row in rows]
         self.ref = _RowTableau(T, rhs, list(basis), list(nonbasic), twin, exact)
-        super().__init__(rows, basis, nonbasic, twin, exact)
+        super().__init__(rows, basis, nonbasic, twin, exact, costs)
         _LockStep.shapes.append((len(basis), len(nonbasic), self.by_col))
         self.check()
 
@@ -775,11 +776,17 @@ class _LockStep(lp_module._Tableau):
         super().pivot(r, k)
         self.ref.pivot(r, k)
         self.check()
+        self.record("pivot")
 
     def flip(self, k):
         super().flip(k)
         self.ref.flip(k)
         self.check()
+        self.record("flip")
+
+    def record(self, kind):
+        if self.exact:
+            _LockStep.events.add((self.words, self.by_col, kind))
 
     def leaving_row(self, k, tol):
         got = super().leaving_row(k, tol)
@@ -814,6 +821,45 @@ def test_line_storage_pivots_in_lock_step_with_the_row_tableau(monkeypatch):
     shapes = _LockStep.shapes
     assert all(by_col == (m > n) for m, n, by_col in shapes)  # by column exactly when taller than wide
     assert any(m > n for m, n, _ in shapes) and any(m < n for m, n, _ in shapes) and any(m == n for m, n, _ in shapes)
+
+
+def _scaled_lp(lp, row, obj):
+    """``lp`` with every constraint times ``row`` and the objective times
+    ``obj``: the same feasible set and optimal value times ``obj``, over
+    larger integers."""
+    cons = tuple(Constraint(tuple(row * a for a in c.coeffs), c.relation, row * c.rhs) for c in lp.constraints)
+    return LinearProgram(tuple(obj * v for v in lp.objective), cons, lp.bounds)
+
+
+def test_packed_lines_pivot_in_lock_step_at_every_field_width(monkeypatch):
+    # constraints times 2**40, 2**70 or 2**200 and objectives times 2**70 or
+    # 2**200 (the reduced-cost headroom) need fields of one, two, three and
+    # more 64-bit words; every pivot and flip, by row and by column, still
+    # gives the row-major tableau's integers
+    monkeypatch.setattr(lp_module, "_Tableau", _LockStep)
+    _LockStep.events = set()
+    rng = random.Random(2222)
+    for row, obj in ((1, 1), (2**40, 1), (2**70, 1), (1, 2**70), (2**200, 1), (1, 2**200), (2**70, 2**200)):
+        for _ in range(40):
+            lp = _mixed_lp(rng)
+            big = _scaled_lp(lp, row, obj)
+            want, got = solve(lp), solve(big)
+            assert got.status == want.status
+            if got.status == OPTIMAL:
+                assert got.objective_value == obj * want.objective_value
+                assert_primal_feasible(big, got)
+    huge = 2**200
+    edges = [
+        LinearProgram((huge,), ()),  # no rows: unbounded, and optimal at 0
+        LinearProgram((-huge,), (), ((0, None),)),
+        LinearProgram((), (Constraint((), LE, huge),)),  # no columns: feasible, infeasible
+        LinearProgram((), (Constraint((), GE, huge),)),
+        LinearProgram((huge, -1), (), ((None, huge), (0, None))),  # bound rows only
+    ]
+    assert [solve(lp).status for lp in edges] == [UNBOUNDED, OPTIMAL, OPTIMAL, INFEASIBLE, OPTIMAL]
+    assert solve(edges[-1]).objective_value == huge * huge
+    seen = {(min(words, 3), by_col, kind) for words, by_col, kind in _LockStep.events}
+    assert seen == {(w, by_col, kind) for w in (1, 2, 3) for by_col in (False, True) for kind in ("pivot", "flip")}
 
 
 @pytest.mark.parametrize(

@@ -244,6 +244,24 @@ def test_float_canonicalize_survives_squares_that_overflow_or_underflow(scale_):
     assert preference_distance(p, SphericalParams(-1.0, (-1.0, 0.0, 1.0))) == pytest.approx(math.pi)
 
 
+@pytest.mark.parametrize("p", [SphericalParams(10**400, (1,)), SphericalParams(-1, (F(10**400, 3),)), SphericalParams(F(-1, 2), (F(-(10**400), 7),))])
+def test_float_calls_refuse_parameters_too_large_for_a_float(p):
+    # each raised OverflowError from the int or Fraction -> float conversion
+    x, y, other = (0.5,), (0.25,), SphericalParams(1.0, (0.0,))
+    calls = [
+        lambda: compare(p, x, y),
+        lambda: utility(p, x),
+        lambda: canonicalize(p, FLOAT),
+        lambda: preference_distance(p, other),
+        lambda: preference_distance(other, p),
+        lambda: distinguishing_pair(p, other, random.Random(0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="overflows a float"):
+            call()
+    assert compare(p, (F(1, 2),), (F(1, 4),)) in (Ordering.BETTER, Ordering.WORSE)  # exact points still rank
+
+
 @pytest.mark.parametrize("c, d", [(math.inf, (1.0,)), (1.0, (math.nan,)), (math.nan, (1.0,)), (F(1, 10**400), (0,))])
 def test_float_canonicalize_rejects_parameters_without_a_finite_direction(c, d):
     with pytest.raises(ValueError, match="finite"):
