@@ -165,9 +165,12 @@ class _Tableau:
     combination of lines is the same combination of their entries. The
     width b = 64 * ``words`` is fixed once per solve. Every entry (``den``
     too) is, up to sign, a minor of the integral start [D | rhs], which
-    Hadamard's inequality bounds (:func:`_minor_bits`); one bit more holds
-    the sign, one the pivot line's temporary entry p +- den, and the bits of
-    the largest sum of |cost| the combination in :meth:`reduced_costs`.
+    Hadamard's inequality bounds (:func:`_minor_bits`), and one bit more
+    holds the sign. Only entries that are read back must fit their fields:
+    packed arithmetic is exact integer arithmetic on the whole line, so an
+    intermediate field that overflows (the pivot line's temporary entry
+    p +- den, or a numerator L[i] * p - f * W[i]) carries into the next one
+    and the carry cancels when the update is complete.
 
     ``twin`` maps each half of a split free variable to the other. A pair
     stores one column while both halves are nonbasic (the other half's is
@@ -175,20 +178,17 @@ class _Tableau:
     changes the number of stored columns.
     """
 
-    def __init__(self, rows: list, basis: list, nonbasic: list, twin: dict, exact: bool, costs: tuple):
-        """``rows`` are the rows of [D | rhs]; ``costs`` are the cost vectors
-        that :meth:`reduced_costs` will be given."""
+    def __init__(self, rows: list, basis: list, nonbasic: list, twin: dict, exact: bool):
+        """``rows`` are the rows of [D | rhs]."""
         self.by_col = len(rows) > len(nonbasic)
         lines = self.lines = [list(c) for c in zip(*rows)] if self.by_col else rows
         if exact:
-            w = self.words = -(-(_minor_bits(rows) + max(sum(map(abs, c)) for c in costs).bit_length() + 2) // 64)
+            w = self.words = -(-(_minor_bits(rows) + 1) // 64)
             b, fields = 64 * w, len(rows) if self.by_col else len(nonbasic) + 1
             self.b, self.mask, self.half = b, (1 << b) - 1, 1 << (b - 1)
             self.bias = self.half * ((1 << (b * fields)) - 1) // self.mask  # the top bit of every field
             self.struct = Struct("<" + ("Q" * (w - 1) + "q") * fields)  # a field's top word is signed
-            raw = [self.struct.pack(*line) if w == 1 else b"".join(v.to_bytes(8 * w, "little", signed=True) for v in line)
-                   for line in lines]
-            lines[:] = [(int.from_bytes(r, "little") ^ self.bias) - self.bias for r in raw]
+            lines[:] = [sum(v << (b * i) for i, v in enumerate(line)) for line in lines]
 
             def stored(j: int) -> list:
                 return self.unpack(lines[j])
@@ -330,10 +330,6 @@ class _Tableau:
         """den times the reduced cost of each stored column (just the
         reduced costs in float mode); ``costs`` is indexed by variable."""
         rc = [self.den * costs[v] for v in self.nonbasic]
-        if self.exact and not self.by_col:
-            # one packed combination of the rows, unpacked once
-            combined = sum(costs[b] * L for b, L in zip(self.basis, self.lines) if costs[b])
-            return [c - a for c, a in zip(rc, self.unpack(combined))]
         row_of = self.row
         for i, b in enumerate(self.basis):
             cb = costs[b]
@@ -463,23 +459,17 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
         row += [cell(-1 if v == ns + i else 0) for v in nonbasic[nvars:]]
         row.append(rhs[i])
 
-    # Phase 1 drives the artificial columns to zero: artificial i costs
-    # -L / k_i with L the lcm of those k_i, i.e. L times the unscaled
-    # objective, in integers. Phase 2 prices the real objective over the
-    # structural columns, times the lcm of its denominators in exact mode.
+    tab = _Tableau(T, basis, nonbasic, twin, exact)
+
+    # Phase 1: drive the artificial columns to zero. Artificial i costs
+    # -L / k_i with L the lcm of those k_i: L times the unscaled objective,
+    # in integers.
     art_rows = [i for i in range(m) if basis[i] >= art0]
-    costs1 = [cell(0)] * nvar
     if art_rows:
         art_lcm = lcm(*[rows[i][0] for i in art_rows])
+        costs1 = [cell(0)] * nvar
         for i in art_rows:
             costs1[art0 + i] = cell(-(art_lcm // rows[i][0]))
-    _, costs = _scaled(lp.objective, exact)
-    costs2 = [cell(0)] * nvar
-    for k, (j, s) in enumerate(struct):
-        costs2[k] = costs[j] if s > 0 else -costs[j]
-
-    tab = _Tableau(T, basis, nonbasic, twin, exact, (costs1, costs2))
-    if art_rows:
         status = _run_simplex(tab, costs1, nvar, tol)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise RuntimeError("phase 1 terminated abnormally")
@@ -500,7 +490,13 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
                     tab.orient(v, k)
                     tab.pivot(i, k)
 
+    # Phase 2: the real objective over structural columns, times the lcm of
+    # its denominators in exact mode.
     phase1 = tab.pivots
+    _, costs = _scaled(lp.objective, exact)
+    costs2 = [cell(0)] * nvar
+    for k, (j, s) in enumerate(struct):
+        costs2[k] = costs[j] if s > 0 else -costs[j]
     if _run_simplex(tab, costs2, art0, tol) == UNBOUNDED:
         return LpOutcome(UNBOUNDED, stats=_stats(tab, phase1, start))
 

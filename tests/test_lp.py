@@ -757,10 +757,10 @@ class _LockStep(lp_module._Tableau):
     shapes = []  # (rows, stored columns, stored by column) of each tableau built
     events = set()  # (64-bit words per field, stored by column, "pivot" | "flip") in exact mode
 
-    def __init__(self, rows, basis, nonbasic, twin, exact, costs):
+    def __init__(self, rows, basis, nonbasic, twin, exact):
         T, rhs = [row[:-1] for row in rows], [row[-1] for row in rows]
         self.ref = _RowTableau(T, rhs, list(basis), list(nonbasic), twin, exact)
-        super().__init__(rows, basis, nonbasic, twin, exact, costs)
+        super().__init__(rows, basis, nonbasic, twin, exact)
         _LockStep.shapes.append((len(basis), len(nonbasic), self.by_col))
         self.check()
 
@@ -832,10 +832,10 @@ def _scaled_lp(lp, row, obj):
 
 
 def test_packed_lines_pivot_in_lock_step_at_every_field_width(monkeypatch):
-    # constraints times 2**40, 2**70 or 2**200 and objectives times 2**70 or
-    # 2**200 (the reduced-cost headroom) need fields of one, two, three and
-    # more 64-bit words; every pivot and flip, by row and by column, still
-    # gives the row-major tableau's integers
+    # constraints times 2**40, 2**70 or 2**200 need fields of one, two, three
+    # and more 64-bit words, and objectives times 2**70 or 2**200 give large
+    # reduced costs over narrow fields; every pivot and flip, by row and by
+    # column, still gives the row-major tableau's integers
     monkeypatch.setattr(lp_module, "_Tableau", _LockStep)
     _LockStep.events = set()
     rng = random.Random(2222)
