@@ -2,9 +2,10 @@
 
 Rationals serialize as ``"p/q"`` strings (integers as plain JSON numbers),
 floats as their shortest round-trip decimal. Parsing is the inverse: JSON
-integers stay exact, ``"p/q"`` strings become fractions, everything else is
-a float. Non-finite floats, zero denominators, non-object documents and
-documents nested beyond the parser's recursion limit are rejected.
+integers stay exact, ``"p/q"`` strings (``-?digits/digits``, ASCII) become
+fractions, other numbers are floats. Other strings, non-finite floats, zero
+denominators, non-object documents and documents nested beyond the parser's
+recursion limit are rejected.
 """
 
 from __future__ import annotations
@@ -31,6 +32,15 @@ def scalar_to_json(s: Scalar):
 
 
 def scalar_from_json(v) -> Scalar:
+    if isinstance(v, str):  # first: most scalars of a document are "p/q" strings
+        num, _, den = v.partition("/")
+        sign = num.rstrip("0123456789")  # "" or "-", no new string, when num is -?digits
+        if not (v.isascii() and den.isdigit() and sign in ("", "-") and num != sign):
+            raise ValueError(f'not a "p/q" scalar: {v!r}')
+        try:
+            return Fraction(int(num), int(den))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {v!r}") from None
     if isinstance(v, bool):
         raise ValueError("booleans are not scalars")
     if isinstance(v, int):
@@ -39,12 +49,6 @@ def scalar_from_json(v) -> Scalar:
         if not math.isfinite(v):
             raise ValueError(f"not a finite number: {v!r}")
         return v
-    if isinstance(v, str):
-        num, _, den = v.partition("/")
-        try:
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {v!r}") from None
     raise ValueError(f"not a scalar: {v!r}")
 
 

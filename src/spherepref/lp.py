@@ -36,19 +36,23 @@ Programming*, ch. 5): along a column the cross entry only changes sign, and
 every number is the one the row-major tableau computes.
 
 Exact mode pivots fraction-free (Edmonds 1967, Bareiss 1968). Each row is
-scaled once by the lcm of its denominators, so the tableau starts integral,
-and it stays integral over one common positive denominator ``den``: the
-true tableau is A / den with A = [D | rhs]. A pivot on p = A[r][c] maps
-each entry A[i][j] off row r to (A[i][j] * p - A[i][c] * A[r][j]) / den, a
-division that is always exact, and p becomes the new ``den``; no gcd is
-ever taken inside the simplex. Each line of A is one integer that packs its
-entries into fixed-width fields (Kronecker substitution), so a pivot updates
-a line with three big-int operations, whatever its length. Row scaling
+scaled once by the lcm of its denominators (integer rows enter as they
+are), so the tableau starts integral, and it stays integral over one common
+positive denominator ``den``: the true tableau is A / den with A = [D | rhs]
+and the objective row below it. A pivot on p = A[r][c] maps each entry
+A[i][j] off row r to (A[i][j] * p - A[i][c] * A[r][j]) / den, a division
+that is always exact, and p becomes the new ``den``; no gcd is ever taken
+inside the simplex. Each line of A is one integer that packs its entries
+into fixed-width fields (Kronecker substitution), so a pivot updates a line
+with three big-int operations, whatever its length. Each phase prices once
+into the objective row (-den times each reduced cost, then den times the
+objective value), which the pivots carry like any other row; the prices,
+the phase 1 verdict and the optimal value are read off it. Row scaling
 multiplies each row of the true tableau, each ratio of one ratio test and
 each reduced cost by a positive factor, so every entering and leaving choice
 is the one a Fraction tableau would make: the pivots, and so the outputs,
 are the same. Float mode keeps plain Gauss-Jordan pivots on floats with
-small tolerances.
+small tolerances, and prices from scratch before every pivot.
 
 An outcome reports the status and, when optimal, the primal point and the
 objective value, plus an :class:`LpStats` record of the solve. A lower
@@ -160,17 +164,20 @@ class _Tableau:
     and ``den`` stays 1.
 
     In exact mode the true tableau is ``[D | rhs] / den`` for one common
-    denominator ``den > 0``, and a line is one int, sum(entry_i * 2**(b*i)):
-    entry i is the signed field at bits [b*i, b*(i+1)), and a linear
-    combination of lines is the same combination of their entries. The
-    width b = 64 * ``words`` is fixed once per solve. Every entry (``den``
-    too) is, up to sign, a minor of the integral start [D | rhs], which
-    Hadamard's inequality bounds (:func:`_minor_bits`), and one bit more
-    holds the sign. Only entries that are read back must fit their fields:
-    packed arithmetic is exact integer arithmetic on the whole line, so an
-    intermediate field that overflows (the pivot line's temporary entry
-    p +- den, or a numerator L[i] * p - f * W[i]) carries into the next one
-    and the carry cancels when the update is complete.
+    denominator ``den > 0``, with the objective as row m = ``len(basis)``
+    (see :meth:`seed`): a field of every line by column, a line by row;
+    ``row(m)`` reads it, ``column(k)`` and ``rhs`` leave it out. A line is
+    one int, sum(entry_i * 2**(b*i)): entry i is the signed field at bits
+    [b*i, b*(i+1)), and a linear combination of lines is the same
+    combination of their entries. The width b = 64 * ``words`` is fixed
+    once per solve. Every entry (``den`` too) is, up to sign, a minor of the
+    integral start [D | rhs] bordered by a phase's start objective row (one
+    of ``starts``), which Hadamard's inequality bounds (:func:`_minor_bits`),
+    and one bit more holds the sign. Only entries that are read back must
+    fit their fields: packed arithmetic is exact integer arithmetic on the
+    whole line, so an intermediate field that overflows (the pivot line's
+    temporary entry p +- den, or a numerator L[i] * p - f * W[i]) carries
+    into the next one and the carry cancels when the update is complete.
 
     ``twin`` maps each half of a split free variable to the other. A pair
     stores one column while both halves are nonbasic (the other half's is
@@ -178,16 +185,18 @@ class _Tableau:
     changes the number of stored columns.
     """
 
-    def __init__(self, rows: list, basis: list, nonbasic: list, twin: dict, exact: bool):
+    def __init__(self, rows: list, basis: list, nonbasic: list, twin: dict, exact: bool, starts: list):
         """``rows`` are the rows of [D | rhs]."""
-        self.by_col = len(rows) > len(nonbasic)
+        m = len(rows)
+        self.by_col = m > len(nonbasic)
         lines = self.lines = [list(c) for c in zip(*rows)] if self.by_col else rows
         if exact:
-            w = self.words = -(-(_minor_bits(rows) + 1) // 64)
-            b, fields = 64 * w, len(rows) if self.by_col else len(nonbasic) + 1
+            w = self.words = -(-(_minor_bits(rows, starts) + 1) // 64)
+            b, fields = 64 * w, m + 1 if self.by_col else len(nonbasic) + 1
             self.b, self.mask, self.half = b, (1 << b) - 1, 1 << (b - 1)
             self.bias = self.half * ((1 << (b * fields)) - 1) // self.mask  # the top bit of every field
-            self.struct = Struct("<" + ("Q" * (w - 1) + "q") * fields)  # a field's top word is signed
+            self.size = 8 * w * fields  # unpack reads no column's objective field
+            self.struct = Struct("<" + ("Q" * (w - 1) + "q") * (fields - self.by_col))  # a field's top word is signed
             lines[:] = [sum(v << (b * i) for i, v in enumerate(line)) for line in lines]
 
             def stored(j: int) -> list:
@@ -202,8 +211,10 @@ class _Tableau:
             def across(j: int) -> list:
                 return [line[j] for line in lines]
 
-        # entry j of every line: a row when stored by column, a column when stored by row
-        self.column, self.row = (stored, across) if self.by_col else (across, stored)
+        # entry j of every line: a row when stored by column, a column (and
+        # its objective entry in exact mode) when stored by row
+        self.across = across
+        self.column, self.row = (stored, across) if self.by_col else ((lambda k: across(k)[:m]) if exact else across, stored)
         self.basis = basis
         self.nonbasic = nonbasic
         self.twin = twin
@@ -214,7 +225,7 @@ class _Tableau:
     def unpack(self, line: int) -> list:
         """The entries of a packed line: adding ``bias`` makes every field
         nonnegative and the xor makes it two's complement, read by 64-bit words."""
-        words, w = self.struct.unpack(((line + self.bias) ^ self.bias).to_bytes(self.struct.size, "little")), self.words
+        words, w = self.struct.unpack_from(((line + self.bias) ^ self.bias).to_bytes(self.size, "little")), self.words
         values = list(words[w - 1 :: w])
         for t in range(w - 2, -1, -1):
             values = [(v << 64) + low for v, low in zip(values, words[t::w])]
@@ -237,7 +248,7 @@ class _Tableau:
             self.lines[k] = -self.lines[k] if self.exact else [-v for v in self.lines[k]]
         elif self.exact:
             shift = self.b * k + 1
-            self.lines[:] = [L - (f << shift) for L, f in zip(self.lines, self.column(k))]
+            self.lines[:] = [L - (f << shift) for L, f in zip(self.lines, self.across(k))]
         else:
             for line in self.lines:
                 line[k] = -line[k]
@@ -266,7 +277,7 @@ class _Tableau:
             # same formula gives L's entry in the leaving column (-s*f along a
             # row) or in row r (s*f along a column).
             den, shift = self.den, self.b * pos
-            F = self.row(r) if self.by_col else self.column(k)  # every line's entry at pos
+            F = self.across(pos)  # every line's entry at pos
             s = 1 if F[x] > 0 else -1
             p, W = s * F[x], (P if s > 0 else -P) + (cross * s * den << shift)
             for j, (L, f) in enumerate(zip(lines, F)):
@@ -327,8 +338,8 @@ class _Tableau:
         return best
 
     def reduced_costs(self, costs: list) -> list:
-        """den times the reduced cost of each stored column (just the
-        reduced costs in float mode); ``costs`` is indexed by variable."""
+        """den times the reduced cost of each stored column, from scratch (just
+        the reduced costs in float mode); ``costs`` is indexed by variable."""
         rc = [self.den * costs[v] for v in self.nonbasic]
         row_of = self.row
         for i, b in enumerate(self.basis):
@@ -340,18 +351,34 @@ class _Tableau:
                         rc[k] = rc[k] - cb * row[k]
         return rc
 
+    def seed(self, costs: list) -> None:
+        """Price ``costs`` from scratch into the objective row, which the
+        pivots then carry: -den * reduced cost per stored column, den * z last."""
+        m = len(self.basis)
+        obj = [-v for v in self.reduced_costs(costs)] + [sum(map(mul, [costs[v] for v in self.basis], self.rhs))]
+        if self.by_col:
+            self.lines[:] = [L + ((v - o) << (self.b * m)) for L, v, o in zip(self.lines, obj, self.row(m))]
+        else:
+            self.lines[m:] = [sum(v << (self.b * i) for i, v in enumerate(obj))]
 
-def _minor_bits(rows: list) -> int:
+
+def _minor_bits(rows: list, starts: list) -> int:
     """A bit length above every |minor| of the integer matrix with these
-    rows: by Hadamard's inequality a minor is at most the product of the
-    Euclidean norms of its rows, and of its columns (each counted as >= 1)."""
-    return min((prod(max(1, sum(map(mul, vec, vec))) for vec in vecs).bit_length() + 1) // 2 for vecs in (rows, zip(*rows)))
+    rows and any one row of ``starts`` appended (the bordered matrix): by
+    Hadamard's inequality a minor is at most the product of the Euclidean
+    norms of its rows, and of its columns (each counted as >= 1)."""
+    by_row, by_col = prod(max(1, sum(map(mul, v, v))) for v in rows), [sum(map(mul, v, v)) for v in zip(*rows)]
+    bound = lambda o: min(by_row * max(1, sum(map(mul, o, o))), prod(max(1, c + v * v) for c, v in zip(by_col or [0] * len(o), o)))
+    return max((bound(o).bit_length() + 1) // 2 for o in starts)
 
 
-def _scaled(values, exact: bool) -> tuple:
+def _scaled(values: tuple, exact: bool) -> tuple:
     """(k, [k * v for v in values]) with k the least positive integer making
-    every entry an integer in exact mode; (1, the values as floats) else."""
-    return clear_denominators(values) if exact else (1, [float(v) for v in values])
+    every entry an integer in exact mode (all-int values as they are); (1,
+    the values as floats) else."""
+    if not exact:
+        return 1, [float(v) for v in values]
+    return (1, values) if {int}.issuperset(map(type, values)) else clear_denominators(values)
 
 
 def _stats(tab: _Tableau, phase1: int, start: float) -> LpStats:
@@ -362,10 +389,13 @@ def _stats(tab: _Tableau, phase1: int, start: float) -> LpStats:
 def _run_simplex(tab: _Tableau, costs: list, limit: int, tol) -> str:
     """Bland-rule pivoting until optimal or unbounded; only variables
     numbered below ``limit`` may enter. The unstored twin of a column is
-    offered with the negated reduced cost."""
-    twin = tab.twin
+    offered with the negated reduced cost. Exact mode reads the prices off
+    the objective row it seeds, float mode prices before every pivot."""
+    twin, m = tab.twin, len(tab.basis)
+    if tab.exact:
+        tab.seed(costs)
     for _ in range(_MAX_ITER):
-        rc = tab.reduced_costs(costs)
+        rc = [-v for v in tab.row(m)[:-1]] if tab.exact else tab.reduced_costs(costs)
         entering = [(v, k) for k, v in enumerate(tab.nonbasic) if v < limit and rc[k] > tol]
         entering += [(twin[v], k) for k, v in enumerate(tab.nonbasic) if v in twin and -rc[k] > tol]
         if not entering:
@@ -389,17 +419,14 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
     """
     start = perf_counter()
     if mode == EXACT:
-        conv, cell = Fraction, int
-        tol = 0
+        cell, tol = int, 0
     elif mode == FLOAT:
-        conv, cell = float, float
-        tol = _FLOAT_TOL
+        cell, tol = float, _FLOAT_TOL
     else:
         raise ValueError(f"unknown arithmetic mode: {mode!r}")
     exact = mode == EXACT
 
     nvars = len(lp.objective)
-    objective = [conv(v) for v in lp.objective]
     bounds = lp.bounds if lp.bounds is not None else ((None, None),) * nvars
 
     # Variable kinds: a zero lower bound becomes a plain nonnegative column;
@@ -459,22 +486,33 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
         row += [cell(-1 if v == ns + i else 0) for v in nonbasic[nvars:]]
         row.append(rhs[i])
 
-    tab = _Tableau(T, basis, nonbasic, twin, exact)
-
-    # Phase 1: drive the artificial columns to zero. Artificial i costs
-    # -L / k_i with L the lcm of those k_i: L times the unscaled objective,
-    # in integers.
+    # Phase 1 costs artificial i -L / k_i with L the lcm of those k_i: L times
+    # the unscaled objective, in integers. Phase 2 costs the real objective,
+    # times the lcm k_obj of its denominators in exact mode. Their objective
+    # rows over the start basis: -costs2 (that basis costs nothing in phase
+    # 2), and the costed sum of the artificials' rows.
     art_rows = [i for i in range(m) if basis[i] >= art0]
+    k_obj, costs = _scaled(lp.objective, exact)
+    costs2 = [cell(0)] * nvar
+    for k, (j, s) in enumerate(struct):
+        costs2[k] = costs[j] if s > 0 else -costs[j]
+    starts = [[-costs2[v] for v in nonbasic] + [0]]
     if art_rows:
         art_lcm = lcm(*[rows[i][0] for i in art_rows])
         costs1 = [cell(0)] * nvar
         for i in art_rows:
             costs1[art0 + i] = cell(-(art_lcm // rows[i][0]))
+        if exact:
+            weights = [costs1[art0 + i] for i in art_rows]
+            starts.append([sum(map(mul, weights, col)) for col in zip(*[T[i] for i in art_rows])])
+    tab = _Tableau(T, basis, nonbasic, twin, exact, starts)
+
+    if art_rows:
         status = _run_simplex(tab, costs1, nvar, tol)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise RuntimeError("phase 1 terminated abnormally")
         rhs = tab.rhs
-        value1 = dot([costs1[v] for v in basis], rhs)
+        value1 = tab.row(m)[-1] if exact else dot([costs1[v] for v in basis], rhs)  # den * z in exact mode
         infeas_cut = 0 if exact else -_FEAS_TOL * (1 + max(map(abs, rhs), default=0))
         if value1 < infeas_cut:
             return LpOutcome(INFEASIBLE, stats=_stats(tab, tab.pivots, start))
@@ -490,27 +528,15 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
                     tab.orient(v, k)
                     tab.pivot(i, k)
 
-    # Phase 2: the real objective over structural columns, times the lcm of
-    # its denominators in exact mode.
     phase1 = tab.pivots
-    _, costs = _scaled(lp.objective, exact)
-    costs2 = [cell(0)] * nvar
-    for k, (j, s) in enumerate(struct):
-        costs2[k] = costs[j] if s > 0 else -costs[j]
     if _run_simplex(tab, costs2, art0, tol) == UNBOUNDED:
         return LpOutcome(UNBOUNDED, stats=_stats(tab, phase1, start))
 
-    values = [conv(0)] * ns
-    rhs = tab.rhs
+    rhs, nums = tab.rhs, [cell(0)] * nvars
     for i, b in enumerate(basis):
         if b < ns:
-            values[b] = Fraction(rhs[i], tab.den) if exact else rhs[i]
-    primal = [conv(0)] * nvars
-    for k, (j, s) in enumerate(struct):
-        primal[j] = primal[j] + (values[k] if s > 0 else -values[k])
-    return LpOutcome(
-        OPTIMAL,
-        primal=tuple(primal),
-        objective_value=conv(dot(tuple(objective), tuple(primal))),  # dot of no entries is the int 0
-        stats=_stats(tab, phase1, start),
-    )
+            j, s = struct[b]
+            nums[j] += s * rhs[i]
+    primal = tuple(Fraction(v, tab.den) for v in nums) if exact else tuple(nums)  # exact: integers over den
+    value = Fraction(tab.row(m)[-1], tab.den * k_obj) if exact else float(dot(costs, primal))  # dot of no entries is the int 0
+    return LpOutcome(OPTIMAL, primal=primal, objective_value=value, stats=_stats(tab, phase1, start))

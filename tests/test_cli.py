@@ -218,6 +218,28 @@ def test_unusable_numbers_exit_two(capsys, tmp_path):
         assert err.startswith("error:")
 
 
+LAX_SCALARS = ["1/", "3", "1_0/3", " 1/2", "+1/2", "1/-2", "\u0661/2"]
+SCALAR_DOCS = {  # a document of each subcommand that reads scalars, with s in one spot
+    "classify": lambda s: {"c": s, "d": [1, 0, 0]},
+    "rationalize": lambda s: {"dimension": 3, "weak": [], "strict": [{"better": [s, 0, 0], "worse": [0, 0, 0]}]},
+    "check-axioms": lambda s: {"c": -1, "d": [2, s, 0]},
+    "decompose": lambda s: {"A": [[1, 0], [0, 1]], "b": [0, s]},
+    "generate": lambda s: {"c": -1, "d": [s, 0, 0]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCALAR_DOCS))
+def test_scalar_strings_other_than_p_over_q_exit_two(capsys, tmp_path, command):
+    # int() let these through: "1/" read as 1, "3" as 3, "1_0/3" as 10/3 and
+    # " 1/2" as 1/2; a scalar string is -?digits/digits in ASCII, nothing else
+    for bad in LAX_SCALARS:
+        code, out, err = run(capsys, command, write(tmp_path, "bad.json", SCALAR_DOCS[command](bad)))
+        assert (code, out) == (2, ""), (command, bad)
+        assert err.startswith("error:") and repr(bad) in err
+    code, _, _ = run(capsys, command, write(tmp_path, "good.json", SCALAR_DOCS[command]("-1/2")))
+    assert code in (0, 1)
+
+
 def test_rationalize_float_undecided_exits_two(capsys, tmp_path):
     # 1e308 squared overflows, so float mode cannot decide; that is not a
     # verdict, while exact mode still decides the same file
@@ -493,7 +515,8 @@ extremes = st.sampled_from([1e308, -1e308, 10**400, -10**400, 5e-324, f"1/{10**4
 fuzz_scalars = st.one_of(
     st.integers(-3, 3),
     st.sampled_from([0.5, -1.25, 1e-300, 1e308, float("nan"), float("inf"),
-                     "1/2", "-3/4", "1/0", "x", "", None, True, [], {}]),
+                     "1/2", "-3/4", "1/0", "x", "", None, True, [], {},
+                     "1/", "3", "1_0/3", " 1/2"]),
     extremes,
 )
 garbage = st.one_of(fuzz_scalars, st.lists(fuzz_scalars, max_size=4))

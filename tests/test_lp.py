@@ -106,6 +106,10 @@ def assert_certified(lp, out):
         d = solve(dual)
         assert d.status == OPTIMAL and -d.objective_value == out.objective_value
         assert_primal_feasible(dual, d)
+        # the value read off the objective row, over den and the objective's
+        # lcm, is the objective at the primal point, split variables and all
+        assert out.objective_value == dot(lp.objective, out.primal)
+        assert d.objective_value == dot(dual.objective, d.primal)
     elif out.status == INFEASIBLE:
         assert_infeasible(lp)
     else:
@@ -737,6 +741,36 @@ def test_stats_record_the_solve():
     assert solve(LinearProgram((1,), ())).stats.columns == 1
 
 
+def test_exact_mode_prices_from_scratch_once_per_phase(monkeypatch):
+    # exact mode prices into the objective row when a phase starts and reads
+    # the prices off it after every pivot; float mode prices before each one
+    priced, runs = [], []
+    price, run = lp_module._Tableau.reduced_costs, lp_module._run_simplex
+
+    def counting_price(tab, costs):
+        priced.append(tab.exact)
+        return price(tab, costs)
+
+    def counting_run(tab, costs, limit, tol):
+        before = tab.pivots
+        status = run(tab, costs, limit, tol)
+        runs.append((tab.exact, tab.pivots - before))
+        return status
+
+    monkeypatch.setattr(lp_module._Tableau, "reduced_costs", counting_price)
+    monkeypatch.setattr(lp_module, "_run_simplex", counting_run)
+    rng = random.Random(11)
+    lps = [_tall_lp(rng) for _ in range(40)]
+    for mode in (EXACT, FLOAT):
+        for lp in lps:
+            solve(lp, mode)
+    exact = [pivots for is_exact, pivots in runs if is_exact]
+    approx = [pivots for is_exact, pivots in runs if not is_exact]
+    assert 40 < len(exact) <= 80 and sum(exact) > 10 * len(exact)  # both phases, many pivots each
+    assert priced.count(True) == len(exact)
+    assert priced.count(False) == len(approx) + sum(approx)  # once per pivot, and once more to stop
+
+
 def test_golden_pivot_counts():
     # the pivots behind test_golden_outcomes and test_golden_tall_outcomes
     rng = random.Random(5)
@@ -752,15 +786,18 @@ class _LockStep(lp_module._Tableau):
     """The tableau under test, run against a row-major :class:`_RowTableau`
     built from copies of the same start: every call goes to both, and after
     each pivot and flip every entry, rhs, ``den``, ``basis`` and ``nonbasic``
-    must agree, floats by repr (so -0.0 shows)."""
+    must agree, floats by repr (so -0.0 shows). In exact mode the carried
+    objective row must also equal the reference's reduced costs, priced from
+    scratch, negated, and den * z."""
 
     shapes = []  # (rows, stored columns, stored by column) of each tableau built
     events = set()  # (64-bit words per field, stored by column, "pivot" | "flip") in exact mode
 
-    def __init__(self, rows, basis, nonbasic, twin, exact):
+    def __init__(self, rows, basis, nonbasic, twin, exact, starts):
         T, rhs = [row[:-1] for row in rows], [row[-1] for row in rows]
         self.ref = _RowTableau(T, rhs, list(basis), list(nonbasic), twin, exact)
-        super().__init__(rows, basis, nonbasic, twin, exact)
+        self.costs = None  # the costs of the phase being run, once it has seeded the objective row
+        super().__init__(rows, basis, nonbasic, twin, exact, starts)
         _LockStep.shapes.append((len(basis), len(nonbasic), self.by_col))
         self.check()
 
@@ -771,6 +808,14 @@ class _LockStep(lp_module._Tableau):
         cols = [[row[k] for row in want] for k in range(len(self.nonbasic) + 1)]
         assert repr([self.column(k) for k in range(len(cols))]) == repr(cols)
         assert (self.den, self.basis, self.nonbasic) == (ref.den, ref.basis, ref.nonbasic)
+        if self.exact and self.costs is not None:
+            z = sum(self.costs[b] * v for b, v in zip(ref.basis, ref.rhs))
+            assert self.row(len(self.basis)) == [-v for v in ref.reduced_costs(self.costs)] + [z]
+
+    def seed(self, costs):
+        super().seed(costs)
+        self.costs = costs
+        self.check()
 
     def pivot(self, r, k):
         super().pivot(r, k)
@@ -785,7 +830,7 @@ class _LockStep(lp_module._Tableau):
         self.record("flip")
 
     def record(self, kind):
-        if self.exact:
+        if self.exact and self.costs is not None:  # the objective row was checked too
             _LockStep.events.add((self.words, self.by_col, kind))
 
     def leaving_row(self, k, tol):
@@ -833,9 +878,10 @@ def _scaled_lp(lp, row, obj):
 
 def test_packed_lines_pivot_in_lock_step_at_every_field_width(monkeypatch):
     # constraints times 2**40, 2**70 or 2**200 need fields of one, two, three
-    # and more 64-bit words, and objectives times 2**70 or 2**200 give large
-    # reduced costs over narrow fields; every pivot and flip, by row and by
-    # column, still gives the row-major tableau's integers
+    # and more 64-bit words, and objectives times 2**70 or 2**200 give wide
+    # objective rows beside narrow constraint rows; every pivot and flip, by
+    # row and by column, still gives the row-major tableau's integers and its
+    # reduced costs in the carried objective row
     monkeypatch.setattr(lp_module, "_Tableau", _LockStep)
     _LockStep.events = set()
     rng = random.Random(2222)
