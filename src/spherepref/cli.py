@@ -132,8 +132,6 @@ def _resolve_comparison_oracle(args) -> axioms.ComparisonOracle:
 
 
 def _cmd_check_axioms(args) -> int:
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
     oracle = _resolve_comparison_oracle(args)
     if oracle.dim < 3:
         print(
@@ -176,8 +174,6 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be at least 1")
     params = _load_params(args.params)
     data = rat.generate_dataset(params, args.count, rng_seed=args.seed, radius=args.radius)
     print(dumps(data.to_dict()))

@@ -36,23 +36,23 @@ Programming*, ch. 5): along a column the cross entry only changes sign, and
 every number is the one the row-major tableau computes.
 
 Exact mode pivots fraction-free (Edmonds 1967, Bareiss 1968). Each row is
-scaled once by the lcm of its denominators (integer rows enter as they
-are), so the tableau starts integral, and it stays integral over one common
+scaled once by the lcm of its denominators (integer rows enter as they are),
+so the tableau starts integral, and it stays integral over one common
 positive denominator ``den``: the true tableau is A / den with A = [D | rhs]
-and the objective row below it. A pivot on p = A[r][c] maps each entry
+and the objective rows below it. A pivot on p = A[r][c] maps each entry
 A[i][j] off row r to (A[i][j] * p - A[i][c] * A[r][j]) / den, a division
 that is always exact, and p becomes the new ``den``; no gcd is ever taken
 inside the simplex. Each line of A is one integer that packs its entries
 into fixed-width fields (Kronecker substitution), so a pivot updates a line
-with three big-int operations, whatever its length. Each phase prices once
-into the objective row (-den times each reduced cost, then den times the
-objective value), which the pivots carry like any other row; the prices,
-the phase 1 verdict and the optimal value are read off it. Row scaling
-multiplies each row of the true tableau, each ratio of one ratio test and
-each reduced cost by a positive factor, so every entering and leaving choice
-is the one a Fraction tableau would make: the pivots, and so the outputs,
-are the same. Float mode keeps plain Gauss-Jordan pivots on floats with
-small tolerances, and prices from scratch before every pivot.
+with three big-int operations, whatever its length. The pivots carry the
+objective rows of both phases like any other row (-den times each reduced
+cost, then den times the objective value), so exact mode never prices: the
+prices, the phase 1 verdict and the optimal value are read off them. Row
+scaling multiplies each row of the true tableau, each ratio of one ratio
+test and each reduced cost by a positive factor, so every entering and
+leaving choice is the one a Fraction tableau would make: the pivots, and so
+the outputs, are the same. Float mode keeps plain Gauss-Jordan pivots on
+floats with small tolerances, and prices from scratch before every pivot.
 
 An outcome reports the status and, when optimal, the primal point and the
 objective value, plus an :class:`LpStats` record of the solve. A lower
@@ -164,20 +164,20 @@ class _Tableau:
     and ``den`` stays 1.
 
     In exact mode the true tableau is ``[D | rhs] / den`` for one common
-    denominator ``den > 0``, with the objective as row m = ``len(basis)``
-    (see :meth:`seed`): a field of every line by column, a line by row;
-    ``row(m)`` reads it, ``column(k)`` and ``rhs`` leave it out. A line is
-    one int, sum(entry_i * 2**(b*i)): entry i is the signed field at bits
-    [b*i, b*(i+1)), and a linear combination of lines is the same
-    combination of their entries. The width b = 64 * ``words`` is fixed
-    once per solve. Every entry (``den`` too) is, up to sign, a minor of the
-    integral start [D | rhs] bordered by a phase's start objective row (one
-    of ``starts``), which Hadamard's inequality bounds (:func:`_minor_bits`),
-    and one bit more holds the sign. Only entries that are read back must
-    fit their fields: packed arithmetic is exact integer arithmetic on the
-    whole line, so an intermediate field that overflows (the pivot line's
-    temporary entry p +- den, or a numerator L[i] * p - f * W[i]) carries
-    into the next one and the carry cancels when the update is complete.
+    denominator ``den > 0``, with phase 2's objective as row m =
+    ``len(basis)`` and, given artificials, phase 1's as row m + 1: fields of
+    every line by column, lines by row. ``row(m)`` reads one; ``column(k)``
+    and ``rhs`` leave them out. A line is one int, sum(entry_i * 2**(b*i)):
+    entry i is the signed field at bits [b*i, b*(i+1)), and a linear
+    combination of lines is the same combination of their entries. The width
+    b = 64 * ``words`` is fixed per solve. Every entry (``den`` too) is, up
+    to sign, a minor of the integral start, objective rows included, which
+    Hadamard's inequality bounds (:func:`_minor_bits`), and one bit more
+    holds the sign. Only entries read back must fit their fields: packed
+    arithmetic is exact integer arithmetic on the whole line, so an
+    intermediate field that overflows (the pivot line's temporary entry
+    p +- den, or a numerator L[i] * p - f * W[i]) carries into the next one
+    and the carry cancels when the update is complete.
 
     ``twin`` maps each half of a split free variable to the other. A pair
     stores one column while both halves are nonbasic (the other half's is
@@ -185,18 +185,18 @@ class _Tableau:
     changes the number of stored columns.
     """
 
-    def __init__(self, rows: list, basis: list, nonbasic: list, twin: dict, exact: bool, starts: list):
-        """``rows`` are the rows of [D | rhs]."""
-        m = len(rows)
+    def __init__(self, rows: list, basis: list, nonbasic: list, twin: dict, exact: bool):
+        """``rows`` are the rows of [D | rhs], then in exact mode the objective rows."""
+        m = len(basis)
         self.by_col = m > len(nonbasic)
         lines = self.lines = [list(c) for c in zip(*rows)] if self.by_col else rows
         if exact:
-            w = self.words = -(-(_minor_bits(rows, starts) + 1) // 64)
-            b, fields = 64 * w, m + 1 if self.by_col else len(nonbasic) + 1
+            w = self.words = -(-(_minor_bits(lines) + 1) // 64)
+            b, fields = 64 * w, len(rows) if self.by_col else len(nonbasic) + 1
             self.b, self.mask, self.half = b, (1 << b) - 1, 1 << (b - 1)
             self.bias = self.half * ((1 << (b * fields)) - 1) // self.mask  # the top bit of every field
-            self.size = 8 * w * fields  # unpack reads no column's objective field
-            self.struct = Struct("<" + ("Q" * (w - 1) + "q") * (fields - self.by_col))  # a field's top word is signed
+            self.size = 8 * w * fields  # unpack reads no column's objective fields
+            self.struct = Struct("<" + ("Q" * (w - 1) + "q") * (m if self.by_col else fields))  # a field's top word is signed
             lines[:] = [sum(v << (b * i) for i, v in enumerate(line)) for line in lines]
 
             def stored(j: int) -> list:
@@ -212,7 +212,7 @@ class _Tableau:
                 return [line[j] for line in lines]
 
         # entry j of every line: a row when stored by column, a column (and
-        # its objective entry in exact mode) when stored by row
+        # its objective entries in exact mode) when stored by row
         self.across = across
         self.column, self.row = (stored, across) if self.by_col else ((lambda k: across(k)[:m]) if exact else across, stored)
         self.basis = basis
@@ -338,9 +338,9 @@ class _Tableau:
         return best
 
     def reduced_costs(self, costs: list) -> list:
-        """den times the reduced cost of each stored column, from scratch (just
-        the reduced costs in float mode); ``costs`` is indexed by variable."""
-        rc = [self.den * costs[v] for v in self.nonbasic]
+        """The reduced cost of each stored column, from scratch, in float mode
+        (exact mode carries them); ``costs`` is indexed by variable."""
+        rc = [costs[v] for v in self.nonbasic]
         row_of = self.row
         for i, b in enumerate(self.basis):
             cb = costs[b]
@@ -351,25 +351,13 @@ class _Tableau:
                         rc[k] = rc[k] - cb * row[k]
         return rc
 
-    def seed(self, costs: list) -> None:
-        """Price ``costs`` from scratch into the objective row, which the
-        pivots then carry: -den * reduced cost per stored column, den * z last."""
-        m = len(self.basis)
-        obj = [-v for v in self.reduced_costs(costs)] + [sum(map(mul, [costs[v] for v in self.basis], self.rhs))]
-        if self.by_col:
-            self.lines[:] = [L + ((v - o) << (self.b * m)) for L, v, o in zip(self.lines, obj, self.row(m))]
-        else:
-            self.lines[m:] = [sum(v << (self.b * i) for i, v in enumerate(obj))]
 
-
-def _minor_bits(rows: list, starts: list) -> int:
+def _minor_bits(lines: list) -> int:
     """A bit length above every |minor| of the integer matrix with these
-    rows and any one row of ``starts`` appended (the bordered matrix): by
-    Hadamard's inequality a minor is at most the product of the Euclidean
-    norms of its rows, and of its columns (each counted as >= 1)."""
-    by_row, by_col = prod(max(1, sum(map(mul, v, v))) for v in rows), [sum(map(mul, v, v)) for v in zip(*rows)]
-    bound = lambda o: min(by_row * max(1, sum(map(mul, o, o))), prod(max(1, c + v * v) for c, v in zip(by_col or [0] * len(o), o)))
-    return max((bound(o).bit_length() + 1) // 2 for o in starts)
+    lines as its rows, or as its columns: by Hadamard's inequality a minor
+    is at most the product of the Euclidean norms of its lines (each counted
+    as >= 1)."""
+    return (prod(max(1, sum(map(mul, v, v))) for v in lines).bit_length() + 1) // 2
 
 
 def _scaled(values: tuple, exact: bool) -> tuple:
@@ -386,16 +374,14 @@ def _stats(tab: _Tableau, phase1: int, start: float) -> LpStats:
     return LpStats(phase1, tab.pivots - phase1, len(tab.basis), len(tab.nonbasic), bits, perf_counter() - start)
 
 
-def _run_simplex(tab: _Tableau, costs: list, limit: int, tol) -> str:
+def _run_simplex(tab: _Tableau, costs: list, obj: int, limit: int, tol) -> str:
     """Bland-rule pivoting until optimal or unbounded; only variables
     numbered below ``limit`` may enter. The unstored twin of a column is
     offered with the negated reduced cost. Exact mode reads the prices off
-    the objective row it seeds, float mode prices before every pivot."""
-    twin, m = tab.twin, len(tab.basis)
-    if tab.exact:
-        tab.seed(costs)
+    objective row ``obj``, float mode prices ``costs`` before every pivot."""
+    twin = tab.twin
     for _ in range(_MAX_ITER):
-        rc = [-v for v in tab.row(m)[:-1]] if tab.exact else tab.reduced_costs(costs)
+        rc = [-v for v in tab.row(obj)[:-1]] if tab.exact else tab.reduced_costs(costs)
         entering = [(v, k) for k, v in enumerate(tab.nonbasic) if v < limit and rc[k] > tol]
         entering += [(twin[v], k) for k, v in enumerate(tab.nonbasic) if v in twin and -rc[k] > tol]
         if not entering:
@@ -488,31 +474,31 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
 
     # Phase 1 costs artificial i -L / k_i with L the lcm of those k_i: L times
     # the unscaled objective, in integers. Phase 2 costs the real objective,
-    # times the lcm k_obj of its denominators in exact mode. Their objective
-    # rows over the start basis: -costs2 (that basis costs nothing in phase
-    # 2), and the costed sum of the artificials' rows.
+    # times the lcm k_obj of its denominators in exact mode. Exact mode appends
+    # their objective rows over the start basis: -costs2 (that basis costs
+    # nothing in phase 2), then the costed sum of the artificials' rows.
     art_rows = [i for i in range(m) if basis[i] >= art0]
     k_obj, costs = _scaled(lp.objective, exact)
     costs2 = [cell(0)] * nvar
     for k, (j, s) in enumerate(struct):
         costs2[k] = costs[j] if s > 0 else -costs[j]
-    starts = [[-costs2[v] for v in nonbasic] + [0]]
+    if exact:
+        T.append([-costs2[v] for v in nonbasic] + [0])
     if art_rows:
         art_lcm = lcm(*[rows[i][0] for i in art_rows])
         costs1 = [cell(0)] * nvar
         for i in art_rows:
             costs1[art0 + i] = cell(-(art_lcm // rows[i][0]))
         if exact:
-            weights = [costs1[art0 + i] for i in art_rows]
-            starts.append([sum(map(mul, weights, col)) for col in zip(*[T[i] for i in art_rows])])
-    tab = _Tableau(T, basis, nonbasic, twin, exact, starts)
+            T.append([sum(costs1[art0 + i] * T[i][k] for i in art_rows) for k in range(len(nonbasic) + 1)])
+    tab = _Tableau(T, basis, nonbasic, twin, exact)
 
     if art_rows:
-        status = _run_simplex(tab, costs1, nvar, tol)
+        status = _run_simplex(tab, costs1, m + 1, nvar, tol)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise RuntimeError("phase 1 terminated abnormally")
         rhs = tab.rhs
-        value1 = tab.row(m)[-1] if exact else dot([costs1[v] for v in basis], rhs)  # den * z in exact mode
+        value1 = tab.row(m + 1)[-1] if exact else dot([costs1[v] for v in basis], rhs)  # den * z in exact mode
         infeas_cut = 0 if exact else -_FEAS_TOL * (1 + max(map(abs, rhs), default=0))
         if value1 < infeas_cut:
             return LpOutcome(INFEASIBLE, stats=_stats(tab, tab.pivots, start))
@@ -529,7 +515,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
                     tab.pivot(i, k)
 
     phase1 = tab.pivots
-    if _run_simplex(tab, costs2, art0, tol) == UNBOUNDED:
+    if _run_simplex(tab, costs2, m, art0, tol) == UNBOUNDED:
         return LpOutcome(UNBOUNDED, stats=_stats(tab, phase1, start))
 
     rhs, nums = tab.rhs, [cell(0)] * nvars

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -741,9 +742,9 @@ def test_stats_record_the_solve():
     assert solve(LinearProgram((1,), ())).stats.columns == 1
 
 
-def test_exact_mode_prices_from_scratch_once_per_phase(monkeypatch):
-    # exact mode prices into the objective row when a phase starts and reads
-    # the prices off it after every pivot; float mode prices before each one
+def test_exact_mode_never_prices_from_scratch(monkeypatch):
+    # exact mode reads the prices off the objective rows it carries from the
+    # start matrix; float mode prices before each pivot
     priced, runs = [], []
     price, run = lp_module._Tableau.reduced_costs, lp_module._run_simplex
 
@@ -751,9 +752,9 @@ def test_exact_mode_prices_from_scratch_once_per_phase(monkeypatch):
         priced.append(tab.exact)
         return price(tab, costs)
 
-    def counting_run(tab, costs, limit, tol):
+    def counting_run(tab, costs, obj, limit, tol):
         before = tab.pivots
-        status = run(tab, costs, limit, tol)
+        status = run(tab, costs, obj, limit, tol)
         runs.append((tab.exact, tab.pivots - before))
         return status
 
@@ -767,7 +768,7 @@ def test_exact_mode_prices_from_scratch_once_per_phase(monkeypatch):
     exact = [pivots for is_exact, pivots in runs if is_exact]
     approx = [pivots for is_exact, pivots in runs if not is_exact]
     assert 40 < len(exact) <= 80 and sum(exact) > 10 * len(exact)  # both phases, many pivots each
-    assert priced.count(True) == len(exact)
+    assert priced.count(True) == 0
     assert priced.count(False) == len(approx) + sum(approx)  # once per pivot, and once more to stop
 
 
@@ -787,17 +788,18 @@ class _LockStep(lp_module._Tableau):
     built from copies of the same start: every call goes to both, and after
     each pivot and flip every entry, rhs, ``den``, ``basis`` and ``nonbasic``
     must agree, floats by repr (so -0.0 shows). In exact mode the carried
-    objective row must also equal the reference's reduced costs, priced from
-    scratch, negated, and den * z."""
+    objective row of the phase being run must also equal the reference's
+    reduced costs, priced from scratch, negated, and den * z."""
 
     shapes = []  # (rows, stored columns, stored by column) of each tableau built
     events = set()  # (64-bit words per field, stored by column, "pivot" | "flip") in exact mode
 
-    def __init__(self, rows, basis, nonbasic, twin, exact, starts):
-        T, rhs = [row[:-1] for row in rows], [row[-1] for row in rows]
+    def __init__(self, rows, basis, nonbasic, twin, exact):
+        m = len(basis)
+        T, rhs = [row[:-1] for row in rows[:m]], [row[-1] for row in rows[:m]]
         self.ref = _RowTableau(T, rhs, list(basis), list(nonbasic), twin, exact)
-        self.costs = None  # the costs of the phase being run, once it has seeded the objective row
-        super().__init__(rows, basis, nonbasic, twin, exact, starts)
+        self.costs = self.obj = None  # the costs and objective row of the phase being run
+        super().__init__(rows, basis, nonbasic, twin, exact)
         _LockStep.shapes.append((len(basis), len(nonbasic), self.by_col))
         self.check()
 
@@ -810,12 +812,7 @@ class _LockStep(lp_module._Tableau):
         assert (self.den, self.basis, self.nonbasic) == (ref.den, ref.basis, ref.nonbasic)
         if self.exact and self.costs is not None:
             z = sum(self.costs[b] * v for b, v in zip(ref.basis, ref.rhs))
-            assert self.row(len(self.basis)) == [-v for v in ref.reduced_costs(self.costs)] + [z]
-
-    def seed(self, costs):
-        super().seed(costs)
-        self.costs = costs
-        self.check()
+            assert self.row(self.obj) == [-v for v in ref.reduced_costs(self.costs)] + [z]
 
     def pivot(self, r, k):
         super().pivot(r, k)
@@ -844,10 +841,24 @@ class _LockStep(lp_module._Tableau):
         return got
 
 
+def _lock_step(monkeypatch):
+    """Build every tableau as a :class:`_LockStep`, told the costs and the
+    objective row of each phase as the phase starts."""
+    run = lp_module._run_simplex
+
+    def running(tab, costs, obj, limit, tol):
+        tab.costs, tab.obj = costs, obj
+        tab.check()
+        return run(tab, costs, obj, limit, tol)
+
+    monkeypatch.setattr(lp_module, "_Tableau", _LockStep)
+    monkeypatch.setattr(lp_module, "_run_simplex", running)
+
+
 def test_line_storage_pivots_in_lock_step_with_the_row_tableau(monkeypatch):
     # tall programs store columns, wide and square ones rows; either way every
     # number after every pivot is the row-major tableau's, in both modes
-    monkeypatch.setattr(lp_module, "_Tableau", _LockStep)
+    _lock_step(monkeypatch)
     _LockStep.shapes = []
     rng = random.Random(2020)
     lps = [_mixed_lp(rng) for _ in range(150)] + [_tall_lp(rng) for _ in range(6)]
@@ -882,7 +893,7 @@ def test_packed_lines_pivot_in_lock_step_at_every_field_width(monkeypatch):
     # objective rows beside narrow constraint rows; every pivot and flip, by
     # row and by column, still gives the row-major tableau's integers and its
     # reduced costs in the carried objective row
-    monkeypatch.setattr(lp_module, "_Tableau", _LockStep)
+    _lock_step(monkeypatch)
     _LockStep.events = set()
     rng = random.Random(2222)
     for row, obj in ((1, 1), (2**40, 1), (2**70, 1), (1, 2**70), (2**200, 1), (1, 2**200), (2**70, 2**200)):
@@ -906,6 +917,42 @@ def test_packed_lines_pivot_in_lock_step_at_every_field_width(monkeypatch):
     assert solve(edges[-1]).objective_value == huge * huge
     seen = {(min(words, 3), by_col, kind) for words, by_col, kind in _LockStep.events}
     assert seen == {(w, by_col, kind) for w in (1, 2, 3) for by_col in (False, True) for kind in ("pivot", "flip")}
+
+
+def _det(M):
+    """The determinant of a square integer matrix, by Laplace expansion
+    along its first row."""
+    if not M:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1 :] for row in M[1:]]) for j, a in enumerate(M[0]) if a)
+
+
+def test_minor_bits_bounds_every_minor():
+    # the field width holds the bit length of every |minor|, whether the
+    # lines it is given are the rows or the columns
+    rng = random.Random(2424)
+    shapes = [(1, k) for k in range(1, 6)] + [(k, 1) for k in range(2, 5)] + [(r, c) for r in range(2, 5) for c in range(2, 6)]
+    for r, c in shapes:
+        for _ in range(15):
+            top = rng.choice([1, 3, 100, 2**40])
+            M = [[rng.choice([0, rng.randint(-top, top)]) for _ in range(c)] for _ in range(r)]
+            if rng.random() < 0.3:
+                M[rng.randrange(r)] = [0] * c
+            if rng.random() < 0.3:
+                j = rng.randrange(c)
+                for row in M:
+                    row[j] = 0
+            worst = max(
+                abs(_det([[M[i][j] for j in cols] for i in rows])).bit_length()
+                for t in range(1, min(r, c) + 1)
+                for rows in combinations(range(r), t)
+                for cols in combinations(range(c), t)
+            )
+            assert lp_module._minor_bits(M) >= worst
+            assert lp_module._minor_bits([list(col) for col in zip(*M)]) >= worst
+    hadamard = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    assert lp_module._minor_bits(hadamard) == abs(_det(hadamard)).bit_length() == 5  # the bound is tight
+    assert lp_module._minor_bits([[0, 0], [0, 0]]) == 1
 
 
 @pytest.mark.parametrize(
