@@ -44,15 +44,18 @@ A[i][j] off row r to (A[i][j] * p - A[i][c] * A[r][j]) / den, a division
 that is always exact, and p becomes the new ``den``; no gcd is ever taken
 inside the simplex. Each line of A is one integer that packs its entries
 into fixed-width fields (Kronecker substitution), so a pivot updates a line
-with three big-int operations, whatever its length. The pivots carry the
-objective rows of both phases like any other row (-den times each reduced
-cost, then den times the objective value), so exact mode never prices: the
-prices, the phase 1 verdict and the optimal value are read off them. Row
-scaling multiplies each row of the true tableau, each ratio of one ratio
-test and each reduced cost by a positive factor, so every entering and
-leaving choice is the one a Fraction tableau would make: the pivots, and so
-the outputs, are the same. Float mode keeps plain Gauss-Jordan pivots on
-floats with small tolerances, and prices from scratch before every pivot.
+with three big-int operations, whatever its length. Row scaling multiplies
+each row of the true tableau, each ratio of one ratio test and each reduced
+cost by a positive factor, so every entering and leaving choice is the one a
+Fraction tableau would make: the pivots, and so the outputs, are the same.
+Float mode keeps plain Gauss-Jordan pivots on floats with small tolerances.
+
+In both modes the pivots carry the objective rows of both phases like any
+other row, since a dictionary's objective row is a row whose basic variable
+is z (Vanderbei, ch. 2): -den times each reduced cost, then den times the
+objective value, with ``den`` 1 in float mode. So no mode prices from
+scratch: the prices and the phase 1 verdict are read off these rows, and so
+is the exact optimal value.
 
 An outcome reports the status and, when optimal, the primal point and the
 objective value, plus an :class:`LpStats` record of the solve. A lower
@@ -65,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from math import lcm, prod
+from math import isfinite, lcm, prod
 from operator import mul
 from struct import Struct
 from time import perf_counter
@@ -159,25 +162,26 @@ class _Tableau:
     number ``len(nonbasic)``. It is stored as ``lines`` along its longer
     side, picked once from the shape: one line per column, the rhs line last,
     when there are more rows than stored columns, else one line per row, each
-    ending with its rhs entry. ``column(k)`` and ``row(i)`` read either way;
-    what they return is read only. In float mode a line is a list of floats
-    and ``den`` stays 1.
+    ending with its rhs entry. Phase 2's objective is row m = ``len(basis)``
+    and, given artificials, phase 1's is row m + 1: entries of every line by
+    column, lines by row. ``column(k)`` and ``row(i)`` read either way
+    (``row(m)`` reads an objective row; ``column(k)`` and ``rhs`` leave them
+    out); what they return is read only. In float mode a line is a list of
+    floats and ``den`` stays 1.
 
-    In exact mode the true tableau is ``[D | rhs] / den`` for one common
-    denominator ``den > 0``, with phase 2's objective as row m =
-    ``len(basis)`` and, given artificials, phase 1's as row m + 1: fields of
-    every line by column, lines by row. ``row(m)`` reads one; ``column(k)``
-    and ``rhs`` leave them out. A line is one int, sum(entry_i * 2**(b*i)):
-    entry i is the signed field at bits [b*i, b*(i+1)), and a linear
-    combination of lines is the same combination of their entries. The width
-    b = 64 * ``words`` is fixed per solve. Every entry (``den`` too) is, up
-    to sign, a minor of the integral start, objective rows included, which
-    Hadamard's inequality bounds (:func:`_minor_bits`), and one bit more
-    holds the sign. Only entries read back must fit their fields: packed
-    arithmetic is exact integer arithmetic on the whole line, so an
-    intermediate field that overflows (the pivot line's temporary entry
-    p +- den, or a numerator L[i] * p - f * W[i]) carries into the next one
-    and the carry cancels when the update is complete.
+    In exact mode the true tableau is ``[D | rhs] / den``, objective rows
+    included, for one common denominator ``den > 0``, and a line is one int,
+    sum(entry_i * 2**(b*i)): entry i is the signed field at bits
+    [b*i, b*(i+1)), and a linear combination of lines is the same
+    combination of their entries. The width b = 64 * ``words`` is fixed per
+    solve. Every entry (``den`` too) is, up to sign, a minor of the integral
+    start, objective rows included, which Hadamard's inequality bounds
+    (:func:`_minor_bits`), and one bit more holds the sign. Only entries
+    read back must fit their fields: packed arithmetic is exact integer
+    arithmetic on the whole line, so an intermediate field that overflows
+    (the pivot line's temporary entry p +- den, or a numerator
+    L[i] * p - f * W[i]) carries into the next one and the carry cancels
+    when the update is complete.
 
     ``twin`` maps each half of a split free variable to the other. A pair
     stores one column while both halves are nonbasic (the other half's is
@@ -186,7 +190,7 @@ class _Tableau:
     """
 
     def __init__(self, rows: list, basis: list, nonbasic: list, twin: dict, exact: bool):
-        """``rows`` are the rows of [D | rhs], then in exact mode the objective rows."""
+        """``rows`` are the rows of [D | rhs], then the objective rows."""
         m = len(basis)
         self.by_col = m > len(nonbasic)
         lines = self.lines = [list(c) for c in zip(*rows)] if self.by_col else rows
@@ -206,15 +210,15 @@ class _Tableau:
                 bias, shift, mask, half = self.bias, self.b * j, self.mask, self.half
                 return [((L + bias) >> shift & mask) - half for L in lines]
         else:
-            stored = lines.__getitem__
+            stored = (lambda j: lines[j][:m]) if self.by_col else lines.__getitem__
 
             def across(j: int) -> list:
                 return [line[j] for line in lines]
 
-        # entry j of every line: a row when stored by column, a column (and
-        # its objective entries in exact mode) when stored by row
+        # entry j of every line: a row when stored by column, a column and
+        # its objective entries when stored by row
         self.across = across
-        self.column, self.row = (stored, across) if self.by_col else ((lambda k: across(k)[:m]) if exact else across, stored)
+        self.column, self.row = (stored, across) if self.by_col else (lambda k: across(k)[:m], stored)
         self.basis = basis
         self.nonbasic = nonbasic
         self.twin = twin
@@ -337,20 +341,6 @@ class _Tableau:
                         best_key, best = key, i
         return best
 
-    def reduced_costs(self, costs: list) -> list:
-        """The reduced cost of each stored column, from scratch, in float mode
-        (exact mode carries them); ``costs`` is indexed by variable."""
-        rc = [costs[v] for v in self.nonbasic]
-        row_of = self.row
-        for i, b in enumerate(self.basis):
-            cb = costs[b]
-            if cb:
-                row = row_of(i)
-                for k in range(len(rc)):
-                    if row[k]:
-                        rc[k] = rc[k] - cb * row[k]
-        return rc
-
 
 def _minor_bits(lines: list) -> int:
     """A bit length above every |minor| of the integer matrix with these
@@ -360,13 +350,23 @@ def _minor_bits(lines: list) -> int:
     return (prod(max(1, sum(map(mul, v, v))) for v in lines).bit_length() + 1) // 2
 
 
-def _scaled(values: tuple, exact: bool) -> tuple:
+def _scaled(values: tuple, exact: bool, name: str) -> tuple:
     """(k, [k * v for v in values]) with k the least positive integer making
     every entry an integer in exact mode (all-int values as they are); (1,
-    the values as floats) else."""
+    the values as floats) else. A NaN or an infinity among the values raises
+    ValueError naming ``name``, the datum they come from."""
     if not exact:
-        return 1, [float(v) for v in values]
-    return (1, values) if {int}.issuperset(map(type, values)) else clear_denominators(values)
+        floats = [float(v) for v in values]
+        if all(map(isfinite, floats)):
+            return 1, floats
+    elif {int}.issuperset(map(type, values)):
+        return 1, values
+    else:
+        try:
+            return clear_denominators(values)
+        except (OverflowError, ValueError):  # as_integer_ratio of an infinity or a NaN
+            pass
+    raise ValueError(f"{name} is not finite: {values}")
 
 
 def _stats(tab: _Tableau, phase1: int, start: float) -> LpStats:
@@ -374,14 +374,14 @@ def _stats(tab: _Tableau, phase1: int, start: float) -> LpStats:
     return LpStats(phase1, tab.pivots - phase1, len(tab.basis), len(tab.nonbasic), bits, perf_counter() - start)
 
 
-def _run_simplex(tab: _Tableau, costs: list, obj: int, limit: int, tol) -> str:
+def _run_simplex(tab: _Tableau, obj: int, limit: int, tol) -> str:
     """Bland-rule pivoting until optimal or unbounded; only variables
-    numbered below ``limit`` may enter. The unstored twin of a column is
-    offered with the negated reduced cost. Exact mode reads the prices off
-    objective row ``obj``, float mode prices ``costs`` before every pivot."""
+    numbered below ``limit`` may enter. The prices are read off objective
+    row ``obj``; the unstored twin of a column is offered with the negated
+    reduced cost."""
     twin = tab.twin
     for _ in range(_MAX_ITER):
-        rc = [-v for v in tab.row(obj)[:-1]] if tab.exact else tab.reduced_costs(costs)
+        rc = [-v for v in tab.row(obj)[:-1]]
         entering = [(v, k) for k, v in enumerate(tab.nonbasic) if v < limit and rc[k] > tol]
         entering += [(twin[v], k) for k, v in enumerate(tab.nonbasic) if v in twin and -rc[k] > tol]
         if not entering:
@@ -421,16 +421,16 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
 
     # Row list: user constraints first, then materialized bound rows, each
     # scaled to (k, k * coeffs over original vars, relation, k * rhs).
-    cons = [(con.coeffs, con.relation, con.rhs) for con in lp.constraints]
+    cons = [(con.coeffs, con.relation, con.rhs, f"constraint {i}") for i, con in enumerate(lp.constraints)]
     for j, (lo, hi) in enumerate(bounds):
         ej = (0,) * j + (1,) + (0,) * (nvars - j - 1)
         if lo is not None and not nonneg[j]:
-            cons.append((ej, GE, lo))
+            cons.append((ej, GE, lo, f"the lower bound of variable {j}"))
         if hi is not None:
-            cons.append((ej, LE, hi))
+            cons.append((ej, LE, hi, f"the upper bound of variable {j}"))
     rows: list = []
-    for coeffs, rel, b in cons:
-        k, vals = _scaled(coeffs + (b,), exact)
+    for coeffs, rel, b, name in cons:
+        k, vals = _scaled(coeffs + (b,), exact, name)
         rows.append((k, vals[:-1], rel, vals[-1]))
 
     # Structural variables: one per nonnegative variable, two per free one,
@@ -454,7 +454,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
     # as a nonbasic column. In exact mode either stands for k_i times the
     # slack or artificial of the unscaled row.
     m = len(rows)
-    art0, nvar = ns + m, ns + 2 * m
+    art0 = ns + m
     T: list = []
     rhs: list = []
     basis: list = []
@@ -472,42 +472,35 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
         row += [cell(-1 if v == ns + i else 0) for v in nonbasic[nvars:]]
         row.append(rhs[i])
 
-    # Phase 1 costs artificial i -L / k_i with L the lcm of those k_i: L times
-    # the unscaled objective, in integers. Phase 2 costs the real objective,
-    # times the lcm k_obj of its denominators in exact mode. Exact mode appends
-    # their objective rows over the start basis: -costs2 (that basis costs
-    # nothing in phase 2), then the costed sum of the artificials' rows.
+    # The objective rows over the start basis, appended below [D | rhs]:
+    # phase 2 costs the real objective, times the lcm k_obj of its
+    # denominators in exact mode, and the start basis costs nothing, so its
+    # row is minus the costs of the stored x+ columns (slacks cost nothing).
+    # Phase 1 costs artificial i -L / k_i with L the lcm of those k_i: L
+    # times the unscaled objective, in integers; its row is the costed sum
+    # of the artificials' rows.
     art_rows = [i for i in range(m) if basis[i] >= art0]
-    k_obj, costs = _scaled(lp.objective, exact)
-    costs2 = [cell(0)] * nvar
-    for k, (j, s) in enumerate(struct):
-        costs2[k] = costs[j] if s > 0 else -costs[j]
-    if exact:
-        T.append([-costs2[v] for v in nonbasic] + [0])
+    k_obj, costs = _scaled(lp.objective, exact, "the objective")
+    T.append([-c for c in costs] + [cell(0)] * (len(nonbasic) - nvars + 1))
     if art_rows:
         art_lcm = lcm(*[rows[i][0] for i in art_rows])
-        costs1 = [cell(0)] * nvar
-        for i in art_rows:
-            costs1[art0 + i] = cell(-(art_lcm // rows[i][0]))
-        if exact:
-            T.append([sum(costs1[art0 + i] * T[i][k] for i in art_rows) for k in range(len(nonbasic) + 1)])
+        weights = [(cell(-(art_lcm // rows[i][0])), T[i]) for i in art_rows]
+        T.append([sum(c * row[k] for c, row in weights) for k in range(len(nonbasic) + 1)])
     tab = _Tableau(T, basis, nonbasic, twin, exact)
 
     if art_rows:
-        status = _run_simplex(tab, costs1, m + 1, nvar, tol)
+        status = _run_simplex(tab, m + 1, art0 + m, tol)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
             raise RuntimeError("phase 1 terminated abnormally")
-        rhs = tab.rhs
-        value1 = tab.row(m + 1)[-1] if exact else dot([costs1[v] for v in basis], rhs)  # den * z in exact mode
-        infeas_cut = 0 if exact else -_FEAS_TOL * (1 + max(map(abs, rhs), default=0))
-        if value1 < infeas_cut:
+        infeas_cut = 0 if exact else -_FEAS_TOL * (1 + max(map(abs, tab.rhs), default=0))
+        if tab.row(m + 1)[-1] < infeas_cut:  # den * z
             return LpOutcome(INFEASIBLE, stats=_stats(tab, tab.pivots, start))
         # Pivot each leftover artificial out of the basis on the lowest
         # numbered non-artificial column with a nonzero entry, if any.
         for i in range(m):
             if basis[i] >= art0:
                 row = zip(nonbasic, tab.row(i))  # stops before the rhs entry
-                cands = [(v, k) for k, (v, a) in enumerate(row) if v < art0 and (a if exact else abs(a) > tol)]
+                cands = [(v, k) for k, (v, a) in enumerate(row) if v < art0 and abs(a) > tol]
                 cands = [(min(v, twin.get(v, v)), k) for v, k in cands]
                 if cands:
                     v, k = min(cands)
@@ -515,7 +508,7 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
                     tab.pivot(i, k)
 
     phase1 = tab.pivots
-    if _run_simplex(tab, costs2, m, art0, tol) == UNBOUNDED:
+    if _run_simplex(tab, m, art0, tol) == UNBOUNDED:
         return LpOutcome(UNBOUNDED, stats=_stats(tab, phase1, start))
 
     rhs, nums = tab.rhs, [cell(0)] * nvars

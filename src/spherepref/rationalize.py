@@ -34,7 +34,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from operator import truediv
 from typing import Optional
 
@@ -195,7 +195,10 @@ def _observation_rows(data: ObservationSet, mode: str) -> list:
             else:
                 L, Q, V = pair_ints(x, y)
                 q, v = Q / (L * L), [c / L for c in V]
-            rows.append((1, float(q), tuple(map(float, v))))
+            q, v = float(q), tuple(map(float, v))
+            if not all(map(isfinite, (q, *v))):  # a float square or difference overflows to inf or nan
+                raise OverflowError
+            rows.append((1, q, v))
     except OverflowError:
         raise _undecided(mode, "a coordinate or its square overflows a float") from None
     return rows

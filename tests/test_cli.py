@@ -271,6 +271,23 @@ def test_rationalize_float_overflowing_squares_exit_two(capsys, tmp_path):
         assert json.loads(out)["rationalizable"] is True
 
 
+@pytest.mark.parametrize("doc", [
+    {"dimension": 1, "weak": [], "strict": [{"better": [1e200], "worse": [0]}]},
+    {"dimension": 3, "weak": [{"better": [1e200, 0, 0], "worse": [0, 0, 0]}],
+     "strict": [{"better": [1, 0, 0], "worse": [0, 1, 1]}]},
+])
+def test_rationalize_float_squares_overflowing_to_inf_exit_two(capsys, tmp_path, doc):
+    # a float coordinate's square overflows to inf without raising; float mode
+    # says so instead of blaming the LP or deciding on an infinite row
+    path = write(tmp_path, "inf.json", doc)
+    code, out, err = run(capsys, "rationalize", "--float", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "overflows a float" in err and "--exact" in err
+    code, out, _ = run(capsys, "rationalize", "--exact", path)
+    assert code == 0
+    assert json.loads(out)["rationalizable"] is True
+
+
 STRICT_PAIR = [{"better": [1, 0, 0], "worse": [0, 0, 0]}]
 
 

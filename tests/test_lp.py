@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import defaultdict
 from fractions import Fraction as F
 from itertools import combinations
 from math import lcm
@@ -589,7 +590,7 @@ def reference_solve(lp, mode=EXACT, leftovers=None):
             cons.append((ej, LE, hi))
     rows = []
     for coeffs, rel, b in cons:
-        k, vals = lp_module._scaled(coeffs + (b,), exact)
+        k, vals = lp_module._scaled(coeffs + (b,), exact, "a row")
         rows.append((k, vals[:-1], rel, vals[-1]))
 
     struct = []
@@ -639,7 +640,7 @@ def reference_solve(lp, mode=EXACT, leftovers=None):
                         leftovers.append((min(cands)[0], i))
                     tab.pivot(i, min(cands)[1])
 
-    _, costs = lp_module._scaled(lp.objective, exact)
+    _, costs = lp_module._scaled(lp.objective, exact, "the objective")
     costs2 = [cell(0)] * nvar
     for k, (j, s) in enumerate(struct):
         costs2[k] = costs[j] if s > 0 else -costs[j]
@@ -742,34 +743,38 @@ def test_stats_record_the_solve():
     assert solve(LinearProgram((1,), ())).stats.columns == 1
 
 
-def test_exact_mode_never_prices_from_scratch(monkeypatch):
-    # exact mode reads the prices off the objective rows it carries from the
-    # start matrix; float mode prices before each pivot
-    priced, runs = [], []
-    price, run = lp_module._Tableau.reduced_costs, lp_module._run_simplex
+def test_both_modes_read_their_prices_off_the_carried_rows(monkeypatch):
+    # both modes run both phases, each reading its prices off the objective
+    # row it carries, once per pivot and once more to stop; the tableau has
+    # no way to price from scratch
+    assert not hasattr(lp_module._Tableau, "reduced_costs")
+    runs = []
+    run = lp_module._run_simplex
 
-    def counting_price(tab, costs):
-        priced.append(tab.exact)
-        return price(tab, costs)
+    def counting_run(tab, obj, limit, tol):
+        reads, row = [], tab.row
 
-    def counting_run(tab, costs, obj, limit, tol):
-        before = tab.pivots
-        status = run(tab, costs, obj, limit, tol)
-        runs.append((tab.exact, tab.pivots - before))
+        def reading(i):
+            reads.append(i)
+            return row(i)
+
+        before, tab.row = tab.pivots, reading
+        status = run(tab, obj, limit, tol)
+        tab.row = row
+        runs.append((tab.exact, obj - len(tab.basis), tab.pivots - before))
+        assert reads == [obj] * (tab.pivots - before + 1)
         return status
 
-    monkeypatch.setattr(lp_module._Tableau, "reduced_costs", counting_price)
     monkeypatch.setattr(lp_module, "_run_simplex", counting_run)
     rng = random.Random(11)
     lps = [_tall_lp(rng) for _ in range(40)]
     for mode in (EXACT, FLOAT):
         for lp in lps:
             solve(lp, mode)
-    exact = [pivots for is_exact, pivots in runs if is_exact]
-    approx = [pivots for is_exact, pivots in runs if not is_exact]
-    assert 40 < len(exact) <= 80 and sum(exact) > 10 * len(exact)  # both phases, many pivots each
-    assert priced.count(True) == 0
-    assert priced.count(False) == len(approx) + sum(approx)  # once per pivot, and once more to stop
+    for exact in (True, False):
+        rows = [row for is_exact, row, _ in runs if is_exact == exact]  # 1: phase 1's row m + 1, 0: phase 2's row m
+        pivots = sum(p for is_exact, _, p in runs if is_exact == exact)
+        assert rows.count(1) == 40 and 20 < rows.count(0) < 40 and pivots > 10 * len(rows)
 
 
 def test_golden_pivot_counts():
@@ -787,10 +792,20 @@ class _LockStep(lp_module._Tableau):
     """The tableau under test, run against a row-major :class:`_RowTableau`
     built from copies of the same start: every call goes to both, and after
     each pivot and flip every entry, rhs, ``den``, ``basis`` and ``nonbasic``
-    must agree, floats by repr (so -0.0 shows). In exact mode the carried
-    objective row of the phase being run must also equal the reference's
-    reduced costs, priced from scratch, negated, and den * z."""
+    must agree, floats by repr (so -0.0 shows).
 
+    Each carried objective row must also equal the reference's reduced
+    costs, priced from scratch, negated, and den * z: exactly in exact mode,
+    and in float mode within ``FLOAT_ROW_GAP`` of the size of the priced row
+    (``gap`` keeps the largest relative gap seen). The costs priced are read
+    off the start row: minus its entry on each stored column, its entry on
+    the unstored twin, nothing on the start basis. They differ from the
+    phase's own costs by a combination of the constraint rows, so they give
+    every basis the same reduced costs and move z by the start value only.
+    """
+
+    FLOAT_ROW_GAP = 1e-10  # a hundredth of the pricing tolerance, lp._FLOAT_TOL
+    gap = 0.0
     shapes = []  # (rows, stored columns, stored by column) of each tableau built
     events = set()  # (64-bit words per field, stored by column, "pivot" | "flip") in exact mode
 
@@ -798,7 +813,14 @@ class _LockStep(lp_module._Tableau):
         m = len(basis)
         T, rhs = [row[:-1] for row in rows[:m]], [row[-1] for row in rows[:m]]
         self.ref = _RowTableau(T, rhs, list(basis), list(nonbasic), twin, exact)
-        self.costs = self.obj = None  # the costs and objective row of the phase being run
+        self.starts = []  # (costs by variable, start z) of each objective row
+        for row in rows[m:]:
+            costs = defaultdict(int if exact else float)
+            for v, a in zip(nonbasic, row):
+                costs[v] = -a
+                if v in twin:
+                    costs[twin[v]] = a
+            self.starts.append((costs, row[-1]))
         super().__init__(rows, basis, nonbasic, twin, exact)
         _LockStep.shapes.append((len(basis), len(nonbasic), self.by_col))
         self.check()
@@ -810,9 +832,16 @@ class _LockStep(lp_module._Tableau):
         cols = [[row[k] for row in want] for k in range(len(self.nonbasic) + 1)]
         assert repr([self.column(k) for k in range(len(cols))]) == repr(cols)
         assert (self.den, self.basis, self.nonbasic) == (ref.den, ref.basis, ref.nonbasic)
-        if self.exact and self.costs is not None:
-            z = sum(self.costs[b] * v for b, v in zip(ref.basis, ref.rhs))
-            assert self.row(self.obj) == [-v for v in ref.reduced_costs(self.costs)] + [z]
+        for obj, (costs, z0) in enumerate(self.starts, len(self.basis)):
+            z = sum(costs[b] * v for b, v in zip(ref.basis, ref.rhs)) + ref.den * z0
+            want = [-v for v in ref.reduced_costs(costs)] + [z]
+            got = self.row(obj)
+            if self.exact:
+                assert got == want
+            else:
+                gap = max(abs(g - w) for g, w in zip(got, want)) / max(1.0, *map(abs, want))
+                _LockStep.gap = max(_LockStep.gap, gap)
+                assert gap <= self.FLOAT_ROW_GAP
 
     def pivot(self, r, k):
         super().pivot(r, k)
@@ -827,7 +856,7 @@ class _LockStep(lp_module._Tableau):
         self.record("flip")
 
     def record(self, kind):
-        if self.exact and self.costs is not None:  # the objective row was checked too
+        if self.exact:
             _LockStep.events.add((self.words, self.by_col, kind))
 
     def leaving_row(self, k, tol):
@@ -835,31 +864,17 @@ class _LockStep(lp_module._Tableau):
         assert got == self.ref.leaving_row(k, tol)
         return got
 
-    def reduced_costs(self, costs):
-        got = super().reduced_costs(costs)
-        assert repr(got) == repr(self.ref.reduced_costs(costs))
-        return got
-
 
 def _lock_step(monkeypatch):
-    """Build every tableau as a :class:`_LockStep`, told the costs and the
-    objective row of each phase as the phase starts."""
-    run = lp_module._run_simplex
-
-    def running(tab, costs, obj, limit, tol):
-        tab.costs, tab.obj = costs, obj
-        tab.check()
-        return run(tab, costs, obj, limit, tol)
-
+    """Build every tableau as a :class:`_LockStep`."""
     monkeypatch.setattr(lp_module, "_Tableau", _LockStep)
-    monkeypatch.setattr(lp_module, "_run_simplex", running)
 
 
 def test_line_storage_pivots_in_lock_step_with_the_row_tableau(monkeypatch):
     # tall programs store columns, wide and square ones rows; either way every
     # number after every pivot is the row-major tableau's, in both modes
     _lock_step(monkeypatch)
-    _LockStep.shapes = []
+    _LockStep.shapes, _LockStep.gap = [], 0.0
     rng = random.Random(2020)
     lps = [_mixed_lp(rng) for _ in range(150)] + [_tall_lp(rng) for _ in range(6)]
     for lp in lps:
@@ -877,6 +892,7 @@ def test_line_storage_pivots_in_lock_step_with_the_row_tableau(monkeypatch):
     shapes = _LockStep.shapes
     assert all(by_col == (m > n) for m, n, by_col in shapes)  # by column exactly when taller than wide
     assert any(m > n for m, n, _ in shapes) and any(m < n for m, n, _ in shapes) and any(m == n for m, n, _ in shapes)
+    assert _LockStep.gap > 0  # the float rows were checked, and carrying rounds otherwise than pricing
 
 
 def _scaled_lp(lp, row, obj):
@@ -996,3 +1012,33 @@ def test_edge_shapes(lp, want, shape, pivots):
         assert (out.status, out.primal, out.objective_value) == (status, primal, value)
         assert (out.stats.rows, out.stats.columns) == shape
         assert out.stats.phase1_pivots + out.stats.phase2_pivots == pivots
+
+
+def _with(bad, where):
+    """max x + y subject to x + 2y <= 4, 0 <= x <= 3, y >= 0, with ``bad`` put in ``where``."""
+    coeffs, rhs, objective, upper = (1, 2), 4, (1, 1), 3
+    if where == "coefficient":
+        coeffs = (bad, 2)
+    elif where == "rhs":
+        rhs = bad
+    elif where == "objective":
+        objective = (bad, 1)
+    else:
+        upper = bad
+    return LinearProgram(objective, (Constraint(coeffs, LE, rhs),), ((0, upper), (0, None)))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("where, name", [
+    ("coefficient", "constraint 0"),
+    ("rhs", "constraint 0"),
+    ("objective", "the objective"),
+    ("bound", "the upper bound of variable 0"),
+])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_data_that_are_not_finite_raise_one_value_error(bad, where, name, mode):
+    # float mode would pivot on them, exact mode cannot make them integers:
+    # one ValueError in both modes, naming the datum
+    assert solve(_with(1, where), mode).status == OPTIMAL
+    with pytest.raises(ValueError, match=f"^{name} is not finite"):
+        solve(_with(bad, where), mode)

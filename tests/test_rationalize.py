@@ -419,12 +419,10 @@ def test_integer_rows_match_the_fraction_reference(pair, strict):
     assert math.gcd(*row) == 1
 
 
-def test_golden_verdicts():
-    # pinned verdict documents, exact and float: generated and corrupted data
-    # for n = 3..5 under every restriction, plus one dataset large enough for
-    # the margin LP to run row generation
-    import spherepref.rationalize as rat
-
+def golden_datasets():
+    """The (data, restriction) pairs of test_golden_verdicts: generated and
+    corrupted data for n = 3..5 under every restriction, then one dataset
+    large enough for the margin LP to run row generation and its corruption."""
     rng = random.Random(2024)
     datasets = []
     for n in (3, 4, 5):
@@ -433,8 +431,15 @@ def test_golden_verdicts():
             datasets.append((data, restriction))
             datasets.append((corrupt(rng, data), restriction))
     big = generate_dataset(random_params(rng, 3), 130, rng_seed=11)
-    assert len(big) > rat._ROWGEN_THRESHOLD
-    datasets += [(big, None), (corrupt(rng, big), None)]
+    return datasets + [(big, None), (corrupt(rng, big), None)]
+
+
+def test_golden_verdicts():
+    # pinned verdict documents, exact and float, on golden_datasets()
+    import spherepref.rationalize as rat
+
+    datasets = golden_datasets()
+    assert len(datasets[-2][0]) > rat._ROWGEN_THRESHOLD
     exact = [rationalize(data, restriction) for data, restriction in datasets]
     assert "".join("1" if v.rationalizable else "0" for v in exact) == "10001000101010001010101010"
     digest = hashlib.sha256("".join(dumps(v.to_dict()) for v in exact).encode()).hexdigest()
