@@ -27,7 +27,7 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .axioms import AxiomReport, _run_trials, cubic_function, sample_vector
-from .formats import scalar_to_json, vec_from_json, vec_to_json
+from .formats import scalar_to_json, vec_parser, vec_to_json
 from .geometry import (EXACT, FLOAT, DimensionMismatch, Scalar, Vec, _rational, _sixteenths, add, basis_vector,
                        clear_denominators, dot, finite_param, neg, scale, sub, zeros)
 from .preference import _not_finite, tie_cuts
@@ -161,7 +161,8 @@ def coefficient_oracle_from_dict(doc: dict) -> UtilityOracle:
         raise ValueError(f'"A" must be a non-empty list of lists of scalars, not {a!r}')
     if not isinstance(b, list):
         raise ValueError(f'"b" must be a list of scalars, not {b!r}')
-    return coefficient_oracle([vec_from_json(row) for row in a], vec_from_json(b))
+    vec = vec_parser()
+    return coefficient_oracle([vec(row) for row in a], vec(b))
 
 
 def cubic_utility(dim: int) -> UtilityOracle:

@@ -6,6 +6,12 @@ integers stay exact, ``"p/q"`` strings (``-?digits/digits``, ASCII) become
 fractions, other numbers are floats. Other strings, non-finite floats, zero
 denominators, non-object documents and documents nested beyond the parser's
 recursion limit are rejected.
+
+Each document's lists of scalars are read by one :func:`vec_parser`, which
+parses each distinct ``"p/q"`` string once: a dataset on a coarse grid
+repeats a few dozen strings hundreds of times. The strings seen are kept in
+a dict that lives as long as the parser, one document; every entry gets the
+value, type and error message that :func:`scalar_from_json` gives it.
 """
 
 from __future__ import annotations
@@ -56,10 +62,32 @@ def vec_to_json(v: Vec) -> list:
     return [scalar_to_json(x) for x in v]
 
 
-def vec_from_json(doc) -> Vec:
-    if not isinstance(doc, list):
-        raise ValueError(f"expected a list of scalars, got {doc!r}")
-    return tuple(scalar_from_json(x) for x in doc)
+class _Strings(dict):
+    """The ``"p/q"`` strings of one document, each parsed at its first
+    lookup. Only strings are stored: 1, 1.0 and True are one key but parse
+    to three things."""
+
+    def __missing__(self, v):
+        s = scalar_from_json(v)
+        if type(v) is str:
+            self[v] = s
+        return s
+
+
+def vec_parser():
+    """The parser of the lists of scalars of one document: each distinct
+    string is parsed once."""
+    strings = _Strings()
+
+    def parse(doc) -> Vec:
+        if not isinstance(doc, list):
+            raise ValueError(f"expected a list of scalars, got {doc!r}")
+        try:
+            return tuple([strings[x] for x in doc])
+        except TypeError:  # an unhashable entry, which is no scalar
+            return tuple(map(scalar_from_json, doc))
+
+    return parse
 
 
 def dumps(doc) -> str:

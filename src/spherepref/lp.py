@@ -50,6 +50,16 @@ cost by a positive factor, so every entering and leaving choice is the one a
 Fraction tableau would make: the pivots, and so the outputs, are the same.
 Float mode keeps plain Gauss-Jordan pivots on floats with small tolerances.
 
+The exact ratio test reads the rhs only when it has to. Every rhs entry is
+>= 0, so a row with rhs 0 and a positive entry in the entering column has
+the least ratio there is, 0, and Bland's tie-break takes the one with the
+lowest basis index: the full test would pick the same row. Exact mode keeps
+the list of rows whose rhs is 0 and looks there first. A pivot on a row
+with rhs 0 (a degenerate pivot: every data row of ``rationalize``'s margin
+LP starts at rhs 0) maps each rhs entry b to b * p / den with p > 0, so the
+list stays as it is; only a pivot on a nonzero rhs has it read anew. Float
+mode always runs the full test: its rhs entries may round below 0.
+
 In both modes the pivots carry the objective rows of both phases like any
 other row, since a dictionary's objective row is a row whose basic variable
 is z (Vanderbei, ch. 2): -den times each reduced cost, then den times the
@@ -68,7 +78,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from math import isfinite, lcm, prod
+from math import inf, isfinite, lcm, prod
 from operator import mul
 from struct import Struct
 from time import perf_counter
@@ -134,7 +144,9 @@ class LpStats:
     """What one solve did. ``phase1_pivots`` counts the pivots that take
     leftover artificials out of the basis; ``columns`` is the number of
     stored columns, which no pivot changes; ``bits`` is the largest bit
-    length among the final ``den`` and right-hand side (0 in float mode)."""
+    length among the final ``den`` and right-hand side (0 in float mode);
+    ``degenerate_pivots`` counts the pivots, of either phase, whose row had
+    a right-hand side of exactly 0."""
 
     phase1_pivots: int
     phase2_pivots: int
@@ -142,6 +154,7 @@ class LpStats:
     columns: int
     bits: int
     seconds: float
+    degenerate_pivots: int
 
 
 @dataclass(frozen=True)
@@ -225,6 +238,8 @@ class _Tableau:
         self.exact = exact
         self.den = 1
         self.pivots = 0
+        self.degenerate = 0
+        self.zero = None  # exact mode: the rows whose rhs is 0, None until read
 
     def unpack(self, line: int) -> list:
         """The entries of a packed line: adding ``bias`` makes every field
@@ -239,6 +254,13 @@ class _Tableau:
     def rhs(self) -> list:
         """The last column of [D | rhs]."""
         return self.column(len(self.nonbasic))
+
+    def zero_rows(self) -> list:
+        """The rows whose rhs is 0 (exact mode), kept from one read of the
+        rhs to the next pivot on a row with a nonzero rhs."""
+        if self.zero is None:
+            self.zero = [i for i, b in enumerate(self.rhs) if not b]
+        return self.zero
 
     def orient(self, v: int, k: int) -> None:
         """Store variable v, ``nonbasic[k]`` or its twin, in column k."""
@@ -272,6 +294,11 @@ class _Tableau:
         x, pos, cross = (k, r, -1) if self.by_col else (r, k, 1)
         P = lines[x]
         if self.exact:
+            # with rhs_r = 0 every rhs entry is scaled by p / den > 0, so the
+            # rows whose rhs is 0 stay the same
+            degenerate = r in self.zero_rows()
+            if not degenerate:
+                self.zero = None
             # Edmonds' integer pivot on p = |P[pos]|: row r keeps its integers
             # (times the sign s of the pivot) and p becomes the common
             # denominator; every other line L becomes (L * p - f * W) / den
@@ -290,6 +317,7 @@ class _Tableau:
             lines[x] = cross * W - (cross * p << shift)  # W[pos] = s * den
             self.den = p
         else:
+            degenerate = not (lines[-1][r] if self.by_col else P[-1])
             # Gauss-Jordan, each number as the row-major tableau computed it:
             # row r (R: P by row, the lines' cross entries by column) is
             # divided by the pivot where it is nonzero (its rhs always),
@@ -316,15 +344,24 @@ class _Tableau:
                         L[z] = L[z] - V[z] * f
         self.basis[r], self.nonbasic[k] = self.nonbasic[k], self.basis[r]
         self.pivots += 1
+        self.degenerate += degenerate
 
     def leaving_row(self, k: int, tol) -> int:
         """Ratio test on column k: the row minimizing rhs_i / a_i over
         a_i > tol, ties broken by the lower basis index; -1 when no entry
-        qualifies."""
-        col, rhs, basis = self.column(k), self.column(len(self.nonbasic)), self.basis
+        qualifies. In exact mode a row with rhs 0 and a_i > 0 has the least
+        ratio, 0 (every rhs is >= 0), so Bland's choice is the lowest basis
+        index among such :meth:`zero_rows`; the rhs is read only without one."""
+        col, basis = self.column(k), self.basis
         best = -1
         if self.exact:
+            for i in self.zero_rows():
+                if col[i] > 0 and (best < 0 or basis[i] < basis[best]):
+                    best = i
+            if best >= 0:
+                return best
             # den cancels from rhs_i / a_i; compare by cross-multiplication
+            rhs = self.rhs
             for i, a in enumerate(col):
                 if a > 0:
                     if best >= 0:
@@ -333,7 +370,7 @@ class _Tableau:
                             continue
                     best, best_a, best_b = i, a, rhs[i]
         else:
-            best_key = None
+            rhs, best_key = self.rhs, None
             for i, a in enumerate(col):
                 if a > tol:
                     key = (rhs[i] / a, basis[i])
@@ -353,10 +390,14 @@ def _minor_bits(lines: list) -> int:
 def _scaled(values: tuple, exact: bool, name: str) -> tuple:
     """(k, [k * v for v in values]) with k the least positive integer making
     every entry an integer in exact mode (all-int values as they are); (1,
-    the values as floats) else. A NaN or an infinity among the values raises
-    ValueError naming ``name``, the datum they come from."""
+    the values as floats) else. A NaN or an infinity among the values, or in
+    float mode a number beyond the float range, raises ValueError naming
+    ``name``, the datum they come from."""
     if not exact:
-        floats = [float(v) for v in values]
+        try:
+            floats = [float(v) for v in values]
+        except OverflowError:  # an int or a Fraction beyond the float range
+            floats = [inf]
         if all(map(isfinite, floats)):
             return 1, floats
     elif {int}.issuperset(map(type, values)):
@@ -371,7 +412,8 @@ def _scaled(values: tuple, exact: bool, name: str) -> tuple:
 
 def _stats(tab: _Tableau, phase1: int, start: float) -> LpStats:
     bits = max(v.bit_length() for v in (tab.den, *tab.rhs)) if tab.exact else 0
-    return LpStats(phase1, tab.pivots - phase1, len(tab.basis), len(tab.nonbasic), bits, perf_counter() - start)
+    return LpStats(phase1, tab.pivots - phase1, len(tab.basis), len(tab.nonbasic), bits, perf_counter() - start,
+                   tab.degenerate)
 
 
 def _run_simplex(tab: _Tableau, obj: int, limit: int, tol) -> str:
@@ -379,15 +421,20 @@ def _run_simplex(tab: _Tableau, obj: int, limit: int, tol) -> str:
     numbered below ``limit`` may enter. The prices are read off objective
     row ``obj``; the unstored twin of a column is offered with the negated
     reduced cost."""
-    twin = tab.twin
+    twin, neg = tab.twin, -tol
     for _ in range(_MAX_ITER):
-        rc = [-v for v in tab.row(obj)[:-1]]
-        entering = [(v, k) for k, v in enumerate(tab.nonbasic) if v < limit and rc[k] > tol]
-        entering += [(twin[v], k) for k, v in enumerate(tab.nonbasic) if v in twin and -rc[k] > tol]
-        if not entering:
+        # the entry a of column k in the row is minus its reduced cost; every
+        # candidate is numbered below limit, and a pair offers one of its twins
+        best, k = limit, -1
+        for j, (v, a) in enumerate(zip(tab.nonbasic, tab.row(obj))):  # stops before the rhs entry
+            if a < neg:
+                if v < best:
+                    best, k = v, j
+            elif a > tol and v in twin and twin[v] < best:
+                best, k = twin[v], j
+        if k < 0:
             return OPTIMAL
-        v, k = min(entering)
-        tab.orient(v, k)
+        tab.orient(best, k)
         r = tab.leaving_row(k, tol)
         if r < 0:
             return UNBOUNDED

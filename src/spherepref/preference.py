@@ -36,7 +36,7 @@ from functools import cached_property
 from operator import mul
 from typing import Optional
 
-from .formats import scalar_from_json, scalar_to_json, vec_from_json, vec_to_json
+from .formats import scalar_from_json, scalar_to_json, vec_parser, vec_to_json
 from .geometry import (
     EXACT,
     FLOAT,
@@ -106,7 +106,7 @@ class SphericalParams:
 
     @staticmethod
     def from_dict(doc: dict) -> "SphericalParams":
-        c, d = scalar_from_json(doc["c"]), vec_from_json(doc["d"])
+        c, d = scalar_from_json(doc["c"]), vec_parser()(doc["d"])
         if not d:
             raise ValueError('"d" must be a non-empty list of scalars')
         return SphericalParams(c, d)
@@ -134,10 +134,11 @@ class PreferenceClass:
 
     @staticmethod
     def from_dict(doc: dict) -> "PreferenceClass":
+        vec = vec_parser()
         return PreferenceClass(
             doc["class"],
-            u=vec_from_json(doc["u"]) if "u" in doc else None,
-            center=vec_from_json(doc["center"]) if "center" in doc else None,
+            u=vec(doc["u"]) if "u" in doc else None,
+            center=vec(doc["center"]) if "center" in doc else None,
         )
 
 

@@ -39,7 +39,7 @@ from operator import truediv
 from typing import Optional
 
 from . import lp
-from .formats import scalar_to_json, vec_from_json, vec_to_json
+from .formats import scalar_to_json, vec_parser, vec_to_json
 from .geometry import (EXACT, DimensionMismatch, Scalar, Vec, _sixteenths, box_radius, clear_denominators, dot,
                        finite_param, pair_ints, sub, to_exact)
 from .preference import Ordering, SphericalParams, compare
@@ -122,11 +122,13 @@ class ObservationSet:
 
     @staticmethod
     def from_dict(doc: dict) -> "ObservationSet":
+        vec = vec_parser()
+
         def pairs(key):
             items = doc.get(key, [])
             if not isinstance(items, list) or not all(isinstance(p, dict) for p in items):
                 raise ValueError(f'"{key}" must be a list of {{"better": ..., "worse": ...}} objects')
-            return tuple((vec_from_json(p["better"]), vec_from_json(p["worse"])) for p in items)
+            return tuple((vec(p["better"]), vec(p["worse"])) for p in items)
 
         if type(doc["dimension"]) is not int or not 1 <= doc["dimension"] <= sys.maxsize:
             raise ValueError(f'"dimension" must be an integer from 1 to {sys.maxsize}, not {doc["dimension"]!r}')

@@ -5,13 +5,16 @@ verdict digests of test_golden_verdicts, without pytest.
 
 Runs the programs of test_golden_outcomes and test_golden_tall_outcomes in
 both modes and prints one line, then rationalizes the datasets of
-test_golden_verdicts in both modes and prints a second; compare them with
+test_golden_verdicts in both modes and prints a second; each dataset is
+first rendered to JSON and parsed back, and must come back equal, so the
+second line covers the parse as the CLI runs it. Compare the lines with
 the pins in test_lp.py and test_rationalize.py, or across Python versions
 that have no pytest or hypothesis installed. The spherepref sources are
 taken from this checkout's src/.
 """
 
 import hashlib
+import json
 import random
 import sys
 from pathlib import Path
@@ -45,7 +48,7 @@ import test_rationalize  # noqa: E402
 from spherepref.formats import dumps  # noqa: E402
 from spherepref.geometry import EXACT, FLOAT  # noqa: E402
 from spherepref.lp import solve  # noqa: E402
-from spherepref.rationalize import rationalize  # noqa: E402
+from spherepref.rationalize import ObservationSet, rationalize  # noqa: E402
 
 
 def main() -> None:
@@ -61,7 +64,11 @@ def main() -> None:
             pivots = sum(o.stats.phase1_pivots + o.stats.phase2_pivots for o in outcomes)
             fields.append(f"{name}/{mode} {test_lp._digest(outcomes)} pivots={pivots}")
     print(" | ".join(fields))
-    datasets = test_rationalize.golden_datasets()
+    datasets = []
+    for data, restriction in test_rationalize.golden_datasets():
+        parsed = ObservationSet.from_dict(json.loads(dumps(data.to_dict())))
+        assert parsed == data, "a dataset did not survive its JSON round trip"
+        datasets.append((parsed, restriction))
     fields = [version]
     for mode in (EXACT, FLOAT):
         docs = "".join(dumps(rationalize(data, restriction, mode=mode).to_dict()) for data, restriction in datasets)

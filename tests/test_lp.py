@@ -806,8 +806,8 @@ class _LockStep(lp_module._Tableau):
 
     FLOAT_ROW_GAP = 1e-10  # a hundredth of the pricing tolerance, lp._FLOAT_TOL
     gap = 0.0
-    shapes = []  # (rows, stored columns, stored by column) of each tableau built
     events = set()  # (64-bit words per field, stored by column, "pivot" | "flip") in exact mode
+    built = []  # every tableau built, the last one the current solve's
 
     def __init__(self, rows, basis, nonbasic, twin, exact):
         m = len(basis)
@@ -822,7 +822,9 @@ class _LockStep(lp_module._Tableau):
                     costs[twin[v]] = a
             self.starts.append((costs, row[-1]))
         super().__init__(rows, basis, nonbasic, twin, exact)
-        _LockStep.shapes.append((len(basis), len(nonbasic), self.by_col))
+        _LockStep.built.append(self)
+        self.tested = False  # a ratio test ran since the last pivot
+        self.kinds = []  # per pivot: (after a ratio test, the reference's rhs_r is 0)
         self.check()
 
     def check(self):
@@ -844,6 +846,8 @@ class _LockStep(lp_module._Tableau):
                 assert gap <= self.FLOAT_ROW_GAP
 
     def pivot(self, r, k):
+        self.kinds.append((self.tested, not self.ref.rhs[r]))
+        self.tested = False
         super().pivot(r, k)
         self.ref.pivot(r, k)
         self.check()
@@ -862,37 +866,87 @@ class _LockStep(lp_module._Tableau):
     def leaving_row(self, k, tol):
         got = super().leaving_row(k, tol)
         assert got == self.ref.leaving_row(k, tol)
+        self.tested = True
         return got
 
 
 def _lock_step(monkeypatch):
     """Build every tableau as a :class:`_LockStep`."""
     monkeypatch.setattr(lp_module, "_Tableau", _LockStep)
+    monkeypatch.setattr(_LockStep, "built", [])
 
 
-def test_line_storage_pivots_in_lock_step_with_the_row_tableau(monkeypatch):
+@pytest.fixture(scope="module")
+def lock_step_run():
+    """Wide, square and tall programs in both modes, then the margin LPs
+    (tall) and certificate LPs (wide) of generated data, all solved in lock
+    step once for the tests below: the (outcome, tableau) of each solve, and
+    the largest float row gap seen."""
+    with pytest.MonkeyPatch.context() as mp:
+        _lock_step(mp)
+        mp.setattr(_LockStep, "gap", 0.0)
+        solves = []
+        real = lp_module.solve
+
+        def recording(lp, mode=EXACT):
+            out = real(lp, mode)
+            solves.append((out, _LockStep.built[-1]))
+            return out
+
+        mp.setattr(lp_module, "solve", recording)  # rationalize's solves too
+        rng = random.Random(2020)
+        lps = [_mixed_lp(rng) for _ in range(150)] + [_tall_lp(rng) for _ in range(6)]
+        for lp in lps:
+            for mode in (EXACT, FLOAT):
+                recording(lp, mode)
+        rng = random.Random(2021)
+        for t in range(16):
+            n = 2 + t % 4
+            params = SphericalParams(F(rng.choice([-2, -1, 1])), tuple(F(rng.randint(-4, 4), 2) for _ in range(n)))
+            data = generate_dataset(params, 8 + 2 * t, rng_seed=t)
+            for mode in (EXACT, FLOAT):
+                rationalize(data, restriction=("euclidean", "anti_euclidean")[t % 2], mode=mode)
+                certificate_lp(data, mode)
+        return solves, _LockStep.gap
+
+
+def test_line_storage_pivots_in_lock_step_with_the_row_tableau(lock_step_run):
     # tall programs store columns, wide and square ones rows; either way every
     # number after every pivot is the row-major tableau's, in both modes
-    _lock_step(monkeypatch)
-    _LockStep.shapes, _LockStep.gap = [], 0.0
-    rng = random.Random(2020)
-    lps = [_mixed_lp(rng) for _ in range(150)] + [_tall_lp(rng) for _ in range(6)]
-    for lp in lps:
-        for mode in (EXACT, FLOAT):
-            solve(lp, mode)
-    # the margin LP (tall) and the certificate LP (wide) of generated data
-    rng = random.Random(2021)
-    for t in range(16):
-        n = 2 + t % 4
-        params = SphericalParams(F(rng.choice([-2, -1, 1])), tuple(F(rng.randint(-4, 4), 2) for _ in range(n)))
-        data = generate_dataset(params, 8 + 2 * t, rng_seed=t)
-        for mode in (EXACT, FLOAT):
-            rationalize(data, restriction=("euclidean", "anti_euclidean")[t % 2], mode=mode)
-            certificate_lp(data, mode)
-    shapes = _LockStep.shapes
+    solves, gap = lock_step_run
+    shapes = [(len(tab.basis), len(tab.nonbasic), tab.by_col) for _, tab in solves]
     assert all(by_col == (m > n) for m, n, by_col in shapes)  # by column exactly when taller than wide
     assert any(m > n for m, n, _ in shapes) and any(m < n for m, n, _ in shapes) and any(m == n for m, n, _ in shapes)
-    assert _LockStep.gap > 0  # the float rows were checked, and carrying rounds otherwise than pricing
+    assert gap > 0  # the float rows were checked, and carrying rounds otherwise than pricing
+
+
+def test_degenerate_pivots_count_the_pivots_on_a_zero_rhs(lock_step_run):
+    # LpStats.degenerate_pivots counts the pivots whose row has rhs 0 in the
+    # reference tableau, in both modes and both layouts
+    seen = set()
+    for out, tab in lock_step_run[0]:
+        assert out.stats.degenerate_pivots == sum(zero for _, zero in tab.kinds) <= tab.pivots
+        if 0 < out.stats.degenerate_pivots < tab.pivots:
+            seen.add((tab.exact, tab.by_col))
+    assert seen == {(exact, by_col) for exact in (True, False) for by_col in (True, False)}
+
+
+def test_the_zero_rhs_rows_of_the_ratio_test_follow_every_pivot(lock_step_run):
+    # exact mode keeps the rows with rhs 0 across degenerate pivots (a
+    # leftover artificial's pivot is one, whatever the sign of its entry) and
+    # reads them anew after a nondegenerate one; the lock step checked every
+    # ratio test against the reference's full one, by row and by column
+    seen = set()
+    for _, tab in lock_step_run[0]:
+        if tab.exact:
+            for (_, zero), (tested, next_zero) in zip(tab.kinds, tab.kinds[1:]):
+                if zero and tested and not next_zero:
+                    seen.add((tab.by_col, "nondegenerate after degenerate"))
+            for (tested, _), (next_tested, _) in zip(tab.kinds, tab.kinds[1:]):
+                if not tested and next_tested:
+                    seen.add((tab.by_col, "ratio test after a leftover artificial"))
+    kinds = ("nondegenerate after degenerate", "ratio test after a leftover artificial")
+    assert seen == {(by_col, kind) for by_col in (True, False) for kind in kinds}
 
 
 def _scaled_lp(lp, row, obj):
@@ -1042,3 +1096,18 @@ def test_data_that_are_not_finite_raise_one_value_error(bad, where, name, mode):
     assert solve(_with(1, where), mode).status == OPTIMAL
     with pytest.raises(ValueError, match=f"^{name} is not finite"):
         solve(_with(bad, where), mode)
+
+
+@pytest.mark.parametrize("where, name", [
+    ("coefficient", "constraint 0"),
+    ("rhs", "constraint 0"),
+    ("objective", "the objective"),
+    ("bound", "the upper bound of variable 0"),
+])
+@pytest.mark.parametrize("big", [10**400, F(10**400, 3)], ids=["10**400", "10**400/3"])
+def test_data_beyond_the_float_range_raise_the_same_value_error(big, where, name):
+    # float() of such a datum overflows: float mode names it like an
+    # infinity, and exact mode solves the program
+    with pytest.raises(ValueError, match=f"^{name} is not finite"):
+        solve(_with(big, where), FLOAT)
+    assert solve(_with(big, where)).status in (OPTIMAL, UNBOUNDED, INFEASIBLE)

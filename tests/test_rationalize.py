@@ -355,6 +355,78 @@ def test_dataset_json_round_trip():
     assert ObservationSet.from_dict(doc) == data
 
 
+def _entrywise(doc):
+    """The weak and strict pairs of ``doc`` parsed entry by entry, as
+    :func:`scalar_from_json` parses each entry on its own."""
+    def vec(v):
+        return tuple(scalar_from_json(c) for c in v)
+
+    return [tuple((vec(p["better"]), vec(p["worse"])) for p in doc[key]) for key in ("weak", "strict")]
+
+
+def _error(parse, doc):
+    with pytest.raises(ValueError) as info:
+        parse(doc)
+    return str(info.value)
+
+
+def _grid_document(rng, n, pairs, scalars):
+    """A dataset document of ``pairs`` weak and strict pairs whose entries
+    are drawn from ``scalars``."""
+    def pair():
+        return {side: [rng.choice(scalars) for _ in range(n)] for side in ("better", "worse")}
+
+    return {"dimension": n, "weak": [pair() for _ in range(pairs)], "strict": [pair() for _ in range(pairs)]}
+
+
+def test_a_document_parses_each_distinct_string_once(monkeypatch):
+    # a 1/8 grid repeats a few dozen strings; each is parsed once per
+    # document, into the value and type that parsing it alone gives
+    import spherepref.formats as formats
+
+    calls = []
+    parse_one = formats.scalar_from_json
+    monkeypatch.setattr(formats, "scalar_from_json", lambda v: calls.append(v) or parse_one(v))
+    grid = [f"{k}/8" for k in range(-16, 17) if k % 8] + ["1/2", "-0/3", "0/1"]
+    doc = _grid_document(random.Random(8), 4, 40, grid + [0, 1, -2])
+    data = ObservationSet.from_dict(doc)
+    assert repr([data.weak, data.strict]) == repr(_entrywise(doc))
+    strings = [c for key in ("weak", "strict") for p in doc[key] for v in p.values() for c in v if type(c) is str]
+    ints = sum(len(v) for key in ("weak", "strict") for p in doc[key] for v in p.values()) - len(strings)
+    assert len(calls) - ints == len(set(strings)) < len(strings) / 10
+    ObservationSet.from_dict(doc)  # a new document: nothing is kept from the last one
+    assert len(calls) - 2 * ints == 2 * len(set(strings))
+
+
+def test_a_document_keeps_the_type_of_every_entry():
+    # ints, floats and "p/q" strings with equal values, -0.0 and huge
+    # numbers, repeated in one document, parse as they do alone
+    scalars = [1, 1.0, "1/1", 0, 0.0, -0.0, "0/5", "-0/3", "3/6", "1/2", 0.5, 2**70, 1e300, "-7/1"]
+    doc = _grid_document(random.Random(9), 3, 30, scalars)
+    data = ObservationSet.from_dict(doc)
+    assert repr([data.weak, data.strict]) == repr(_entrywise(doc))
+    assert {type(c) for x, y in data.weak + data.strict for c in x + y} == {int, float, F}
+
+
+@pytest.mark.parametrize("bad", [True, False, "1/0", "x/2", "1/2/3", " 1/2", 2.5j, [1], {"p": 1}, None])
+@pytest.mark.parametrize("where", [(0, 0), (3, 1), (7, 2)])
+def test_a_bad_entry_is_refused_where_it_first_appears_and_where_it_repeats(bad, where):
+    # the message is the one parsing the entry alone gives, whatever the
+    # document parsed before it, and booleans stay refused after 1 and 0
+    from spherepref.formats import vec_parser
+
+    doc = _grid_document(random.Random(10), 3, 8, [1, 0, "1/2", "-3/4", 1.0])
+    p, i = where
+    doc["strict"][p]["worse"][i] = bad
+    want = _error(scalar_from_json, bad)
+    assert _error(ObservationSet.from_dict, doc) == want
+    doc["weak"][p]["better"][i] = bad  # now first in the weak pairs, repeated in the strict ones
+    assert _error(ObservationSet.from_dict, doc) == want
+    parse = vec_parser()
+    assert _error(parse, ["1/2", 1, bad]) == want
+    assert _error(parse, [bad]) == want  # again, with the same parser
+
+
 def test_dataset_rejects_mismatched_dimension():
     with pytest.raises(DimensionMismatch):
         ObservationSet(3, (((1, 0), (0, 1)),), ())
