@@ -4,9 +4,11 @@ Each checker draws seeded samples, builds the orthogonality hypotheses
 constructively (projection, never rejection sampling), queries a comparison
 oracle, and reports violations with the first counterexample found. One
 driver, _run_trials, owns the seeded loop and the report for every checker.
-Each checker has one trial body over a per-mode set of vector operations
-(_FLOAT_OPS, _EXACT_OPS). Float trials are sample_vector, add, project_out
-and scale on tuples. Exact trials run on integer numerators over one
+Each checker has one trial body over the trial operations of its call
+(_trial_ops), built once per call with its generator, the radius checked
+there once, after the trial count, mode and seed. Float trials
+draw like sample_vector and run map(operator.add), geometry.project_floats
+and scale on float tuples. Exact trials run on integer numerators over one
 denominator, drawn with the same randint calls; each point the oracle sees,
 and each counterexample entry, is built once as one Fraction per entry.
 
@@ -25,8 +27,9 @@ is reported as "no violation found in N trials", never as the axiom holding.
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -43,6 +46,7 @@ from .geometry import (
     finite_param,
     is_zero,
     normalize,
+    project_floats,
     project_ints,
     project_out,
     scale,
@@ -118,10 +122,15 @@ BUILTIN_ORACLES = {"cubic1": cubic_oracle}
 
 @dataclass(frozen=True)
 class AxiomReport:
+    """A checker's result. ``evaluated`` counts the trials that reached the
+    oracle (None when not recorded); it stays out of equality, repr and
+    to_dict, so that no report byte depends on it."""
+
     axiom: str
     trials: int
     violations: int
     counterexample: Optional[dict] = None
+    evaluated: Optional[int] = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -142,31 +151,58 @@ class AxiomReport:
         }
 
 
-def _run_trials(axiom: str, trials: int, rng_seed: int, trial: Callable, mode: str = FLOAT) -> AxiomReport:
-    """The seeded trial loop of every checker.
+# A trial returns this when it is skipped before it reaches the oracle.
+_SKIPPED = object()
 
-    ``trial(rng, t)`` runs trial number t on the shared generator and returns
-    its counterexample dict, or None when the trial finds no violation. An
-    unknown ``mode`` and a trial whose arithmetic overflows a float are each
-    a ValueError.
+
+def _check_trials(trials: int, least: int = 1) -> None:
+    """A ValueError unless the trial count is an int (not a bool) >= ``least``."""
+    if not isinstance(trials, int) or isinstance(trials, bool):
+        raise ValueError(f"trials must be an int, not {trials!r}")
+    if trials < least:
+        raise ValueError(f"trials must be at least {least}")
+
+
+def _run_trials(axiom: str, trials: int, rng: random.Random, trial: Callable) -> AxiomReport:
+    """The trial loop of every checker, on the generator of _trial_ops.
+
+    ``trial(rng, t)`` runs trial number t on that generator and returns its
+    counterexample dict, None when the trial finds no violation, or _SKIPPED
+    when it is skipped before reaching the oracle. A trial whose arithmetic
+    overflows a float is a ValueError.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if mode not in (EXACT, FLOAT):
-        raise ValueError(f"unknown arithmetic mode: {mode!r}")
-    rng = random.Random(rng_seed)
-    violations = 0
+    violations = skipped = 0
     first = None
     for t in range(trials):
         try:
             found = trial(rng, t)
         except OverflowError as exc:  # a huge int or Fraction meets a float
             raise ValueError(f"trial {t} overflows a float: {exc}") from None
-        if found is not None:
+        if found is _SKIPPED:
+            skipped += 1
+        elif found is not None:
             violations += 1
             if first is None:
                 first = found
-    return AxiomReport(axiom, trials, violations, first)
+    return AxiomReport(axiom, trials, violations, first, trials - skipped)
+
+
+def _draw(mode: str, radius: Scalar) -> Callable:
+    """draw(rng, n): n coordinates of a random point of the checking box, as
+    (numerators, 16) on the 1/16 grid in exact mode. The radius is checked
+    here, once: one that geometry.box_radius refuses is a ValueError."""
+    if mode == EXACT:
+        span = max(1, round(box_radius(radius, 16) * 16))
+        return lambda rng, n: (tuple(rng.randint(-span, span) for _ in range(n)), 16)
+    # random.uniform(lo, hi)'s formula lo + (hi - lo)*random(), hi - lo = hi + hi
+    hi = box_radius(radius, 2)
+    lo, width = -hi, hi + hi
+
+    def draw(rng: random.Random, n: int) -> Vec:
+        unit = rng.random
+        return tuple([lo + width * unit() for _ in range(n)])
+
+    return draw
 
 
 def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float = 1.0) -> Vec:
@@ -174,22 +210,26 @@ def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float
 
     A radius that geometry.box_radius refuses is a ValueError.
     """
+    v = _draw(mode, radius)(rng, dim)
+    return _grid_point(v) if mode == EXACT else v
+
+
+def _trial_ops(trials: int, mode: str, radius: Scalar, rng_seed) -> tuple:
+    """One checker call's generator and trial operations (rng, draw, plus,
+    perp, scaled, point). The arguments are checked in this order: a trial
+    count that is not an int >= 1 and an unknown ``mode`` are each a
+    ValueError, a seed that random.Random refuses is its TypeError, and then
+    _draw checks the radius. An exact vector is (numerators, denominator) in
+    integers; its point is the Fraction tuple that the float operations give
+    on Fraction tuples. A float vector is its own point, and has the
+    oracle's dimension, so plus checks no length."""
+    _check_trials(trials)
+    if mode not in (EXACT, FLOAT):
+        raise ValueError(f"unknown arithmetic mode: {mode!r}")
+    rng = random.Random(rng_seed)
     if mode == EXACT:
-        return _grid_point(_grid_draw(rng, dim, mode, radius))
-    # random.uniform(lo, hi)'s formula lo + (hi - lo)*random(), hi - lo = hi + hi
-    hi = box_radius(radius, 2)
-    lo = -hi
-    width, draw = hi + hi, rng.random
-    return tuple(lo + width * draw() for _ in range(dim))
-
-
-# A trial's vector operations per mode: (draw, plus, perp, scaled, point). An
-# exact vector is (numerators, denominator) in integers; its point is the
-# Fraction tuple that the float set's functions give on Fraction tuples.
-def _grid_draw(rng: random.Random, dim: int, mode: str, radius: float) -> tuple:
-    """An exact draw as (numerators, 16): the randint calls of sample_vector."""
-    span = max(1, round(box_radius(radius, 16) * 16))
-    return tuple(rng.randint(-span, span) for _ in range(dim)), 16
+        return rng, _draw(mode, radius), _grid_plus, _grid_perp, _grid_scaled, _grid_point
+    return rng, _draw(mode, radius), lambda a, b: tuple(map(operator.add, a, b)), project_floats, scale, lambda v: v
 
 
 def _grid_plus(a: tuple, b: tuple) -> tuple:
@@ -214,10 +254,6 @@ def _grid_point(v: tuple) -> Vec:
     if den == 16:
         return tuple(map(_sixteenths, nums))
     return tuple(Fraction(x, den) for x in nums)
-
-
-_FLOAT_OPS = (sample_vector, add, project_out, scale, lambda v: v)
-_EXACT_OPS = (_grid_draw, _grid_plus, _grid_perp, _grid_scaled, _grid_point)
 
 
 def random_orthonormal_plane(rng: random.Random, dim: int) -> tuple:
@@ -277,19 +313,19 @@ def check_oioi(
     the ranking of w+x+z vs w+y+z.
     """
     n, rel = oracle.dim, _tie_rel(tie_rel)
-    draw, plus, perp, _, point = _EXACT_OPS if mode == EXACT else _FLOAT_OPS
+    rng, draw, plus, perp, _, point = _trial_ops(trials, mode, radius, rng_seed)
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
-        w = draw(rng, n, mode, radius)
-        x = draw(rng, n, mode, radius)
-        y = draw(rng, n, mode, radius)
-        z = perp(draw(rng, n, mode, radius), [x, y])
+        w = draw(rng, n)
+        x = draw(rng, n)
+        y = draw(rng, n)
+        z = perp(draw(rng, n), [x, y])
         wx, wy = plus(w, x), plus(w, y)
         if _ranks_alike(oracle, mode, rel, point(wx), point(wy), point(plus(wx, z)), point(plus(wy, z))):
             return None
         return {"w": point(w), "x": point(x), "y": point(y), "z": point(z)}
 
-    return _run_trials("oioi", trials, rng_seed, trial, mode)
+    return _run_trials("oioi", trials, rng, trial)
 
 
 def check_perp_diff(
@@ -305,17 +341,17 @@ def check_perp_diff(
     x + d vs y + d.
     """
     n, rel = oracle.dim, _tie_rel(tie_rel)
-    draw, plus, perp, scaled, point = _EXACT_OPS if mode == EXACT else _FLOAT_OPS
+    rng, draw, plus, perp, scaled, point = _trial_ops(trials, mode, radius, rng_seed)
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
-        x = draw(rng, n, mode, radius)
-        y = draw(rng, n, mode, radius)
-        d = perp(draw(rng, n, mode, radius), [plus(x, scaled(-1, y))])  # x - y, the same bits
+        x = draw(rng, n)
+        y = draw(rng, n)
+        d = perp(draw(rng, n), [plus(x, scaled(-1, y))])  # x - y, the same bits
         if _ranks_alike(oracle, mode, rel, point(x), point(y), point(plus(x, d)), point(plus(y, d))):
             return None
         return {"x": point(x), "y": point(y), "d": point(d)}
 
-    return _run_trials("perp_diff", trials, rng_seed, trial, mode)
+    return _run_trials("perp_diff", trials, rng, trial)
 
 
 def check_soioi(
@@ -335,14 +371,14 @@ def check_soioi(
     only counts as strict when its margin clears STRICT_REL.
     """
     n, rel = oracle.dim, _tie_rel(tie_rel)
-    draw, plus, perp, _, point = _EXACT_OPS if mode == EXACT else _FLOAT_OPS
+    rng, draw, plus, perp, _, point = _trial_ops(trials, mode, radius, rng_seed)
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
-        w = draw(rng, n, mode, radius)
-        x = draw(rng, n, mode, radius)
-        y = perp(draw(rng, n, mode, radius), [x])
-        a = draw(rng, n, mode, radius)
-        b = perp(draw(rng, n, mode, radius), [a])
+        w = draw(rng, n)
+        x = draw(rng, n)
+        y = perp(draw(rng, n), [x])
+        a = draw(rng, n)
+        b = perp(draw(rng, n), [a])
         wx, wa, wy, wb = plus(w, x), plus(w, a), plus(w, y), plus(w, b)
         wxy, wab = plus(wx, y), plus(wa, b)
         if oracle.utility is not None:
@@ -363,14 +399,15 @@ def check_soioi(
             return {"w": point(w), "x": point(x), "y": point(y), "a": point(a), "b": point(b)}
         return None
 
-    return _run_trials("soioi", trials, rng_seed, trial, mode)
+    return _run_trials("soioi", trials, rng, trial)
 
 
 def _equal_norm_partner(rng: random.Random, x, mode: str):
-    """A random vector with the same norm as x, in x's mode (see the comment on _EXACT_OPS).
+    """A random vector with the same norm as x, in x's mode (see _trial_ops).
 
     Exact mode permutes coordinates and flips signs, which preserves the
-    squared norm exactly; float mode applies a chain of plane rotations.
+    squared norm exactly; float mode applies a chain of plane rotations,
+    drawn as rng.sample(range(n), 2) and rng.uniform(0, 2*pi) would draw them.
     """
     nums = x[0] if mode == EXACT else x
     n = len(nums)
@@ -380,9 +417,19 @@ def _equal_norm_partner(rng: random.Random, x, mode: str):
         y = tuple(nums[order[i]] * rng.choice((1, -1)) for i in range(n))
         return (y, x[1]) if mode == EXACT else y
     y = [float(v) for v in x]
+    below, unit = rng.randrange, rng.random
     for _ in range(2 * n):
-        i, j = rng.sample(range(n), 2)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
+        # sample's draws for k = 2: from a pool up to n = 21, else redrawn until distinct
+        i = below(n)
+        if n <= 21:
+            j = below(n - 1)
+            if j == i:
+                j = n - 1
+        else:
+            j = below(n)
+            while j == i:
+                j = below(n)
+        theta = math.tau * unit()  # uniform(0.0, tau): 0.0 + (tau - 0.0)*random()
         ci, sj = math.cos(theta), math.sin(theta)
         y[i], y[j] = ci * y[i] - sj * y[j], sj * y[i] + ci * y[j]
     return tuple(y)
@@ -403,22 +450,22 @@ def check_homotheticity(
     w+beta*x vs w+beta*y.
     """
     n, rel = oracle.dim, _tie_rel(tie_rel)
-    draw, plus, _, scaled, point = _EXACT_OPS if mode == EXACT else _FLOAT_OPS
+    rng, draw, plus, _, scaled, point = _trial_ops(trials, mode, radius, rng_seed)
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
-        w = draw(rng, n, mode, radius)
-        x = draw(rng, n, mode, radius)
+        w = draw(rng, n)
+        x = draw(rng, n)
         y = _equal_norm_partner(rng, x, mode)
         if mode == EXACT:
             beta = _sixteenths(rng.randint(1, 160))
         else:
-            beta = rng.uniform(0.0, 10.0) or 10.0
+            beta = 10.0 * rng.random() or 10.0  # uniform(0.0, 10.0), never 0
         wx, wy, bx, by = plus(w, x), plus(w, y), plus(w, scaled(beta, x)), plus(w, scaled(beta, y))
         if _ranks_alike(oracle, mode, rel, point(wx), point(wy), point(bx), point(by)):
             return None
         return {"w": point(w), "x": point(x), "y": point(y), "beta": beta}
 
-    return _run_trials("homotheticity", trials, rng_seed, trial, mode)
+    return _run_trials("homotheticity", trials, rng, trial)
 
 
 def find_monotone_direction(params: SphericalParams) -> Optional[Vec]:
@@ -449,33 +496,35 @@ def check_strict_convexity(
     when c != 0, a shift orthogonal to the gradient when c = 0), which is
     where the linear and anti-Euclidean classes fail. The report's
     ``trials`` counts the requested trials, the skipped ones included (a
-    zero shift, or x == y). A float trial whose utilities, or the gap
-    between two of them, overflow is a ValueError (preference.rank's).
+    zero shift, or x == y), and its ``evaluated`` leaves them out. A float
+    trial whose utilities, or the gap between two of them, overflow is a
+    ValueError (preference.rank's).
     """
     n = params.dim
     half = Fraction(1, 2) if params.is_exact and mode == EXACT else 0.5
     center = classify(params).center
+    rng, draw, *_, point = _trial_ops(trials, mode, radius, rng_seed)
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
         if t % 2 == 0:
-            x = sample_vector(rng, n, mode, radius)
-            y = sample_vector(rng, n, mode, radius)
+            x = point(draw(rng, n))
+            y = point(draw(rng, n))
             if compare(params, x, y) is Ordering.WORSE:
                 x, y = y, x
         else:
-            s = sample_vector(rng, n, mode, radius)
+            s = point(draw(rng, n))
             if is_zero(s):
-                return None
+                return _SKIPPED
             if params.c != 0:
                 x, y = add(center, s), sub(center, s)
             elif not is_zero(params.d):
-                x = sample_vector(rng, n, mode, radius)
+                x = point(draw(rng, n))
                 y = add(x, project_out(s, [params.d]))
             else:
-                x = sample_vector(rng, n, mode, radius)
-                y = sample_vector(rng, n, mode, radius)
+                x = point(draw(rng, n))
+                y = point(draw(rng, n))
         if x == y:
-            return None
+            return _SKIPPED
         mid = tuple(half * (x[i] + y[i]) for i in range(n))
         # an even trial's pair is oriented already: rank is antisymmetric
         weakly_better = t % 2 == 0 or compare(params, x, y) is not Ordering.WORSE
@@ -483,7 +532,7 @@ def check_strict_convexity(
             return {"x": x, "y": y}
         return None
 
-    return _run_trials("strict_convexity", trials, rng_seed, trial, mode)
+    return _run_trials("strict_convexity", trials, rng, trial)
 
 
 def antipodal_indifference(params: SphericalParams, w: Vec, r: float, plane: tuple) -> tuple:

@@ -26,7 +26,7 @@ from functools import cached_property
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .axioms import AxiomReport, _run_trials, cubic_function, sample_vector
+from .axioms import AxiomReport, _check_trials, _run_trials, _trial_ops, cubic_function
 from .formats import scalar_to_json, vec_parser, vec_to_json
 from .geometry import (EXACT, FLOAT, DimensionMismatch, Scalar, Vec, _rational, _sixteenths, add, basis_vector,
                        clear_denominators, dot, finite_param, neg, scale, sub, zeros)
@@ -315,13 +315,13 @@ def check_status_quo_independence(
     largest value (exactly zero in exact mode). A float trial whose values,
     spread or cut are not finite is a ValueError.
     """
-    if trials < 2:
-        raise ValueError("trials must be at least 2")
+    _check_trials(trials, 2)
     finite_param("tol", tol)
+    rng, draw, *_, point = _trial_ops(trials, mode, radius, rng_seed)
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
-        x = sample_vector(rng, u.dim, mode, radius)
-        quos = [zeros(u.dim)] + [sample_vector(rng, u.dim, mode, radius) for _ in range(3)]
+        x = point(draw(rng, u.dim))
+        quos = [zeros(u.dim)] + [point(draw(rng, u.dim)) for _ in range(3)]
         values = [extract_f(u, x, z) for z in quos]
         spread = max(values) - min(values)
         (cut,) = tie_cuts(values, mode, tol)
@@ -334,7 +334,7 @@ def check_status_quo_independence(
             return {"x": x, "w": quos[hi], "w2": quos[lo], "spread": spread}
         return None
 
-    return _run_trials("status_quo_independence", trials, rng_seed, trial, mode)
+    return _run_trials("status_quo_independence", trials, rng, trial)
 
 
 @dataclass(frozen=True)

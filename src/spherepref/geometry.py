@@ -8,7 +8,11 @@ set of functions serves both modes. Comparisons that feed yes/no decisions
 :func:`dot` is the plain left-to-right loop for every entry type. Two kernels
 clear denominators once (:func:`clear_denominators`) and work in ``int``.
 :func:`project_out` on rational vectors runs :func:`project_ints`, integer
-Gram-Schmidt without division, and builds one ``Fraction`` per entry.
+Gram-Schmidt without division, and builds one ``Fraction`` per entry; on a
+basis with a float entry it runs :func:`project_floats`, the one float
+Gram-Schmidt kernel, two passes with each u.u computed once, which drops a
+basis vector only when its part left by the earlier ones is at most 1e-13
+of its own length. The trials of ``axioms`` call both kernels directly.
 :func:`pair_ints` gives the integer row (L, Q, V) of an observation (x, y),
 the one kernel for the sign of c*(x.x - y.y) + d.(x - y):
 ``preference.compare``, the LP rows of ``rationalize`` and both of its
@@ -188,49 +192,96 @@ def project_ints(V: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple:
     return V, S
 
 
-def _reduce(w: Vec, ortho: Sequence[Vec], unit: bool = False) -> Vec:
-    """w minus its component along each u in turn; ``unit`` takes dot(u, u) as 1.
-    An int-by-int coefficient is a ``Fraction``."""
+def _reduce(w: Vec, ortho: Sequence[Vec]) -> Vec:
+    """w minus its component along each u in turn; an int-by-int coefficient
+    is a ``Fraction``."""
     for u in ortho:
-        coeff = dot(w, u)
-        if not unit:
-            uu = dot(u, u)
-            coeff = Fraction(coeff, uu) if type(coeff) is int and type(uu) is int else coeff / uu
+        coeff, uu = dot(w, u), dot(u, u)
+        coeff = Fraction(coeff, uu) if type(coeff) is int and type(uu) is int else coeff / uu
         w = tuple(w[i] - coeff * u[i] for i in range(len(w)))
     return w
+
+
+def _sum_sq(w: Sequence) -> Scalar:
+    """dot(w, w) without its checks."""
+    s = 0
+    for x in w:
+        s += x * x
+    return s
+
+
+def _float_norm(w: Sequence) -> float:
+    """|w| as a float: sqrt(w.w), or, when w.w underflows to 0 or overflows to
+    inf for a nonzero finite w, the norm of w scaled by its largest |entry|."""
+    s = float(_sum_sq(w))
+    if s == 0.0 or s == math.inf:
+        m = max(map(abs, w))
+        if 0 < m < math.inf:
+            return m * math.sqrt(_sum_sq([x / m for x in w]))
+    return math.sqrt(s)
+
+
+def _sweep(w: Sequence, ortho: Iterable[tuple]) -> list:
+    """w minus (w.u / uu)*u for each (u, uu) in turn, w.u summed as dot sums."""
+    for u, uu in ortho:
+        s = 0
+        for x, y in zip(w, u):
+            s += x * y
+        s /= uu
+        w = [x - s * y for x, y in zip(w, u)]
+    return w
+
+
+def project_floats(v: Vec, basis: Sequence[Vec]) -> Vec:
+    """project_out for a basis with a float entry, without its checks: every
+    vector has v's length, and a zero basis vector drops out by itself.
+
+    Modified Gram-Schmidt, normalized and run twice ("twice is enough",
+    Giraud, Langou and Rozloznik 2005), each u.u computed once. A basis
+    vector is dependent, and dropped, when the part of it that the earlier
+    ones leave is at most 1e-13 of its length.
+    """
+    ortho = []  # (u, u.u): u is a float unit vector, u.u is near 1
+    for b in basis:
+        if ortho:
+            # the second pass removes what rounding left, taking u.u as 1 (x / 1.0 is x)
+            w = _sweep(b, ortho + [(u, 1.0) for u, _ in ortho])
+            wn, bn = _float_norm(w), _float_norm(b)
+        else:
+            w, wn = b, _float_norm(b)
+            bn = wn
+        if wn > 1e-13 * bn:
+            u = [x / wn for x in w]
+            ortho.append((u, _sum_sq(u)))
+    return tuple(_sweep(v, ortho + ortho)) if ortho else v
 
 
 def project_out(v: Vec, basis: Sequence[Vec]) -> Vec:
     """Remove from v its orthogonal projection onto span(basis).
 
-    Gram-Schmidt drops zero and dependent basis vectors: classical and
-    unnormalized for an exact basis, so entries stay rational (``Fraction``s,
-    all-``int`` input included; for all-``int``/``Fraction`` input one per
-    entry, through project_ints); else modified, normalized and run twice.
+    Gram-Schmidt drops zero and dependent basis vectors. For an exact basis
+    it is classical and unnormalized, so entries stay rational: for
+    all-``int``/``Fraction`` input one ``Fraction`` per entry, through
+    project_ints. A basis with a float entry runs project_floats, where a
+    basis vector is dependent when at most 1e-13 of its length is left.
     The result is orthogonal to every basis vector: exactly in exact mode,
     within PROJ_TOL*|v||b| in float mode.
     """
     for b in basis:
         _same_dim(v, b)
     basis = [b for b in basis if not is_zero(b)]
+    if not all(map(is_exact, basis)):
+        return project_floats(v, basis)
     if basis and _rational(v) and all(map(_rational, basis)):
         L, V = clear_denominators(v)
         R, S = project_ints(V, [clear_denominators(b)[1] for b in basis])
         return tuple(Fraction(r, L * S) for r in R)
-    exact = all(is_exact(b) for b in basis)
     ortho: list[Vec] = []
     for b in basis:
         w = _reduce(b, ortho)
-        if exact:
-            if not is_zero(w):
-                ortho.append(w)
-            continue
-        # Second pass kills the residual components left by rounding.
-        w = _reduce(w, ortho, unit=True)
-        wn = norm(w)
-        if wn > 1e-13 * max(1.0, norm(b)):
-            ortho.append(tuple(x / wn for x in w))
+        if not is_zero(w):
+            ortho.append(w)
     r = _reduce(v, ortho)
-    if not is_exact(v) or any(not is_exact(u) for u in ortho):
+    if not is_exact(v):
         r = _reduce(r, ortho)
     return r

@@ -1,5 +1,6 @@
-"""Print the digests and pivot totals behind the LP golden tests, and the
-verdict digests of test_golden_verdicts, without pytest.
+"""Print the digests and pivot totals behind the LP golden tests, the
+verdict digests of test_golden_verdicts and the digests of the golden
+checker reports, without pytest.
 
     python tests/lp_golden_digests.py
 
@@ -7,8 +8,10 @@ Runs the programs of test_golden_outcomes and test_golden_tall_outcomes in
 both modes and prints one line, then rationalizes the datasets of
 test_golden_verdicts in both modes and prints a second; each dataset is
 first rendered to JSON and parsed back, and must come back equal, so the
-second line covers the parse as the CLI runs it. Compare the lines with
-the pins in test_lp.py and test_rationalize.py, or across Python versions
+second line covers the parse as the CLI runs it. A third line gives the
+digests of the reports of test_golden_float_reports and
+test_golden_exact_reports. Compare the lines with the pins in test_lp.py,
+test_rationalize.py and test_axioms.py, or across Python versions
 that have no pytest or hypothesis installed. The spherepref sources are
 taken from this checkout's src/.
 """
@@ -42,6 +45,7 @@ class _Stub:
 for _name in ("pytest", "hypothesis"):
     sys.modules.setdefault(_name, _Stub())
 sys.path.insert(0, str(ROOT / "tests"))
+import test_axioms  # noqa: E402
 import test_lp  # noqa: E402
 import test_rationalize  # noqa: E402
 
@@ -74,6 +78,9 @@ def main() -> None:
         docs = "".join(dumps(rationalize(data, restriction, mode=mode).to_dict()) for data, restriction in datasets)
         fields.append(f"verdicts/{mode} {hashlib.sha256(docs.encode()).hexdigest()}")
     print(" | ".join(fields))
+    floats = test_axioms.reports_digest(test_axioms.golden_float_reports())
+    exact = test_axioms.reports_digest(test_axioms.golden_exact_reports())
+    print(f"{version} | checkers/float {floats} | checkers/exact {exact}")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -446,18 +448,27 @@ GOLDEN_EXACT_CUBIC = {
 }
 
 
-def test_golden_exact_reports():
+def golden_exact_reports():
+    """The reports test_golden_exact_reports pins, in its order; also run by
+    tests/lp_golden_digests.py."""
     cubic = cubic_oracle(3)
     blind = ComparisonOracle(dim=3, compare=cubic.compare)
-    for checker, (trials, expected) in GOLDEN_EXACT_CUBIC.items():
-        for oracle in (cubic, blind):
-            assert checker(oracle, trials, rng_seed=1, mode=EXACT).to_dict() == expected, checker.__name__
+    reports = [checker(oracle, trials, rng_seed=1, mode=EXACT)
+               for checker, (trials, _) in GOLDEN_EXACT_CUBIC.items() for oracle in (cubic, blind)]
     anti = SphericalParams(F(1, 2), (F(1, 3), F(-1, 4), 0))
-    assert check_strict_convexity(anti, 40, rng_seed=3, mode=EXACT).to_dict() == {
+    reports.append(check_strict_convexity(anti, 40, rng_seed=3, mode=EXACT))
+    reports.append(check_status_quo_independence(cubic_utility(3), 10, rng_seed=1))
+    return reports
+
+
+def test_golden_exact_reports():
+    reports = [r.to_dict() for r in golden_exact_reports()]
+    assert reports[:8] == [expected for _, expected in GOLDEN_EXACT_CUBIC.values() for _ in range(2)]
+    assert reports[8] == {
         "axiom": "strict_convexity", "trials": 40, "violations": 31,
         "counterexample": {"x": ["13/24", "1/4", "-1/8"], "y": ["-29/24", "1/4", "1/8"]},
     }
-    assert check_status_quo_independence(cubic_utility(3), 10, rng_seed=1).to_dict() == {
+    assert reports[9] == {
         "axiom": "status_quo_independence", "trials": 10, "violations": 10,
         "counterexample": {
             "x": [-0.7312715117751976, 0.6948674738744653, 0.5275492379532281],
@@ -468,7 +479,9 @@ def test_golden_exact_reports():
     }
 
 
-def test_golden_float_reports():
+def golden_float_reports():
+    """The reports test_golden_float_reports pins, in its order; also run by
+    tests/lp_golden_digests.py."""
     cubic = cubic_oracle(3)
     sphere = SphericalParams(-0.6, (0.3, -0.5, 0.55))
     oracles = (
@@ -484,9 +497,17 @@ def test_golden_float_reports():
     reports.append(check_status_quo_independence(cubic_utility(3), 50, rng_seed=4))
     quad = coefficient_oracle(((1.0, 0.5, 0.0), (0.5, -2.0, 0.0), (0.0, 0.0, 0.25)), (1.0, 0.0, -3.0))
     reports.append(check_status_quo_independence(quad, 50, rng_seed=4))
+    return reports
+
+
+def reports_digest(reports):
+    return hashlib.sha256(dumps([r.to_dict() for r in reports]).encode()).hexdigest()
+
+
+def test_golden_float_reports():
+    reports = golden_float_reports()
     assert [r.violations for r in reports] == [15, 40, 3, 51] * 3 + [0] * 9 + [133, 50, 0]
-    digest = hashlib.sha256(dumps([r.to_dict() for r in reports]).encode()).hexdigest()
-    assert digest == "0126841164f06c0d7cc04531fd690ac9a37208c8ec89425d2451bf876999fcd7"
+    assert reports_digest(reports) == "0126841164f06c0d7cc04531fd690ac9a37208c8ec89425d2451bf876999fcd7"
 
 
 @given(
@@ -553,7 +574,7 @@ def reference_oioi(oracle, trials, rng_seed=0, mode=FLOAT, radius=1.0):
             return None
         return {"w": w, "x": x, "y": y, "z": z}
 
-    return ax._run_trials("oioi", trials, rng_seed, trial)
+    return ax._run_trials("oioi", trials, random.Random(rng_seed), trial)
 
 
 def reference_perp_diff(oracle, trials, rng_seed=0, mode=FLOAT, radius=1.0):
@@ -567,7 +588,7 @@ def reference_perp_diff(oracle, trials, rng_seed=0, mode=FLOAT, radius=1.0):
             return None
         return {"x": x, "y": y, "d": d}
 
-    return ax._run_trials("perp_diff", trials, rng_seed, trial)
+    return ax._run_trials("perp_diff", trials, random.Random(rng_seed), trial)
 
 
 def reference_soioi(oracle, trials, rng_seed=0, mode=FLOAT, radius=1.0):
@@ -601,7 +622,7 @@ def reference_soioi(oracle, trials, rng_seed=0, mode=FLOAT, radius=1.0):
                     bad = True
         return {"w": w, "x": x, "y": y, "a": a, "b": b} if bad else None
 
-    return ax._run_trials("soioi", trials, rng_seed, trial)
+    return ax._run_trials("soioi", trials, random.Random(rng_seed), trial)
 
 
 def reference_homotheticity(oracle, trials, rng_seed=0, mode=FLOAT, radius=1.0):
@@ -620,7 +641,7 @@ def reference_homotheticity(oracle, trials, rng_seed=0, mode=FLOAT, radius=1.0):
             return None
         return {"w": w, "x": x, "y": y, "beta": beta}
 
-    return ax._run_trials("homotheticity", trials, rng_seed, trial)
+    return ax._run_trials("homotheticity", trials, random.Random(rng_seed), trial)
 
 
 REFERENCE_CHECKERS = {
@@ -766,3 +787,158 @@ def test_the_largest_radii_still_draw():
     rng = random.Random(0)
     assert all(math.isfinite(v) for v in sample_vector(rng, 3, FLOAT, 8.98e307))
     assert all(math.isfinite(v) for v in sample_vector(rng, 3, EXACT, 1.12e307))
+
+
+@pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, "3", None, F(3)])
+@pytest.mark.parametrize("checker", TRIAL_CHECKERS)
+def test_trial_checkers_refuse_a_trial_count_that_is_not_an_int(checker, trials):
+    # True once ran one trial and reported "trials": true; 2.5 raised a bare TypeError
+    with pytest.raises(ValueError, match=re.escape(f"trials must be an int, not {trials!r}")):
+        checker(trial_subject(checker), trials, rng_seed=1)
+
+
+def test_several_bad_arguments_raise_the_first_check_s_error():
+    # tie_rel, then the trial count, then the mode, then the seed, then the radius
+    oracle = cubic_oracle(3)
+    with pytest.raises(ValueError, match="tie_rel"):
+        check_oioi(oracle, 0, mode="x", radius=-1, tie_rel=-1)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        check_oioi(oracle, 0, mode="x", radius=-1)
+    with pytest.raises(ValueError, match="unknown arithmetic mode"):
+        check_oioi(oracle, 5, mode="x", radius=-1)
+    with pytest.raises(TypeError):  # the seed, as random.Random refuses it
+        check_oioi(oracle, 5, rng_seed=[1], radius=-1)
+    with pytest.raises(TypeError):
+        check_strict_convexity(SphericalParams(-1, (0, 0, 0)), 5, rng_seed=[1], mode=EXACT, radius=-1)
+    with pytest.raises(ValueError, match="trials must be at least 2"):
+        check_status_quo_independence(cubic_utility(3), 1, tol=-1, mode="x", radius=-1)
+    with pytest.raises(ValueError, match="tol must be"):
+        check_status_quo_independence(cubic_utility(3), 5, tol=-1, mode="x", radius=-1)
+    with pytest.raises(TypeError):
+        check_status_quo_independence(cubic_utility(3), 5, rng_seed=[1], radius=-1)
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+@pytest.mark.parametrize("checker", TRIAL_CHECKERS)
+def test_every_trial_of_a_checker_that_skips_none_is_evaluated(checker, mode):
+    report = checker(trial_subject(checker), 30, rng_seed=2, mode=mode)
+    assert report.evaluated == report.trials == 30
+    # evaluated is no part of a report's equality, repr or document
+    assert report == replace(report, evaluated=0)
+    assert "evaluated" not in repr(report) and "evaluated" not in report.to_dict()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_strict_convexity_evaluates_the_trials_it_does_not_skip(seed):
+    # under total indifference every trial that is not skipped is a violation;
+    # on the 1/16 grid with one step per radius, skipped trials are common
+    report = check_strict_convexity(SphericalParams(0, (0,)), 300, rng_seed=seed, mode=EXACT, radius=F(1, 16))
+    assert report.evaluated == report.violations
+    assert 100 < report.evaluated < report.trials == 300
+
+
+# The float rotations of the equal-norm partner as the checkers drew them
+# before they drew indices and angles with randrange and random directly.
+def reference_float_partner(rng, x):
+    n = len(x)
+    y = [float(v) for v in x]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        ci, sj = math.cos(theta), math.sin(theta)
+        y[i], y[j] = ci * y[i] - sj * y[j], sj * y[i] + ci * y[j]
+    return tuple(y)
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_the_float_partner_draws_like_sample_and_uniform(n):
+    # both of sample's paths: a pool up to n = 21, a set with redraws above
+    x = tuple(float(k + 1) for k in range(n))  # distinct entries show every pair
+    for seed in range(60):
+        mine, ref = random.Random(seed), random.Random(seed)
+        assert repr(ax._equal_norm_partner(mine, x, FLOAT)) == repr(reference_float_partner(ref, x))
+        assert mine.getstate() == ref.getstate()
+
+
+# The float trial operations before the checkers built them once per call,
+# kept verbatim: sample_vector checked the radius on every draw, add checked
+# lengths, and project_out ran the generic dispatch with the absolute floor
+# 1e-13 * max(1.0, norm(b)) on its float dependence test.
+def reference_sample_vector(rng, dim, mode=FLOAT, radius=1.0):
+    hi = ax.box_radius(radius, 2)
+    lo = -hi
+    width, draw = hi + hi, rng.random
+    return tuple(lo + width * draw() for _ in range(dim))
+
+
+def reference_reduce(w, ortho, unit=False):
+    for u in ortho:
+        coeff = dot(w, u)
+        if not unit:
+            uu = dot(u, u)
+            coeff = F(coeff, uu) if type(coeff) is int and type(uu) is int else coeff / uu
+        w = tuple(w[i] - coeff * u[i] for i in range(len(w)))
+    return w
+
+
+def reference_float_project_out(v, basis):
+    from spherepref.geometry import _same_dim, is_exact, is_zero, norm
+
+    for b in basis:
+        _same_dim(v, b)
+    basis = [b for b in basis if not is_zero(b)]
+    exact = all(is_exact(b) for b in basis)
+    ortho = []
+    for b in basis:
+        w = reference_reduce(b, ortho)
+        if exact:
+            if not is_zero(w):
+                ortho.append(w)
+            continue
+        w = reference_reduce(w, ortho, unit=True)
+        wn = norm(w)
+        if wn > 1e-13 * max(1.0, norm(b)):
+            ortho.append(tuple(x / wn for x in w))
+    r = reference_reduce(v, ortho)
+    if not is_exact(v) or any(not is_exact(u) for u in ortho):
+        r = reference_reduce(r, ortho)
+    return r
+
+
+def reference_float_trial_ops(trials, mode, radius, rng_seed):
+    assert mode == FLOAT
+    draw = lambda rng, n: reference_sample_vector(rng, n, mode, radius)  # noqa: E731
+    return random.Random(rng_seed), draw, add, reference_float_project_out, scale, lambda v: v
+
+
+def float_trial_subjects(checker, n, rng):
+    """Subjects with and without violations for each float trial checker."""
+    if checker is check_strict_convexity:
+        d = tuple(rng.uniform(-1, 1) for _ in range(n))
+        return [SphericalParams(c, d) for c in (-0.7, 0.0, 0.4)] + [SphericalParams(0.0, (0.0,) * n)]
+    if checker is check_status_quo_independence:
+        a = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+        sym = tuple(tuple((a[i][j] + a[j][i]) / 2 for j in range(n)) for i in range(n))
+        return [cubic_utility(n), coefficient_oracle(sym, tuple(rng.uniform(-1, 1) for _ in range(n)))]
+    sphere = params_oracle(SphericalParams(rng.uniform(-1, 1), tuple(rng.uniform(-1, 1) for _ in range(n))))
+    cubic = cubic_oracle(n) if n >= 2 else utility_comparison_oracle(cubic_function(1), 1)
+    return [sphere, ComparisonOracle(n, sphere.compare), cubic, ComparisonOracle(n, cubic.compare)]
+
+
+@pytest.mark.parametrize("checker", TRIAL_CHECKERS)
+def test_float_trials_match_the_reference_float_trial_ops(checker, monkeypatch):
+    import spherepref.cardinal as cardinal
+
+    rng = random.Random(27)
+    cases = [(n, subject, radius, seed) for n in range(1, 8) for subject in float_trial_subjects(checker, n, rng)
+             for radius in (1, 0.3, F(5, 2)) for seed in (rng.randrange(2**32) for _ in range(2))]
+    trials = 2 if checker is check_status_quo_independence else 40
+    got = [dumps(checker(s, trials, rng_seed=seed, radius=r).to_dict()) for n, s, r, seed in cases]
+    monkeypatch.setattr(ax, "_trial_ops", reference_float_trial_ops)
+    monkeypatch.setattr(cardinal, "_trial_ops", reference_float_trial_ops)
+    partner = ax._equal_norm_partner  # the same rule for n = 1 before and after
+    monkeypatch.setattr(ax, "_equal_norm_partner",
+                        lambda rng, x, mode: reference_float_partner(rng, x) if len(x) > 1 else partner(rng, x, mode))
+    want = [dumps(checker(s, trials, rng_seed=seed, radius=r).to_dict()) for n, s, r, seed in cases]
+    assert got == want
+    assert sum('"violations": 0' not in doc for doc in got) >= len(got) // 10  # counterexamples compared too

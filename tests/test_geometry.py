@@ -16,6 +16,7 @@ from spherepref.geometry import (
     is_exact,
     is_zero,
     norm,
+    project_floats,
     project_out,
     sq_norm,
     sub,
@@ -108,6 +109,16 @@ def test_project_out_float_near_dependent_basis():
         assert abs(dot(r, b)) <= PROJ_TOL * norm(v) * norm(b)
 
 
+@pytest.mark.parametrize("b", [(1e-20, 1e-20), (3e-14, 0.0), (1e200, 1e200)])
+def test_float_project_out_keeps_small_and_huge_basis_vectors(b):
+    # an absolute floor on the dependence test dropped the first two, and the
+    # third's square overflowed, so each came back as (1.0, 1.0)
+    v = (1.0, 1.0)
+    r = project_out(v, [b])
+    assert r != v
+    assert abs(r[0] * b[0] + r[1] * b[1]) <= PROJ_TOL * math.hypot(*v) * math.hypot(*b)
+
+
 def test_exactness_helpers():
     assert is_exact((1, F(1, 2)))
     assert not is_exact((1, 0.5))
@@ -117,9 +128,21 @@ def test_exactness_helpers():
 
 # The two-function Gram-Schmidt that project_out folds, kept verbatim as the
 # reference its bits are compared against, except that an int-by-int
-# coefficient is a Fraction: project_out is exact on all-int input.
+# coefficient is a Fraction (project_out is exact on all-int input) and that
+# a float basis vector is dependent when at most 1e-13 of its length is left
+# (reference_norm): the floor 1e-13 * max(1.0, norm(b)) dropped small basis
+# vectors, and norm(b) overflowed for huge ones.
 def _coeff(num, den):
     return F(num, den) if type(num) is int and type(den) is int else num / den
+
+
+def reference_norm(w):
+    ww = float(dot(w, w))
+    m = max(map(abs, w))
+    if ww in (0.0, math.inf) and 0 < m < math.inf:
+        scaled = tuple(x / m for x in w)
+        return m * math.sqrt(float(dot(scaled, scaled)))
+    return math.sqrt(ww)
 
 
 def reference_orthogonalize(basis):
@@ -141,8 +164,8 @@ def reference_orthogonalize(basis):
         for u in ortho:
             coeff = dot(w, u)
             w = tuple(w[i] - coeff * u[i] for i in range(len(w)))
-        wn = norm(w)
-        if wn > 1e-13 * max(1.0, norm(b)):
+        wn = reference_norm(w)
+        if wn > 1e-13 * reference_norm(b):
             ortho.append(tuple(x / wn for x in w))
     return ortho
 
@@ -210,10 +233,20 @@ def _outcome(fn, v, basis):
 @given(projection_cases())
 # the float re-orthogonalization pass takes dot(u, u) as 1; here it is not
 @example(((1.0, 0.0, 0.0), [(0.0, 1.0, 2.0), (1.0, 1.0, 2.0)]))
+# small and huge basis vectors, squares that underflow or overflow, first and after another vector
+@example(((1.0, 1.0), [(1e-20, 1e-20)]))
+@example(((1.0, 1.0), [(1e200, 1e200)]))
+@example(((1.0, 2.0, 3.0), [(1.0, 0.0, 0.0), (1e-200, 1e-170, 0.0)]))
+@example(((1.0, 2.0, 3.0), [(0.0, 1.0, 0.0), (1e200, 1e200, -1e190)]))
+@example(((1, 2), [(F(1, 3), 0), (0.0, 1e-300)]))
 def test_project_out_matches_two_pass_reference_bit_for_bit(case):
     # repr tells 0.0 from -0.0 and an int from an equal Fraction or float
     v, basis = case
-    assert _outcome(project_out, v, basis) == _outcome(reference_project_out, v, basis)
+    expected = _outcome(reference_project_out, v, basis)
+    assert _outcome(project_out, v, basis) == expected
+    if not all(is_exact(b) for b in basis if not is_zero(b)):
+        # the float kernel the float trials call, zero basis vectors included
+        assert _outcome(project_floats, v, basis) == expected
 
 
 p_over_q = st.builds(
