@@ -42,6 +42,7 @@ from .geometry import (
     _sixteenths,
     add,
     box_radius,
+    count_param,
     dot,
     finite_param,
     is_zero,
@@ -155,14 +156,6 @@ class AxiomReport:
 _SKIPPED = object()
 
 
-def _check_trials(trials: int, least: int = 1) -> None:
-    """A ValueError unless the trial count is an int (not a bool) >= ``least``."""
-    if not isinstance(trials, int) or isinstance(trials, bool):
-        raise ValueError(f"trials must be an int, not {trials!r}")
-    if trials < least:
-        raise ValueError(f"trials must be at least {least}")
-
-
 def _run_trials(axiom: str, trials: int, rng: random.Random, trial: Callable) -> AxiomReport:
     """The trial loop of every checker, on the generator of _trial_ops.
 
@@ -223,7 +216,7 @@ def _trial_ops(trials: int, mode: str, radius: Scalar, rng_seed) -> tuple:
     integers; its point is the Fraction tuple that the float operations give
     on Fraction tuples. A float vector is its own point, and has the
     oracle's dimension, so plus checks no length."""
-    _check_trials(trials)
+    count_param("trials", trials)
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown arithmetic mode: {mode!r}")
     rng = random.Random(rng_seed)

@@ -26,10 +26,10 @@ from functools import cached_property
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .axioms import AxiomReport, _check_trials, _run_trials, _trial_ops, cubic_function
+from .axioms import AxiomReport, _run_trials, _trial_ops, cubic_function
 from .formats import scalar_to_json, vec_parser, vec_to_json
 from .geometry import (EXACT, FLOAT, DimensionMismatch, Scalar, Vec, _rational, _sixteenths, add, basis_vector,
-                       clear_denominators, dot, finite_param, neg, scale, sub, zeros)
+                       clear_denominators, count_param, dot, finite_param, neg, scale, sub, zeros)
 from .preference import _not_finite, tie_cuts
 
 # Reconstruction residual above RESIDUAL_REL*(1 + max |U|) rejects the oracle.
@@ -315,7 +315,7 @@ def check_status_quo_independence(
     largest value (exactly zero in exact mode). A float trial whose values,
     spread or cut are not finite is a ValueError.
     """
-    _check_trials(trials, 2)
+    count_param("trials", trials, 2)
     finite_param("tol", tol)
     rng, draw, *_, point = _trial_ops(trials, mode, radius, rng_seed)
 

@@ -62,6 +62,16 @@ def finite_param(name: str, value: Scalar, positive: bool = False) -> Scalar:
     return value
 
 
+def count_param(name: str, value: int, least: int = 1) -> int:
+    """``value`` if it is an int (not a bool) >= ``least``, else a ValueError
+    naming the parameter: the rule for every trial and sample count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
+
+
 def box_radius(radius: Scalar, width: int) -> float:
     """The rule for every sampling radius: ``radius`` as a float, if it is
     finite and > 0 and a box ``width`` >= 2 radii wide has a finite float width."""
@@ -142,9 +152,16 @@ def to_float(a: Vec) -> Vec:
     return tuple(float(x) for x in a)
 
 
-def norm(a: Vec) -> float:
-    """Euclidean length as a float (float-mode helper)."""
-    return math.sqrt(float(sq_norm(a)))
+def norm(a: Sequence) -> float:
+    """Euclidean length as a float: sqrt(a.a), or, when a.a underflows to 0
+    or overflows to inf for a nonzero finite a, the norm of a scaled by its
+    largest |entry|."""
+    s = float(_sum_sq(a))
+    if s == 0.0 or s == math.inf:
+        m = max(map(abs, a), default=0)
+        if 0 < m < math.inf:
+            return m * math.sqrt(_sum_sq([x / m for x in a]))
+    return math.sqrt(s)
 
 
 def normalize(a: Vec) -> Vec:
@@ -210,17 +227,6 @@ def _sum_sq(w: Sequence) -> Scalar:
     return s
 
 
-def _float_norm(w: Sequence) -> float:
-    """|w| as a float: sqrt(w.w), or, when w.w underflows to 0 or overflows to
-    inf for a nonzero finite w, the norm of w scaled by its largest |entry|."""
-    s = float(_sum_sq(w))
-    if s == 0.0 or s == math.inf:
-        m = max(map(abs, w))
-        if 0 < m < math.inf:
-            return m * math.sqrt(_sum_sq([x / m for x in w]))
-    return math.sqrt(s)
-
-
 def _sweep(w: Sequence, ortho: Iterable[tuple]) -> list:
     """w minus (w.u / uu)*u for each (u, uu) in turn, w.u summed as dot sums."""
     for u, uu in ortho:
@@ -246,9 +252,9 @@ def project_floats(v: Vec, basis: Sequence[Vec]) -> Vec:
         if ortho:
             # the second pass removes what rounding left, taking u.u as 1 (x / 1.0 is x)
             w = _sweep(b, ortho + [(u, 1.0) for u, _ in ortho])
-            wn, bn = _float_norm(w), _float_norm(b)
+            wn, bn = norm(w), norm(b)
         else:
-            w, wn = b, _float_norm(b)
+            w, wn = b, norm(b)
             bn = wn
         if wn > 1e-13 * bn:
             u = [x / wn for x in w]

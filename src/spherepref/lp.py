@@ -25,15 +25,16 @@ other's column is -den * e_r with a reduced cost of exactly 0: it can never
 enter and is not stored. So every pivot, and every stored number, is what
 the tableau with both columns has.
 
-The augmented dictionary [D | rhs] is stored as a list of lines along its
-longer side, chosen once per solve from its shape: by column when there are
-more rows than stored columns (the margin LP of ``rationalize``, about 37
-rows by n + 2 columns), by row otherwise (its certificate LP, n + 2 rows by
-one column per observation). A pivot then rebuilds a few long lines instead
-of many short ones. One update serves both layouts because the dual
+The augmented dictionary [D | rhs] is stored as a list of lines. Float mode
+stores one line per column. Exact mode stores it along its longer side,
+chosen once per solve from its shape: by column when there are more rows
+than stored columns (the margin LP of ``rationalize``, about 37 rows by
+n + 2 columns), by row otherwise (its certificate LP, n + 2 rows by one
+column per observation), so a pivot rebuilds a few long packed lines instead
+of many short ones. One exact update serves both layouts because the dual
 dictionary is the negative transpose of the primal one (Vanderbei, *Linear
-Programming*, ch. 5): along a column the cross entry only changes sign, and
-every number is the one the row-major tableau computes.
+Programming*, ch. 5): along a column the cross entry only changes sign. In
+either mode every number is the one the row-major tableau computes.
 
 Exact mode pivots fraction-free (Edmonds 1967, Bareiss 1968). Each row is
 scaled once by the lcm of its denominators (integer rows enter as they are),
@@ -48,7 +49,8 @@ with three big-int operations, whatever its length. Row scaling multiplies
 each row of the true tableau, each ratio of one ratio test and each reduced
 cost by a positive factor, so every entering and leaving choice is the one a
 Fraction tableau would make: the pivots, and so the outputs, are the same.
-Float mode keeps plain Gauss-Jordan pivots on floats with small tolerances.
+Float mode keeps plain Gauss-Jordan pivots on floats, one column at a time,
+with small tolerances.
 
 The exact ratio test reads the rhs only when it has to. Every rhs entry is
 >= 0, so a row with rhs 0 and a positive entry in the entering column has
@@ -77,7 +79,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from math import inf, isfinite, lcm, prod
 from operator import mul
 from struct import Struct
@@ -172,15 +173,16 @@ class _Tableau:
     The augmented dictionary [D | rhs] has row i for the basic variable
     ``basis[i]`` (whose unit column is implied), column k for the nonbasic
     variable ``nonbasic[k]``, and the right-hand side as its last column,
-    number ``len(nonbasic)``. It is stored as ``lines`` along its longer
-    side, picked once from the shape: one line per column, the rhs line last,
-    when there are more rows than stored columns, else one line per row, each
-    ending with its rhs entry. Phase 2's objective is row m = ``len(basis)``
-    and, given artificials, phase 1's is row m + 1: entries of every line by
-    column, lines by row. ``column(k)`` and ``row(i)`` read either way
-    (``row(m)`` reads an objective row; ``column(k)`` and ``rhs`` leave them
-    out); what they return is read only. In float mode a line is a list of
-    floats and ``den`` stays 1.
+    number ``len(nonbasic)``. It is stored as ``lines``: one line per
+    column, the rhs line last, when ``by_col``, else one line per row, each
+    ending with its rhs entry. Float mode is always ``by_col``; exact mode is
+    when there are more rows than stored columns, so that it stores the
+    longer side. Phase 2's objective is row m = ``len(basis)`` and, given
+    artificials, phase 1's is row m + 1: entries of every line by column,
+    lines by row. ``column(k)`` and ``row(i)`` read either way (``row(m)``
+    reads an objective row; ``column(k)`` and ``rhs`` leave them out); what
+    they return is read only. In float mode a line is a list of floats and
+    ``den`` stays 1.
 
     In exact mode the true tableau is ``[D | rhs] / den``, objective rows
     included, for one common denominator ``den > 0``, and a line is one int,
@@ -205,7 +207,7 @@ class _Tableau:
     def __init__(self, rows: list, basis: list, nonbasic: list, twin: dict, exact: bool):
         """``rows`` are the rows of [D | rhs], then the objective rows."""
         m = len(basis)
-        self.by_col = m > len(nonbasic)
+        self.by_col = not exact or m > len(nonbasic)
         lines = self.lines = [list(c) for c in zip(*rows)] if self.by_col else rows
         if exact:
             w = self.words = -(-(_minor_bits(lines) + 1) // 64)
@@ -223,7 +225,9 @@ class _Tableau:
                 bias, shift, mask, half = self.bias, self.b * j, self.mask, self.half
                 return [((L + bias) >> shift & mask) - half for L in lines]
         else:
-            stored = (lambda j: lines[j][:m]) if self.by_col else lines.__getitem__
+
+            def stored(j: int) -> list:
+                return lines[j][:m]
 
             def across(j: int) -> list:
                 return [line[j] for line in lines]
@@ -272,28 +276,27 @@ class _Tableau:
         negated one."""
         if self.by_col:
             self.lines[k] = -self.lines[k] if self.exact else [-v for v in self.lines[k]]
-        elif self.exact:
+        else:
             shift = self.b * k + 1
             self.lines[:] = [L - (f << shift) for L, f in zip(self.lines, self.across(k))]
-        else:
-            for line in self.lines:
-                line[k] = -line[k]
         self.nonbasic[k] = self.twin[self.nonbasic[k]]
 
     def pivot(self, r: int, k: int) -> None:
         """Swap ``basis[r]`` and ``nonbasic[k]``: column k becomes the
         leaving variable's column, and every line is updated in one pass.
 
-        The pivot line P is row r, or column k when stored by column, and
-        every other line L meets it at the cross entry f = L[pos] (pos = k
-        along a row, r along a column). The dual dictionary is the negative
-        transpose of the primal one, so one update serves both layouts; only
-        the sign of ``cross`` differs.
+        Float mode stores by column and runs Gauss-Jordan column by column,
+        each number as the row-major tableau computes it. Exact mode's pivot
+        line P is row r, or column k when stored by column, and every other
+        line L meets it at the cross entry f = L[pos] (pos = k along a row,
+        r along a column). The dual dictionary is the negative transpose of
+        the primal one, so one update serves both layouts; only the sign of
+        ``cross`` differs.
         """
         lines = self.lines
-        x, pos, cross = (k, r, -1) if self.by_col else (r, k, 1)
-        P = lines[x]
         if self.exact:
+            x, pos, cross = (k, r, -1) if self.by_col else (r, k, 1)
+            P = lines[x]
             # with rhs_r = 0 every rhs entry is scaled by p / den > 0, so the
             # rows whose rhs is 0 stay the same
             degenerate = r in self.zero_rows()
@@ -317,31 +320,23 @@ class _Tableau:
             lines[x] = cross * W - (cross * p << shift)  # W[pos] = s * den
             self.den = p
         else:
-            degenerate = not (lines[-1][r] if self.by_col else P[-1])
-            # Gauss-Jordan, each number as the row-major tableau computed it:
-            # row r (R: P by row, the lines' cross entries by column) is
-            # divided by the pivot where it is nonzero (its rhs always),
-            # column k (C) becomes the unit column e_r, and each row i with
-            # C[i] nonzero subtracts C[i]*R where R is nonzero (from the rhs
-            # always), which turns e_r into the leaving column. One loop
-            # stores each line's entry at pos and reduces the lines that change.
-            piv = P[pos]
-            crossing = [L[pos] for L in lines]
-            R, C = (crossing, P) if self.by_col else (P, crossing)
-            R[k] = 1.0
-            R = [v / piv if v else v for v in R[:-1]] + [R[-1] / piv]
-            unit = [0.0] * len(C)
-            unit[r] = R[k]
-            lines[x], across = (unit, R) if self.by_col else (R, unit)
-            C[r] = 0.0  # row r is divided, not reduced
-            rows, cols = C, R[:-1] + [True]  # nonzero where a row or a column changes
-            V, F, outer, inner = (C, R, cols, rows) if self.by_col else (R, C, rows, cols)
-            inner = list(compress(range(len(inner)), inner))
-            for L, f, w, live in zip(lines, F, across, outer):
-                L[pos] = w
-                if live:
-                    for z in inner:
-                        L[z] = L[z] - V[z] * f
+            # Row r's entry in each column is divided by the pivot where it
+            # is nonzero, its rhs entry always; column k becomes e_r, and each
+            # row i with an entry c in column k subtracts c times each nonzero
+            # quotient, which turns e_r into the leaving column.
+            C, rhs = lines[k], lines[-1]
+            degenerate = not rhs[r]
+            piv, C[r] = C[r], 0.0  # row r is divided, not reduced
+            lines[k] = [0.0] * len(C)
+            lines[k][r] = 1.0
+            rows = [i for i, c in enumerate(C) if c]
+            for L in lines:
+                q = L[r]
+                if q or L is rhs:
+                    L[r] = q = q / piv
+                    if q or L is rhs:
+                        for i in rows:
+                            L[i] = L[i] - C[i] * q
         self.basis[r], self.nonbasic[k] = self.nonbasic[k], self.basis[r]
         self.pivots += 1
         self.degenerate += degenerate

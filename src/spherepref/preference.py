@@ -254,7 +254,7 @@ def canonicalize(p: SphericalParams, mode: str | None = None) -> SphericalParams
     sphere (by the largest absolute entry first if that length overflows or
     underflows). Exact mode divides by the largest absolute entry instead,
     keeping every coordinate rational. Both represent the same preference.
-    The zero pair (total indifference), or a float one that is not finite,
+    The zero pair (total indifference), or one with an infinity or a NaN,
     has no canonical form and raises ValueError.
     """
     if p.is_zero:
@@ -262,8 +262,10 @@ def canonicalize(p: SphericalParams, mode: str | None = None) -> SphericalParams
     if mode is None:
         mode = EXACT if p.is_exact else FLOAT
     if mode == EXACT:
-        c = Fraction(p.c)
-        d = tuple(Fraction(x) for x in p.d)
+        try:
+            c, d = Fraction(p.c), tuple(map(Fraction, p.d))
+        except (OverflowError, ValueError):  # an infinity or a NaN has no integer ratio
+            raise ValueError(f"exact parameters must be finite, not {[p.c, *p.d]}") from None
         m = max(abs(c), *(abs(x) for x in d)) if d else abs(c)
         return SphericalParams(c / m, tuple(x / m for x in d))
     if mode == FLOAT:

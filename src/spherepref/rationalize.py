@@ -40,8 +40,8 @@ from typing import Optional
 
 from . import lp
 from .formats import scalar_to_json, vec_parser, vec_to_json
-from .geometry import (EXACT, DimensionMismatch, Scalar, Vec, _sixteenths, box_radius, clear_denominators, dot,
-                       finite_param, pair_ints, sub, to_exact)
+from .geometry import (EXACT, DimensionMismatch, Scalar, Vec, _sixteenths, box_radius, clear_denominators, count_param,
+                       dot, finite_param, pair_ints, sub, to_exact)
 from .preference import Ordering, SphericalParams, compare
 
 RESTRICT_LINEAR = "linear"
@@ -443,8 +443,7 @@ def generate_dataset(
     relation oriented by the preference, exact ties enter the weak relation
     in both orientations. The output is rationalizable by construction.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    count_param("count", count)
     span = max(1, round(box_radius(radius, 8) * 8))
     rng = random.Random(rng_seed)
     n = params.dim

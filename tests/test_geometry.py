@@ -16,6 +16,7 @@ from spherepref.geometry import (
     is_exact,
     is_zero,
     norm,
+    normalize,
     project_floats,
     project_out,
     sq_norm,
@@ -46,6 +47,23 @@ def test_sq_norm_examples():
     assert sq_norm((0, 0, 0)) == 0
     assert sq_norm((3, 4, 0)) == 25
     assert sq_norm((F(1, 2), F(1, 3), 0)) == F(13, 36)
+
+
+def test_norm_scales_a_sum_of_squares_that_underflows_or_overflows():
+    # w.w rounds to 0 or to inf for these nonzero finite vectors: norm scales
+    # by the largest |entry|, so normalize gives a unit vector
+    assert norm((1e-320, 0.0)) == 1e-320 and normalize((1e-320, 0.0)) == (1.0, 0.0)
+    assert norm((3e200, 4e200)) == pytest.approx(5e200)
+    assert normalize((1e200, 1e200)) == pytest.approx((0.5**0.5, 0.5**0.5))
+    # every other vector keeps sqrt(w.w), summed left to right
+    rng = random.Random(3)
+    for _ in range(200):
+        v = tuple(rng.uniform(-8, 8) for _ in range(rng.randint(1, 5)))
+        assert norm(v) == math.sqrt(float(dot(v, v)))
+    assert norm(()) == 0.0 and norm((3, 4)) == 5.0 and norm((math.inf, 1.0)) == math.inf
+    assert math.isnan(norm((math.nan, 1e-320)))
+    with pytest.raises(ValueError, match="zero vector"):
+        normalize((0.0, -0.0))
 
 
 def test_project_out_examples():

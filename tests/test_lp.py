@@ -420,8 +420,8 @@ def test_golden_tall_outcomes():
 #
 # `lp._Tableau` as it was when it always stored one list per row, copied so
 # that the references below share no code with the tableau under test, which
-# stores the longer side of [D | rhs]: the lock-step test checks every entry
-# after every pivot against it.
+# stores [D | rhs] by column in float mode and along its longer side in exact
+# mode: the lock-step test checks every entry after every pivot against it.
 
 
 class _RowTableau:
@@ -911,24 +911,27 @@ def lock_step_run():
 
 
 def test_line_storage_pivots_in_lock_step_with_the_row_tableau(lock_step_run):
-    # tall programs store columns, wide and square ones rows; either way every
-    # number after every pivot is the row-major tableau's, in both modes
+    # exact mode stores tall programs by column and wide and square ones by
+    # row, float mode stores every program by column; either way every number
+    # after every pivot is the row-major tableau's, in both modes
     solves, gap = lock_step_run
-    shapes = [(len(tab.basis), len(tab.nonbasic), tab.by_col) for _, tab in solves]
-    assert all(by_col == (m > n) for m, n, by_col in shapes)  # by column exactly when taller than wide
-    assert any(m > n for m, n, _ in shapes) and any(m < n for m, n, _ in shapes) and any(m == n for m, n, _ in shapes)
+    for exact in (True, False):
+        shapes = [(len(tab.basis), len(tab.nonbasic), tab.by_col) for _, tab in solves if tab.exact == exact]
+        assert all(by_col == (m > n or not exact) for m, n, by_col in shapes)  # exact: by column exactly when taller
+        assert any(m > n for m, n, _ in shapes) and any(m < n for m, n, _ in shapes) and any(m == n for m, n, _ in shapes)
     assert gap > 0  # the float rows were checked, and carrying rounds otherwise than pricing
 
 
 def test_degenerate_pivots_count_the_pivots_on_a_zero_rhs(lock_step_run):
     # LpStats.degenerate_pivots counts the pivots whose row has rhs 0 in the
-    # reference tableau, in both modes and both layouts
+    # reference tableau, in both modes and every layout: exact by row and by
+    # column, float by column
     seen = set()
     for out, tab in lock_step_run[0]:
         assert out.stats.degenerate_pivots == sum(zero for _, zero in tab.kinds) <= tab.pivots
         if 0 < out.stats.degenerate_pivots < tab.pivots:
             seen.add((tab.exact, tab.by_col))
-    assert seen == {(exact, by_col) for exact in (True, False) for by_col in (True, False)}
+    assert seen == {(True, False), (True, True), (False, True)}
 
 
 def test_the_zero_rhs_rows_of_the_ratio_test_follow_every_pivot(lock_step_run):

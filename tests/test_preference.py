@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spherepref.geometry import FLOAT, DimensionMismatch, dot, sq_norm, sub
+from spherepref.geometry import EXACT, FLOAT, DimensionMismatch, dot, sq_norm, sub
 from spherepref.preference import (
     ANTI_EUCLIDEAN,
     EUCLIDEAN,
@@ -115,6 +115,17 @@ def test_canonicalize_exact():
 def test_canonicalize_rejects_zero():
     with pytest.raises(ValueError):
         canonicalize(SphericalParams(0, (0, 0, 0)))
+
+
+def test_canonicalize_names_an_infinity_or_a_nan_in_both_modes():
+    # no integer ratio in exact mode, no length in float mode: one ValueError each
+    bad = [SphericalParams(c, d) for c in (math.inf, -math.inf, math.nan) for d in ((1.0,), ())]
+    bad += [SphericalParams(1.0, (0.0, v)) for v in (math.inf, math.nan)] + [SphericalParams(0, (math.nan,))]
+    for p in bad:
+        with pytest.raises(ValueError, match="exact parameters must be finite, not"):
+            canonicalize(p, EXACT)
+        with pytest.raises(ValueError, match="float parameters must be finite"):
+            canonicalize(p, FLOAT)
 
 
 def test_sphere_normal_examples():

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -221,8 +222,15 @@ def test_certificate_lp_examples():
 
 
 def test_generate_dataset_validates_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="count must be at least 1"):
         generate_dataset(SphericalParams(0, (1, 0, 0)), 0, rng_seed=1)
+
+
+@pytest.mark.parametrize("count", [True, False, 2.5, 3.0, "3", None, F(3)])
+def test_generate_dataset_refuses_a_count_that_is_not_an_int(count):
+    # True once sampled one pair, and 2.5 raised a bare TypeError
+    with pytest.raises(ValueError, match=re.escape(f"count must be an int, not {count!r}")):
+        generate_dataset(SphericalParams(0, (1, 0, 0)), count, rng_seed=1)
 
 
 @pytest.mark.parametrize("radius", [0, -1, math.nan, math.inf])
