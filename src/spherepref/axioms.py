@@ -6,11 +6,12 @@ oracle, and reports violations with the first counterexample found. One
 driver, _run_trials, owns the seeded loop and the report for every checker.
 Each checker has one trial body over the trial operations of its call
 (_trial_ops), built once per call with its generator, the radius checked
-there once, after the trial count, mode and seed. Float trials
-draw like sample_vector and run map(operator.add), geometry.project_floats
-and scale on float tuples. Exact trials run on integer numerators over one
-denominator, drawn with the same randint calls; each point the oracle sees,
-and each counterexample entry, is built once as one Fraction per entry.
+there once, after the trial count, mode and seed. Every trial draws
+through geometry.box_draw, on the 1/16 grid in exact mode. Float trials
+run map(operator.add), geometry.project_floats and scale on float tuples.
+Exact trials run on integer numerators over one denominator; each point
+the oracle sees, and each counterexample entry, is built once by
+geometry.grid_point.
 
 Two kinds of oracle are supported. A bare comparison oracle is a black box
 (x, y) -> ordering. An oracle that also exposes its utility lets a checker
@@ -19,9 +20,9 @@ preference.tie_cuts, TIE_REL wide for ties and STRICT_REL wide for strict
 claims, shared by the whole trial, which removes spurious boundary flips in
 float mode; exact mode uses the true sign. Pairwise comparisons (the oracles
 built here and preference.compare) follow preference.rank, which refuses a
-float gap that is not finite, as the per-trial checks do; sampling radii
-follow geometry.box_radius. For black-box oracles the absence of violations
-is reported as "no violation found in N trials", never as the axiom holding.
+float gap that is not finite, as the per-trial checks do. For black-box
+oracles the absence of violations is reported as "no violation found in N
+trials", never as the axiom holding.
 """
 
 from __future__ import annotations
@@ -34,39 +35,11 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .formats import scalar_to_json, vec_to_json
-from .geometry import (
-    EXACT,
-    FLOAT,
-    Scalar,
-    Vec,
-    _sixteenths,
-    add,
-    box_radius,
-    count_param,
-    dot,
-    finite_param,
-    is_zero,
-    normalize,
-    project_floats,
-    project_ints,
-    project_out,
-    scale,
-    sub,
-    to_float,
-)
-from .preference import (
-    TIE_REL,
-    Ordering,
-    SphericalParams,
-    _not_finite,
-    classify,
-    compare,
-    ordering_from_diff,
-    rank,
-    sphere_normal,
-    tie_cuts,
-    utility,
-)
+from .geometry import (EXACT, FLOAT, Scalar, Vec, _sixteenths, add, box_draw, count_param, dot, finite_param,
+                       grid_point, is_zero, mode_param, normalize, project_floats, project_ints, project_out, scale,
+                       sub, to_float)
+from .preference import (TIE_REL, Ordering, SphericalParams, _not_finite, classify, compare, ordering_from_diff,
+                         rank, sphere_normal, tie_cuts, utility)
 
 # Margin a float comparison must clear before a strict-preference claim is
 # made of it; ties and near-ties only support weak conclusions.
@@ -180,31 +153,10 @@ def _run_trials(axiom: str, trials: int, rng: random.Random, trial: Callable) ->
     return AxiomReport(axiom, trials, violations, first, trials - skipped)
 
 
-def _draw(mode: str, radius: Scalar) -> Callable:
-    """draw(rng, n): n coordinates of a random point of the checking box, as
-    (numerators, 16) on the 1/16 grid in exact mode. The radius is checked
-    here, once: one that geometry.box_radius refuses is a ValueError."""
-    if mode == EXACT:
-        span = max(1, round(box_radius(radius, 16) * 16))
-        return lambda rng, n: (tuple(rng.randint(-span, span) for _ in range(n)), 16)
-    # random.uniform(lo, hi)'s formula lo + (hi - lo)*random(), hi - lo = hi + hi
-    hi = box_radius(radius, 2)
-    lo, width = -hi, hi + hi
-
-    def draw(rng: random.Random, n: int) -> Vec:
-        unit = rng.random
-        return tuple([lo + width * unit() for _ in range(n)])
-
-    return draw
-
-
 def sample_vector(rng: random.Random, dim: int, mode: str = FLOAT, radius: float = 1.0) -> Vec:
-    """One random point of the checking box, on the 1/16 grid in exact mode.
-
-    A radius that geometry.box_radius refuses is a ValueError.
-    """
-    v = _draw(mode, radius)(rng, dim)
-    return _grid_point(v) if mode == EXACT else v
+    """One random point of the checking box: geometry.box_draw's, on the 1/16 grid."""
+    v = box_draw(mode_param(mode), radius, 16)(rng, dim)
+    return grid_point(v) if mode == EXACT else v
 
 
 def _trial_ops(trials: int, mode: str, radius: Scalar, rng_seed) -> tuple:
@@ -212,17 +164,17 @@ def _trial_ops(trials: int, mode: str, radius: Scalar, rng_seed) -> tuple:
     perp, scaled, point). The arguments are checked in this order: a trial
     count that is not an int >= 1 and an unknown ``mode`` are each a
     ValueError, a seed that random.Random refuses is its TypeError, and then
-    _draw checks the radius. An exact vector is (numerators, denominator) in
-    integers; its point is the Fraction tuple that the float operations give
-    on Fraction tuples. A float vector is its own point, and has the
+    box_draw checks the radius. An exact vector is (numerators, denominator)
+    in integers; its point is the Fraction tuple that the float operations
+    give on Fraction tuples. A float vector is its own point, and has the
     oracle's dimension, so plus checks no length."""
     count_param("trials", trials)
-    if mode not in (EXACT, FLOAT):
-        raise ValueError(f"unknown arithmetic mode: {mode!r}")
+    mode_param(mode)
     rng = random.Random(rng_seed)
+    draw = box_draw(mode, radius, 16)
     if mode == EXACT:
-        return rng, _draw(mode, radius), _grid_plus, _grid_perp, _grid_scaled, _grid_point
-    return rng, _draw(mode, radius), lambda a, b: tuple(map(operator.add, a, b)), project_floats, scale, lambda v: v
+        return rng, draw, _grid_plus, _grid_perp, _grid_scaled, grid_point
+    return rng, draw, lambda a, b: tuple(map(operator.add, a, b)), project_floats, scale, lambda v: v
 
 
 def _grid_plus(a: tuple, b: tuple) -> tuple:
@@ -240,13 +192,6 @@ def _grid_perp(v: tuple, basis: list) -> tuple:
 def _grid_scaled(alpha: Scalar, a: tuple) -> tuple:
     """alpha * a for an int or Fraction alpha."""
     return tuple(alpha.numerator * x for x in a[0]), alpha.denominator * a[1]
-
-
-def _grid_point(v: tuple) -> Vec:
-    nums, den = v
-    if den == 16:
-        return tuple(map(_sixteenths, nums))
-    return tuple(Fraction(x, den) for x in nums)
 
 
 def random_orthonormal_plane(rng: random.Random, dim: int) -> tuple:

@@ -28,8 +28,9 @@ from typing import Callable, Optional, Sequence
 
 from .axioms import AxiomReport, _run_trials, _trial_ops, cubic_function
 from .formats import scalar_to_json, vec_parser, vec_to_json
-from .geometry import (EXACT, FLOAT, DimensionMismatch, Scalar, Vec, _rational, _sixteenths, add, basis_vector,
-                       clear_denominators, count_param, dot, finite_param, neg, scale, sub, zeros)
+from .geometry import (EXACT, FLOAT, DimensionMismatch, Scalar, Vec, _rational, _same_dim, add, basis_vector,
+                       box_draw, clear_denominators, count_param, dot, finite_param, grid_point, neg, scale, sub,
+                       zeros)
 from .preference import _not_finite, tie_cuts
 
 # Reconstruction residual above RESIDUAL_REL*(1 + max |U|) rejects the oracle.
@@ -187,8 +188,8 @@ class QuadLinDecomposition:
 
     def quadratic_form(self, x: Vec, z: Vec) -> Scalar:
         """Evaluate x^T S z."""
-        if len(x) != self.dim or len(z) != self.dim:
-            raise DimensionMismatch("dimension mismatch in quadratic form")
+        _same_dim(self.linear, x)
+        _same_dim(self.linear, z)
         return _bilinear(self.bilinear, x, z)
 
     @cached_property
@@ -197,8 +198,7 @@ class QuadLinDecomposition:
 
     def evaluate(self, x: Vec) -> Scalar:
         """x^T S x + g.x."""
-        if len(x) != self.dim:
-            raise DimensionMismatch("dimension mismatch in quadratic form")
+        _same_dim(self.linear, x)
         return self._value(x)
 
     def to_dict(self) -> dict:
@@ -232,10 +232,8 @@ def _probe_grid(dim: int, probe_z: Sequence[Vec]) -> list:
         for j in range(i + 1, dim):
             ej = basis_vector(dim, j)
             points += [add(ei, ej), sub(ei, ej)]
-    rng = random.Random(_PROBE_SEED)
-    for _ in range(_N_RANDOM_PROBES):
-        points.append(tuple(_sixteenths(2 * rng.randint(-16, 16)) for _ in range(dim)))
-    return points
+    rng, draw = random.Random(_PROBE_SEED), box_draw(EXACT, 2, 8)
+    return points + [grid_point(draw(rng, dim)) for _ in range(_N_RANDOM_PROBES)]
 
 
 def decompose(

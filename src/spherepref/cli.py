@@ -9,7 +9,6 @@ quadratic + linear), 2 for unusable input.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional
 
@@ -17,7 +16,7 @@ import spherepref.rationalize as rat
 
 from . import axioms, cardinal
 from .formats import dumps, load_document
-from .geometry import EXACT, FLOAT, to_exact
+from .geometry import EXACT, FLOAT, finite_param, to_exact
 from .preference import SphericalParams, classify
 
 _RESTRICT_CHOICES = {
@@ -27,13 +26,14 @@ _RESTRICT_CHOICES = {
 }
 
 
-def _finite(positive: bool):
-    """argparse type: a finite float, > 0 if ``positive`` else >= 0."""
+def _finite(flag: str, positive: bool = False):
+    """argparse type: a float that geometry.finite_param accepts for ``flag``."""
     def number(text: str) -> float:
-        value = float(text)
-        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-            raise argparse.ArgumentTypeError(f"must be a finite number {'>' if positive else '>='} 0, not {text!r}")
-        return value
+        value = float(text)  # argparse reports a ValueError here as an invalid number
+        try:
+            return finite_param(flag, value, positive)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return number
 
 
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="dataset JSON file")
     p.add_argument("--restrict", choices=sorted(_RESTRICT_CHOICES),
                    help="require the witness to lie in one class")
-    p.add_argument("--tol", type=_finite(False), help="tolerance override (float mode only)")
+    p.add_argument("--tol", type=_finite("--tol"), help="tolerance override (float mode only)")
     _add_mode_flags(p, EXACT)
 
     p = sub.add_parser("check-axioms", help="run the axiom checkers on an oracle")
@@ -78,21 +78,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_dimension, default=3, help="dimension for built-in oracles")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_finite(False), help="tolerance override (float mode only)")
+    p.add_argument("--tol", type=_finite("--tol"), help="tolerance override (float mode only)")
     _add_mode_flags(p, FLOAT)
 
     p = sub.add_parser("decompose", help="split a utility into quadratic + linear parts")
     p.add_argument("oracle", help="JSON file with {\"A\": [[...]], \"b\": [...]}, or a "
                                   f"built-in name ({', '.join(sorted(cardinal.BUILTIN_UTILITIES))})")
     p.add_argument("--dim", type=_dimension, default=3, help="dimension for built-in oracles")
-    p.add_argument("--tol", type=_finite(False), default=cardinal.RESIDUAL_REL,
+    p.add_argument("--tol", type=_finite("--tol"), default=cardinal.RESIDUAL_REL,
                    help="relative residual acceptance threshold")
 
     p = sub.add_parser("generate", help="sample a dataset consistent with parameters")
     p.add_argument("params", help="parameter JSON file")
     p.add_argument("--count", type=int, default=50, help="number of sampled pairs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius", type=_finite(True), default=2.0,
+    p.add_argument("--radius", type=_finite("--radius", positive=True), default=2.0,
                    help="sampling box radius; coordinates lie on the 1/8 grid, "
                         "and a radius under 1/16 still samples -1/8, 0 and 1/8")
 

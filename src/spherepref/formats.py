@@ -90,6 +90,13 @@ def vec_parser():
     return parse
 
 
+def required(doc: dict, key: str):
+    """doc[key], or a ValueError naming the missing field."""
+    if key not in doc:
+        raise ValueError(f'missing field "{key}"')
+    return doc[key]
+
+
 def dumps(doc) -> str:
     """Deterministic document rendering: fixed key order, fixed layout."""
     return json.dumps(doc, indent=2, sort_keys=True)

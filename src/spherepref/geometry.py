@@ -18,6 +18,8 @@ the one kernel for the sign of c*(x.x - y.y) + d.(x - y):
 ``preference.compare``, the LP rows of ``rationalize`` and both of its
 verifiers read it. The values and result types are those of plain
 entry-by-entry arithmetic; floats keep that arithmetic, in the same order.
+The rules for arguments (finite_param, count_param, mode_param, box_radius)
+and the one seeded draw (box_draw, grid_point) live here too.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, float]
 Vec = tuple
@@ -72,6 +74,13 @@ def count_param(name: str, value: int, least: int = 1) -> int:
     return value
 
 
+def mode_param(mode: str) -> str:
+    """``mode`` if it is EXACT or FLOAT, else a ValueError: the one mode check."""
+    if mode != EXACT and mode != FLOAT:
+        raise ValueError(f"unknown arithmetic mode: {mode!r}")
+    return mode
+
+
 def box_radius(radius: Scalar, width: int) -> float:
     """The rule for every sampling radius: ``radius`` as a float, if it is
     finite and > 0 and a box ``width`` >= 2 radii wide has a finite float width."""
@@ -85,6 +94,38 @@ def box_radius(radius: Scalar, width: int) -> float:
     return hi
 
 
+def box_draw(mode: str, radius: Scalar, grid: int) -> Callable:
+    """draw(rng, n), the one draw of every seeded sampler from [-radius, radius]^n.
+
+    Exact mode gives (numerators, 16) for grid_point: each coordinate is
+    k/grid, grid 16 (the checkers) or 8 (``generate_dataset``, the probes of
+    ``decompose``), k = rng.randint(-span, span) for span = max(1, round(grid
+    * radius)), so a radius under 1/(2 grid) still samples -1/grid, 0 and
+    1/grid. Float mode draws as rng.uniform(-radius, radius) would, as lo +
+    (hi - lo)*random() with hi - lo = hi + hi. The radius is checked here,
+    once: one that box_radius refuses is a ValueError.
+    """
+    if mode == EXACT:
+        step, span = {16: 1, 8: 2}[grid], max(1, round(box_radius(radius, grid) * grid))
+        return lambda rng, n: (tuple([step * rng.randint(-span, span) for _ in range(n)]), 16)
+    hi = box_radius(radius, 2)
+    lo, width = -hi, hi + hi
+
+    def draw(rng, n: int) -> Vec:
+        unit = rng.random
+        return tuple([lo + width * unit() for _ in range(n)])
+
+    return draw
+
+
+def grid_point(v: tuple) -> Vec:
+    """The point of an exact (numerators, denominator) vector: one Fraction per entry."""
+    nums, den = v
+    if den == 16:
+        return tuple(map(_sixteenths, nums))
+    return tuple(Fraction(x, den) for x in nums)
+
+
 def _rational(v: Sequence) -> bool:
     """True when every entry is exactly an ``int`` or a ``Fraction``."""
     return {int, Fraction}.issuperset(map(type, v))
@@ -93,7 +134,7 @@ def _rational(v: Sequence) -> bool:
 def dot(a: Vec, b: Vec) -> Scalar:
     """Inner product sum(a_i * b_i), left to right; exact when entries are rational."""
     n = len(a)
-    if n != len(b):
+    if n != len(b):  # not _same_dim: the call would cost this hottest float kernel 11-16%
         raise DimensionMismatch(f"dimension mismatch: {n} vs {len(b)}")
     s = 0
     for i in range(n):
@@ -107,14 +148,12 @@ def sq_norm(a: Vec) -> Scalar:
 
 
 def add(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"dimension mismatch: {len(a)} vs {len(b)}")
+    _same_dim(a, b)
     return tuple(map(operator.add, a, b))
 
 
 def sub(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"dimension mismatch: {len(a)} vs {len(b)}")
+    _same_dim(a, b)
     return tuple(map(operator.sub, a, b))
 
 
@@ -154,18 +193,33 @@ def to_float(a: Vec) -> Vec:
 
 def norm(a: Sequence) -> float:
     """Euclidean length as a float: sqrt(a.a), or, when a.a underflows to 0
-    or overflows to inf for a nonzero finite a, the norm of a scaled by its
-    largest |entry|."""
-    s = float(_sum_sq(a))
+    or overflows for a nonzero finite a, m * norm(a / m) for m the largest
+    |entry|, a / m exact when a is rational. A norm beyond the float range
+    is a ValueError, unless every entry is a float (then it is inf)."""
+    try:
+        s = float(_sum_sq(a))
+    except OverflowError:  # an int or Fraction a.a beyond the float range
+        s = math.inf
     if s == 0.0 or s == math.inf:
         m = max(map(abs, a), default=0)
         if 0 < m < math.inf:
-            return m * math.sqrt(_sum_sq([x / m for x in a]))
+            exact = _rational(a)
+            try:
+                s = m * math.sqrt(_sum_sq([Fraction(x, m) if exact else x / m for x in a]))
+            except OverflowError:  # float(m), or a float meeting a huge int
+                s = math.inf
+            if s == math.inf and not all(isinstance(x, float) for x in a):
+                raise ValueError(f"the norm of a vector of length {len(a)} overflows a float")
+            return s
     return math.sqrt(s)
 
 
 def normalize(a: Vec) -> Vec:
-    """Unit vector along a, in float arithmetic."""
+    """Unit vector along a, in float arithmetic; a rational a is divided
+    exactly by its largest |entry| first, so every nonzero one has one."""
+    if _rational(a) and not is_zero(a):
+        m = max(map(abs, a))
+        a = tuple(Fraction(x, m) for x in a)
     n = norm(a)
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")

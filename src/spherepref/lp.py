@@ -85,7 +85,7 @@ from struct import Struct
 from time import perf_counter
 from typing import Optional
 
-from .geometry import EXACT, FLOAT, DimensionMismatch, Scalar, Vec, clear_denominators, dot
+from .geometry import EXACT, DimensionMismatch, Scalar, Vec, clear_denominators, dot, mode_param
 
 LE = "<="
 EQ = "="
@@ -446,13 +446,8 @@ def solve(lp: LinearProgram, mode: str = EXACT) -> LpOutcome:
     FLOAT converts to float and uses small pivot tolerances.
     """
     start = perf_counter()
-    if mode == EXACT:
-        cell, tol = int, 0
-    elif mode == FLOAT:
-        cell, tol = float, _FLOAT_TOL
-    else:
-        raise ValueError(f"unknown arithmetic mode: {mode!r}")
-    exact = mode == EXACT
+    exact = mode_param(mode) == EXACT
+    cell, tol = (int, 0) if exact else (float, _FLOAT_TOL)
 
     nvars = len(lp.objective)
     bounds = lp.bounds if lp.bounds is not None else ((None, None),) * nvars

@@ -36,22 +36,9 @@ from functools import cached_property
 from operator import mul
 from typing import Optional
 
-from .formats import scalar_from_json, scalar_to_json, vec_parser, vec_to_json
-from .geometry import (
-    EXACT,
-    FLOAT,
-    DimensionMismatch,
-    Scalar,
-    Vec,
-    _rational,
-    box_radius,
-    clear_denominators,
-    dot,
-    is_exact,
-    pair_ints,
-    scale,
-    to_float,
-)
+from .formats import required, scalar_from_json, scalar_to_json, vec_parser, vec_to_json
+from .geometry import (EXACT, FLOAT, Scalar, Vec, _rational, _same_dim, box_draw, clear_denominators, dot, is_exact,
+                       mode_param, pair_ints, scale, to_float)
 
 # Relative tie tolerance for float-mode comparisons.
 TIE_REL = 1e-9
@@ -106,7 +93,7 @@ class SphericalParams:
 
     @staticmethod
     def from_dict(doc: dict) -> "SphericalParams":
-        c, d = scalar_from_json(doc["c"]), vec_parser()(doc["d"])
+        c, d = scalar_from_json(required(doc, "c")), vec_parser()(required(doc, "d"))
         if not d:
             raise ValueError('"d" must be a non-empty list of scalars')
         return SphericalParams(c, d)
@@ -136,7 +123,7 @@ class PreferenceClass:
     def from_dict(doc: dict) -> "PreferenceClass":
         vec = vec_parser()
         return PreferenceClass(
-            doc["class"],
+            required(doc, "class"),
             u=vec(doc["u"]) if "u" in doc else None,
             center=vec(doc["center"]) if "center" in doc else None,
         )
@@ -261,27 +248,25 @@ def canonicalize(p: SphericalParams, mode: str | None = None) -> SphericalParams
         raise ValueError("the indifference preference has no canonical parameters")
     if mode is None:
         mode = EXACT if p.is_exact else FLOAT
-    if mode == EXACT:
+    if mode_param(mode) == EXACT:
         try:
             c, d = Fraction(p.c), tuple(map(Fraction, p.d))
         except (OverflowError, ValueError):  # an infinity or a NaN has no integer ratio
             raise ValueError(f"exact parameters must be finite, not {[p.c, *p.d]}") from None
         m = max(abs(c), *(abs(x) for x in d)) if d else abs(c)
         return SphericalParams(c / m, tuple(x / m for x in d))
-    if mode == FLOAT:
-        try:
-            c, d = float(p.c), to_float(p.d)
-        except OverflowError as exc:
-            raise ValueError(f"a parameter overflows a float: {exc}") from None
-        length = math.sqrt(c * c + dot(d, d))  # left to right: the same bits on every Python
-        if not 0 < length < math.inf:
-            m = max(map(abs, (c, *d)))  # NaN in c makes m NaN
-            if not (0 < m < math.inf and all(map(math.isfinite, d))):
-                raise ValueError(f"float parameters must be finite and not all zero, not {[c, *d]}")
-            c, d = c / m, tuple(x / m for x in d)
-            length = math.sqrt(c * c + dot(d, d))
-        return SphericalParams(c / length, tuple(x / length for x in d))
-    raise ValueError(f"unknown arithmetic mode: {mode!r}")
+    try:
+        c, d = float(p.c), to_float(p.d)
+    except OverflowError as exc:
+        raise ValueError(f"a parameter overflows a float: {exc}") from None
+    length = math.sqrt(c * c + dot(d, d))  # left to right: the same bits on every Python
+    if not 0 < length < math.inf:
+        m = max(map(abs, (c, *d)))  # NaN in c makes m NaN
+        if not (0 < m < math.inf and all(map(math.isfinite, d))):
+            raise ValueError(f"float parameters must be finite and not all zero, not {[c, *d]}")
+        c, d = c / m, tuple(x / m for x in d)
+        length = math.sqrt(c * c + dot(d, d))
+    return SphericalParams(c / length, tuple(x / length for x in d))
 
 
 def sphere_normal(p: SphericalParams, w: Vec) -> Vec:
@@ -291,15 +276,13 @@ def sphere_normal(p: SphericalParams, w: Vec) -> Vec:
     this vector is orthogonal to x - y, since on that sphere
     u(x) - u(y) = (2c*w + d).(x - y).
     """
-    if len(w) != p.dim:
-        raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {len(w)}")
+    _same_dim(p.d, w)
     return tuple(2 * p.c * w[i] + p.d[i] for i in range(p.dim))
 
 
 def preference_distance(p1: SphericalParams, p2: SphericalParams) -> float:
     """Geodesic distance in [0, pi] between unit-sphere representatives."""
-    if p1.dim != p2.dim:
-        raise DimensionMismatch(f"dimension mismatch: {p1.dim} vs {p2.dim}")
+    _same_dim(p1.d, p2.d)
     a = canonicalize(p1, FLOAT)
     b = canonicalize(p2, FLOAT)
     inner = a.c * b.c + dot(a.d, b.d)
@@ -315,14 +298,12 @@ def distinguishing_pair(
 ) -> Optional[tuple[Vec, Vec]]:
     """Search for (x, y) ranked differently by p1 and p2.
 
-    Random sampling over a box; returns the first pair on which the two
-    comparisons disagree, or None when the probe budget is exhausted. A
-    radius that geometry.box_radius refuses is a ValueError.
+    Float draws from geometry.box_draw; returns the first pair on which the
+    two comparisons disagree, or None when the probe budget is exhausted.
     """
-    n, hi = p1.dim, box_radius(radius, 2)
+    n, draw = p1.dim, box_draw(FLOAT, radius, 16)
     for _ in range(probes):
-        x = tuple(rng.uniform(-hi, hi) for _ in range(n))
-        y = tuple(rng.uniform(-hi, hi) for _ in range(n))
+        x, y = draw(rng, n), draw(rng, n)
         if compare(p1, x, y) != compare(p2, x, y):
             return (x, y)
     return None

@@ -39,9 +39,9 @@ from operator import truediv
 from typing import Optional
 
 from . import lp
-from .formats import scalar_to_json, vec_parser, vec_to_json
-from .geometry import (EXACT, DimensionMismatch, Scalar, Vec, _sixteenths, box_radius, clear_denominators, count_param,
-                       dot, finite_param, pair_ints, sub, to_exact)
+from .formats import required, scalar_to_json, vec_parser, vec_to_json
+from .geometry import (EXACT, DimensionMismatch, Scalar, Vec, box_draw, clear_denominators, count_param, dot,
+                       finite_param, grid_point, mode_param, pair_ints, sub, to_exact)
 from .preference import Ordering, SphericalParams, compare
 
 RESTRICT_LINEAR = "linear"
@@ -128,11 +128,12 @@ class ObservationSet:
             items = doc.get(key, [])
             if not isinstance(items, list) or not all(isinstance(p, dict) for p in items):
                 raise ValueError(f'"{key}" must be a list of {{"better": ..., "worse": ...}} objects')
-            return tuple((vec(p["better"]), vec(p["worse"])) for p in items)
+            return tuple((vec(required(p, "better")), vec(required(p, "worse"))) for p in items)
 
-        if type(doc["dimension"]) is not int or not 1 <= doc["dimension"] <= sys.maxsize:
-            raise ValueError(f'"dimension" must be an integer from 1 to {sys.maxsize}, not {doc["dimension"]!r}')
-        return ObservationSet(doc["dimension"], pairs("weak"), pairs("strict"))
+        n = required(doc, "dimension")
+        if type(n) is not int or not 1 <= n <= sys.maxsize:
+            raise ValueError(f'"dimension" must be an integer from 1 to {sys.maxsize}, not {n!r}')
+        return ObservationSet(n, pairs("weak"), pairs("strict"))
 
 
 @dataclass(frozen=True)
@@ -258,7 +259,7 @@ def rationalize(
     """
     finite_param("float_margin", float_margin)
     sign = _sign(restriction)
-    exact = mode == EXACT
+    exact = mode_param(mode) == EXACT
     rows, used = _moved_rows(data, mode)
     n = len(used)
     ncoef = n + 1  # c plus u
@@ -325,7 +326,7 @@ def certificate_lp(data: ObservationSet, mode: str = EXACT) -> CertificateSearch
     the mass on strict observations. The data is rationalizable iff the
     optimum is zero (an infeasible search counts as zero).
     """
-    return _certificate_search(data, _moved_rows(data, mode)[0], None, mode)
+    return _certificate_search(data, _moved_rows(data, mode_param(mode))[0], None, mode)
 
 
 def _certificate_search(
@@ -437,22 +438,20 @@ def generate_dataset(
 ) -> ObservationSet:
     """Sample comparison data consistent with the given parameters.
 
-    Pairs are drawn uniformly from the 1/8 grid: each coordinate is k/8 for
-    an integer |k| <= max(1, round(8 * radius)), so a radius under 1/16
-    still samples -1/8, 0 and 1/8. Strict comparisons enter the strict
-    relation oriented by the preference, exact ties enter the weak relation
-    in both orientations. The output is rationalizable by construction.
+    Pairs are drawn by geometry.box_draw on the 1/8 grid. Strict
+    comparisons enter the strict relation oriented by the preference, exact
+    ties enter the weak relation in both orientations. The output is
+    rationalizable by construction.
     """
     count_param("count", count)
-    span = max(1, round(box_radius(radius, 8) * 8))
+    draw = box_draw(EXACT, radius, 8)
     rng = random.Random(rng_seed)
     n = params.dim
     p = SphericalParams(Fraction(params.c), tuple(Fraction(v) for v in params.d))
     weak = []
     strict = []
     for _ in range(count):
-        x = tuple(_sixteenths(2 * rng.randint(-span, span)) for _ in range(n))
-        y = tuple(_sixteenths(2 * rng.randint(-span, span)) for _ in range(n))
+        x, y = grid_point(draw(rng, n)), grid_point(draw(rng, n))
         order = compare(p, x, y)
         if order is Ordering.BETTER:
             strict.append((x, y))

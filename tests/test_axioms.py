@@ -29,7 +29,7 @@ from spherepref.axioms import (
 )
 from spherepref.cardinal import check_status_quo_independence, coefficient_oracle, cubic_utility
 from spherepref.formats import dumps
-from spherepref.geometry import EXACT, FLOAT, add, dot, project_out, scale, sub
+from spherepref.geometry import EXACT, FLOAT, add, box_radius, dot, project_out, scale, sub
 from spherepref.preference import (
     TIE_REL,
     Ordering,
@@ -461,8 +461,18 @@ def golden_exact_reports():
     return reports
 
 
+# The digests of the golden reports, by mode; tests/lp_golden_digests.py
+# --check compares with them too.
+GOLDEN_REPORT_DIGESTS = {
+    EXACT: "00c6541e46d3a90914cea6f6ba841998de3290559ccb8e59a09cb7c785d4e505",
+    FLOAT: "0126841164f06c0d7cc04531fd690ac9a37208c8ec89425d2451bf876999fcd7",
+}
+
+
 def test_golden_exact_reports():
-    reports = [r.to_dict() for r in golden_exact_reports()]
+    reports = golden_exact_reports()
+    assert reports_digest(reports) == GOLDEN_REPORT_DIGESTS[EXACT]
+    reports = [r.to_dict() for r in reports]
     assert reports[:8] == [expected for _, expected in GOLDEN_EXACT_CUBIC.values() for _ in range(2)]
     assert reports[8] == {
         "axiom": "strict_convexity", "trials": 40, "violations": 31,
@@ -507,7 +517,7 @@ def reports_digest(reports):
 def test_golden_float_reports():
     reports = golden_float_reports()
     assert [r.violations for r in reports] == [15, 40, 3, 51] * 3 + [0] * 9 + [133, 50, 0]
-    assert reports_digest(reports) == "0126841164f06c0d7cc04531fd690ac9a37208c8ec89425d2451bf876999fcd7"
+    assert reports_digest(reports) == GOLDEN_REPORT_DIGESTS[FLOAT]
 
 
 @given(
@@ -537,6 +547,21 @@ def test_exact_sample_vector_draws_sixteenths_like_fraction(seed, dim, radius):
     expected = tuple(F(ref.randint(-span, span), 16) for _ in range(dim))
     assert repr(drawn) == repr(expected)
     assert mine.getstate() == ref.getstate()
+
+
+SAMPLE_VECTOR_DIGEST = "6a04f8524fedebc745025468d690f1036e0a347bd76e89545ef388041cd98409"
+
+
+def test_sample_vector_draws_are_pinned():
+    # both modes, several radii, three draws from each generator, by repr
+    lines = []
+    for mode in (FLOAT, EXACT):
+        for seed in range(3):
+            for dim in (1, 3, 6):
+                for radius in (1.0, 2, F(3, 8), 7.3, 1e-3):
+                    rng = random.Random(seed)
+                    lines.append(repr([sample_vector(rng, dim, mode, radius) for _ in range(3)]))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLE_VECTOR_DIGEST
 
 
 @pytest.mark.parametrize("checker", [check_oioi, check_perp_diff, check_soioi, check_homotheticity])
@@ -782,6 +807,15 @@ def test_a_radius_too_large_for_the_box_is_named(mode, radius):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("mode", ["bogus", "Exact", None])
+def test_sample_vector_refuses_an_unknown_mode(mode):
+    # "bogus" drew floats
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match=re.escape(f"unknown arithmetic mode: {mode!r}")):
+        sample_vector(rng, 3, mode=mode)
+    assert rng.getstate() == random.Random(0).getstate()
+
+
 def test_the_largest_radii_still_draw():
     # just under each limit every coordinate is finite
     rng = random.Random(0)
@@ -865,7 +899,7 @@ def test_the_float_partner_draws_like_sample_and_uniform(n):
 # lengths, and project_out ran the generic dispatch with the absolute floor
 # 1e-13 * max(1.0, norm(b)) on its float dependence test.
 def reference_sample_vector(rng, dim, mode=FLOAT, radius=1.0):
-    hi = ax.box_radius(radius, 2)
+    hi = box_radius(radius, 2)
     lo = -hi
     width, draw = hi + hi, rng.random
     return tuple(lo + width * draw() for _ in range(dim))

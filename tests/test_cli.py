@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -119,6 +120,35 @@ def test_generate_deterministic_bytes(capsys, euclid_params):
     assert first == second
     _, third, _ = run(capsys, "generate", euclid_params, "--count", "30", "--seed", "10")
     assert third != first
+
+
+# Pinned documents of the commands that draw from the sampling box: the
+# probe grid of decompose and the pairs of generate.
+DECOMPOSE_CUBIC_DIGEST = "d611a4f90237e9b435219432634878d3fbe438ea56a5ce11b0a9545e796f3e7f"
+GENERATE_DIGEST = "5e8887424ade68e9bc9c6d596d0f2d3506717e2377922582a9c22855ad0fcb21"
+
+
+def test_decompose_cubic_documents_are_pinned(capsys):
+    runs = [run(capsys, "decompose", "cubic1", "--dim", str(dim)) for dim in range(1, 7)]
+    assert [code for code, _, _ in runs] == [1] * 6
+    assert hashlib.sha256("".join(out for _, out, _ in runs).encode()).hexdigest() == DECOMPOSE_CUBIC_DIGEST
+
+
+def test_generate_documents_are_pinned(capsys, tmp_path):
+    files = [write(tmp_path, f"params{i}.json", doc) for i, doc in enumerate([
+        {"c": -1, "d": [2, 0, 0]},
+        {"c": "1/3", "d": ["-1/2", 0, 1, "2/7"]},
+        {"c": 0, "d": [1, -1]},
+        {"c": 0.75, "d": [0.5, -0.25, 1.5]},
+    ])]
+    outs = []
+    for path in files:
+        for seed in ("0", "9"):
+            for radius in ("2", "0.01", "7.3"):
+                code, out, _ = run(capsys, "generate", path, "--count", "25", "--seed", seed, "--radius", radius)
+                assert code == 0
+                outs.append(out)
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == GENERATE_DIGEST
 
 
 def test_generate_indifference_dataset_weak_only(capsys, tmp_path):
@@ -503,6 +533,20 @@ def test_classify_non_finite_center_exits_two(capsys, tmp_path, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "center" in err
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("rationalize", {}, "dimension"),
+    ("rationalize", {"dimension": 3, "strict": [{"better": [1, 0, 0]}]}, "worse"),
+    ("classify", {"d": [1]}, "c"),
+    ("generate", {"d": [1]}, "c"),
+    ("check-axioms", {"d": [1]}, "c"),
+    ("classify", {"c": 1}, "d"),
+])
+def test_a_missing_field_is_named(capsys, tmp_path, command, doc, field):
+    # the message was the bare key, as in error: 'worse'
+    code, out, err = run(capsys, command, write(tmp_path, "doc.json", doc))
+    assert (code, out, err) == (2, "", f'error: missing field "{field}"\n')
 
 
 @pytest.mark.parametrize("command", ["classify", "generate", "check-axioms"])

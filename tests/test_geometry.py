@@ -66,6 +66,21 @@ def test_norm_scales_a_sum_of_squares_that_underflows_or_overflows():
         normalize((0.0, -0.0))
 
 
+def test_norm_and_normalize_of_exact_vectors_beyond_the_float_range():
+    # norm raised a bare OverflowError, and normalize called a nonzero vector zero
+    for v in [(10**400,), (10**400, 1), (F(10**400, 3), -1), (int(1.7e308), int(1.7e308)), (10**400, 1.0)]:
+        with pytest.raises(ValueError, match=f"the norm of a vector of length {len(v)} overflows a float"):
+            norm(v)
+    assert normalize((10**400, 1)) == (1.0, 0.0) and normalize((-(10**400),)) == (-1.0,)
+    assert normalize((F(1, 10**400), 0)) == (1.0, 0.0)
+    assert normalize((0, F(-1, 10**400), F(1, 10**400))) == (0.0, -1 / 2**0.5, 1 / 2**0.5)
+    # in range an exact vector is scaled exactly before it is rounded
+    assert norm((int(1e200), int(1e200))) == pytest.approx(2**0.5 * 1e200)
+    assert norm((F(1, 10**400), 0)) == 0.0 and norm((3, 4)) == 5.0
+    with pytest.raises(ValueError, match="zero vector"):
+        normalize((0, F(0)))
+
+
 def test_project_out_examples():
     assert project_out((1, 1, 0), [(1, 0, 0)]) == (0, 1, 0)
     assert project_out((1, 0, 0), [(1, 0, 0)]) == (0, 0, 0)

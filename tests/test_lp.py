@@ -307,17 +307,36 @@ def _digest(outcomes):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _pivots(outcomes):
+    return sum(o.stats.phase1_pivots + o.stats.phase2_pivots for o in outcomes)
+
+
+# The pins of test_golden_outcomes and test_golden_tall_outcomes, by mode:
+# the digest of every outcome and the pivot total; tests/lp_golden_digests.py
+# --check compares with them too.
+GOLDEN_DIGESTS = {
+    EXACT: "e9ffa4e66c411cf5b606171195de929fcc65cc344de7dc0402cf1a4caba6661c",
+    FLOAT: "b61c5bcbc1ad31da530ea0029d2de89bc96cac14b938b27ea97a212731e529e7",
+}
+GOLDEN_PIVOTS = {EXACT: 1410, FLOAT: 1409}
+TALL_DIGESTS = {
+    EXACT: "f8eeaf33db68b3a1d41b3a20125dcfe004e303fe96e110fac6c363bc31ec14d9",
+    FLOAT: "a04ac95457d53140f7304b1e822c9fe6681de1ca97e80b111ce4a6855e23935d",
+}
+TALL_PIVOTS = {EXACT: 1708, FLOAT: 1663}
+
+
 def test_golden_outcomes():
-    # pinned outcomes (every field, in both modes): any change to the pivot
-    # sequence or the float arithmetic shows here
+    # pinned outcomes (every field, in both modes) and pivot totals: any
+    # change to the pivot sequence or the float arithmetic shows here
     rng = random.Random(5)
     lps = [_golden_lp(rng) for _ in range(400)]
     exact = [solve(lp) for lp in lps]
     statuses = [out.status for out in exact]
     assert [statuses.count(s) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)] == [100, 215, 85]
-    assert _digest(exact) == "e9ffa4e66c411cf5b606171195de929fcc65cc344de7dc0402cf1a4caba6661c"
+    assert _digest(exact) == GOLDEN_DIGESTS[EXACT] and _pivots(exact) == GOLDEN_PIVOTS[EXACT]
     approx = [solve(lp, mode=FLOAT) for lp in lps]
-    assert _digest(approx) == "b61c5bcbc1ad31da530ea0029d2de89bc96cac14b938b27ea97a212731e529e7"
+    assert _digest(approx) == GOLDEN_DIGESTS[FLOAT] and _pivots(approx) == GOLDEN_PIVOTS[FLOAT]
     for lp, out in zip(lps, exact):
         assert_certified(lp, out)
 
@@ -409,9 +428,9 @@ def test_golden_tall_outcomes():
     exact = [solve(lp) for lp in lps]
     statuses = [out.status for out in exact]
     assert [statuses.count(s) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)] == [18, 14, 8]
-    assert _digest(exact) == "f8eeaf33db68b3a1d41b3a20125dcfe004e303fe96e110fac6c363bc31ec14d9"
+    assert _digest(exact) == TALL_DIGESTS[EXACT] and _pivots(exact) == TALL_PIVOTS[EXACT]
     approx = [solve(lp, mode=FLOAT) for lp in lps]
-    assert _digest(approx) == "a04ac95457d53140f7304b1e822c9fe6681de1ca97e80b111ce4a6855e23935d"
+    assert _digest(approx) == TALL_DIGESTS[FLOAT] and _pivots(approx) == TALL_PIVOTS[FLOAT]
     for lp, out in zip(lps, exact):
         assert_certified(lp, out)
 
@@ -775,17 +794,6 @@ def test_both_modes_read_their_prices_off_the_carried_rows(monkeypatch):
         rows = [row for is_exact, row, _ in runs if is_exact == exact]  # 1: phase 1's row m + 1, 0: phase 2's row m
         pivots = sum(p for is_exact, _, p in runs if is_exact == exact)
         assert rows.count(1) == 40 and 20 < rows.count(0) < 40 and pivots > 10 * len(rows)
-
-
-def test_golden_pivot_counts():
-    # the pivots behind test_golden_outcomes and test_golden_tall_outcomes
-    rng = random.Random(5)
-    lps = [_golden_lp(rng) for _ in range(400)]
-    rng = random.Random(11)
-    lps += [_tall_lp(rng) for _ in range(40)]
-    for mode, want in ((EXACT, 3118), (FLOAT, 3072)):
-        stats = [solve(lp, mode).stats for lp in lps]
-        assert sum(s.phase1_pivots + s.phase2_pivots for s in stats) == want
 
 
 class _LockStep(lp_module._Tableau):

@@ -1,9 +1,19 @@
 import ast
+import random
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import spherepref
+from spherepref.axioms import (antipodal_indifference, check_oioi, cubic_function, cubic_oracle,
+                               random_orthonormal_plane, utility_comparison_oracle)
+from spherepref.cardinal import QuadLinDecomposition, cubic_utility, utility_oracle
+from spherepref.formats import scalar_to_json
+from spherepref.geometry import project_out
+from spherepref.lp import Constraint, LinearProgram, solve
+from spherepref.preference import SphericalParams, canonicalize, preference_distance, sphere_normal
 
 # the public names the package has always listed in __all__
 PUBLIC = """
@@ -69,3 +79,36 @@ def test_every_import_is_used():
                 imported.update(alias.asname or alias.name for alias in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+_PLANE = SphericalParams(-1, (0, 0))
+_QUADLIN = QuadLinDecomposition(((1, 0), (0, 1)), (0, 0), 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cubic_function(0), "the cubic fixture needs dimension >= 1"),
+    (lambda: cubic_oracle(1), "the cubic oracle needs dimension >= 2"),
+    (lambda: check_oioi(utility_comparison_oracle(lambda x: 10**400 + x[0], 3), 3),
+     "trial 0 overflows a float: int too large to convert to float"),
+    (lambda: random_orthonormal_plane(random.Random(0), 1), "a plane needs dimension >= 2"),
+    (lambda: antipodal_indifference(_PLANE, (0, 0), 1.0, ((2.0, 0.0), (0.0, 1.0))), "plane vectors must be unit length"),
+    (lambda: cubic_utility(3)((0, 0)), "dimension mismatch: 3 vs 2"),
+    (lambda: _QUADLIN.quadratic_form((1, 0), (1, 0, 0)), "dimension mismatch: 2 vs 3"),
+    (lambda: _QUADLIN.evaluate((1,)), "dimension mismatch: 2 vs 1"),
+    (lambda: sphere_normal(_PLANE, (1,)), "dimension mismatch: 2 vs 1"),
+    (lambda: preference_distance(_PLANE, SphericalParams(-1, (0,))), "dimension mismatch: 2 vs 1"),
+    (lambda: project_out((1, 0), [(1, 0, 0)]), "dimension mismatch: 2 vs 3"),
+    (lambda: utility_oracle(lambda x: 1, 2), "utility at the origin is 1, not 0"),
+    (lambda: scalar_to_json(True), "booleans are not scalars"),
+    (lambda: scalar_to_json("1/2"), "unsupported scalar type: str"),
+    (lambda: Constraint((1,), "<", 0), "unknown relation '<'"),
+    (lambda: LinearProgram((1, 1), (), ((0, 1),)), "1 bounds for 2 variables"),
+    (lambda: solve(LinearProgram((1,), ()), "Exact"), "unknown arithmetic mode: 'Exact'"),
+    (lambda: canonicalize(SphericalParams(-1, (1,)), "bogus"), "unknown arithmetic mode: 'bogus'"),
+])
+def test_each_error_branch_names_its_cause(call, message):
+    # branches that no other test reaches; distinguishing_pair's spent budget
+    # is test_preference.py's
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

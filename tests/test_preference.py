@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -220,6 +222,46 @@ def test_distinguishing_pair_found_for_distinct_params():
         assert compare(p1, x, y) != compare(p2, x, y)
         found += 1
     assert found >= 15
+
+
+@pytest.mark.parametrize("doc, field", [({"d": [1]}, "c"), ({"c": 1}, "d"), ({}, "c")])
+def test_a_missing_parameter_field_is_named(doc, field):
+    # these were KeyErrors, printed by the CLI as error: 'c'
+    with pytest.raises(ValueError, match=re.escape(f'missing field "{field}"')):
+        SphericalParams.from_dict(doc)
+
+
+def test_a_missing_class_field_is_named():
+    with pytest.raises(ValueError, match=re.escape('missing field "class"')):
+        PreferenceClass.from_dict({"u": [1, 0]})
+    assert PreferenceClass.from_dict({"class": "linear", "u": [1, 0]}) == PreferenceClass(LINEAR, u=(1, 0))
+
+
+def test_distinguishing_pair_returns_none_when_its_budget_runs_out():
+    p = SphericalParams(-1, (F(1, 2), 0))
+    rng = random.Random(4)
+    assert distinguishing_pair(p, p, rng, probes=7) is None
+    draws = random.Random(4)
+    for _ in range(28):  # seven probes, two points of two coordinates each
+        draws.random()
+    assert rng.getstate() == draws.getstate()
+
+
+DISTINGUISHING_PAIRS_DIGEST = "514d84df0c60092e24fab69610ed20d92901a277795360d7b189dd2475ef3f8e"
+
+
+def test_distinguishing_pairs_are_pinned():
+    # the pairs found, and the Nones of a spent budget, by repr
+    rng = random.Random(29)
+    lines = []
+    for k in range(48):
+        n = 1 + k % 5
+        p1 = random_params(rng, n, exact=k % 3 == 0)
+        p2 = p1 if k % 8 == 0 else random_params(rng, n, exact=k % 2 == 0)
+        radius = (1.0, 2, F(3, 8), 0.01, 7.3)[k % 5]
+        lines.append(repr(distinguishing_pair(p1, p2, random.Random(k), probes=1 + k % 4, radius=radius)))
+    assert lines[0] == "None"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DISTINGUISHING_PAIRS_DIGEST
 
 
 @pytest.mark.parametrize("radius", [math.inf, math.nan, 0, -1.0])

@@ -514,6 +514,14 @@ def golden_datasets():
     return datasets + [(big, None), (corrupt(rng, big), None)]
 
 
+# The pins of test_golden_verdicts, by mode; tests/lp_golden_digests.py
+# --check compares with them too.
+GOLDEN_VERDICT_DIGESTS = {
+    EXACT: "5d7dd64cb608af38a7e6721166dc0efbba85864045562019c24948eea3c6768d",
+    FLOAT: "0bd4b514100439cefe0ef6acf08c2da6a2c4d4d3a3886d376c82a816d0675c25",
+}
+
+
 def test_golden_verdicts():
     # pinned verdict documents, exact and float, on golden_datasets()
     import spherepref.rationalize as rat
@@ -523,9 +531,9 @@ def test_golden_verdicts():
     exact = [rationalize(data, restriction) for data, restriction in datasets]
     assert "".join("1" if v.rationalizable else "0" for v in exact) == "10001000101010001010101010"
     digest = hashlib.sha256("".join(dumps(v.to_dict()) for v in exact).encode()).hexdigest()
-    assert digest == "5d7dd64cb608af38a7e6721166dc0efbba85864045562019c24948eea3c6768d"
+    assert digest == GOLDEN_VERDICT_DIGESTS[EXACT]
     approx = "".join(dumps(rationalize(data, restriction, mode=FLOAT).to_dict()) for data, restriction in datasets)
-    assert hashlib.sha256(approx.encode()).hexdigest() == "0bd4b514100439cefe0ef6acf08c2da6a2c4d4d3a3886d376c82a816d0675c25"
+    assert hashlib.sha256(approx.encode()).hexdigest() == GOLDEN_VERDICT_DIGESTS[FLOAT]
 
 
 def mixed_coordinate_documents():
@@ -808,3 +816,26 @@ def test_margin_lp_stores_one_column_per_variable(monkeypatch):
             rationalize(data, restriction, mode=mode)
             assert margin and all(s.columns == moved + 2 for s in margin)
             assert sum(s.phase1_pivots + s.phase2_pivots for s in margin) > 0
+
+
+@pytest.mark.parametrize("mode", ["Exact", "float ", None])
+def test_a_mistyped_mode_is_refused_before_any_arithmetic(mode):
+    # the square of 1e200 overflows a float: "Exact" was taken for float mode
+    # and answered FloatUndecided, "use exact mode (--exact)"
+    data = ObservationSet(2, (), (((1e200, 0), (0, 0)),))
+    for call in (lambda: rationalize(data, mode=mode), lambda: certificate_lp(data, mode=mode)):
+        with pytest.raises(ValueError, match=re.escape(f"unknown arithmetic mode: {mode!r}")) as info:
+            call()
+        assert not isinstance(info.value, FloatUndecided)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({}, "dimension"),
+    ({"weak": [], "strict": []}, "dimension"),
+    ({"dimension": 2, "strict": [{"better": [1, 0]}]}, "worse"),
+    ({"dimension": 2, "weak": [{"worse": [1, 0]}]}, "better"),
+])
+def test_a_missing_dataset_field_is_named(doc, field):
+    # these were KeyErrors, printed by the CLI as error: 'worse'
+    with pytest.raises(ValueError, match=re.escape(f'missing field "{field}"')):
+        ObservationSet.from_dict(doc)
