@@ -61,13 +61,8 @@ class ComparisonOracle:
 
 
 def params_oracle(params: SphericalParams) -> ComparisonOracle:
-    """Oracle backed by spherical parameters, with utility access."""
-    return ComparisonOracle(
-        dim=params.dim,
-        compare=lambda x, y: compare(params, x, y),
-        utility=lambda x: utility(params, x),
-        name="spherical",
-    )
+    """Oracle backed by spherical parameters: it ranks as preference.compare does."""
+    return utility_comparison_oracle(lambda x: utility(params, x), params.dim, "spherical")
 
 
 def utility_comparison_oracle(fn: Callable[[Vec], Scalar], dim: int, name: str = "utility") -> ComparisonOracle:
@@ -230,11 +225,6 @@ def _ranks_alike(oracle: ComparisonOracle, mode: str, rel: float, a: Vec, b: Vec
     return ordering_from_diff(m1, cut) == ordering_from_diff(m2, cut)
 
 
-def _tie_rel(tie_rel: Optional[float]) -> float:
-    """The checkers' tie width: TIE_REL by default, else a finite number >= 0."""
-    return TIE_REL if tie_rel is None else finite_param("tie_rel", tie_rel)
-
-
 def check_oioi(
     oracle: ComparisonOracle,
     trials: int,
@@ -250,7 +240,7 @@ def check_oioi(
     orthogonal to x and y, and require the ranking of w+x vs w+y to equal
     the ranking of w+x+z vs w+y+z.
     """
-    n, rel = oracle.dim, _tie_rel(tie_rel)
+    n, rel = oracle.dim, finite_param("tie_rel", tie_rel, default=TIE_REL)
     rng, draw, plus, perp, _, point = _trial_ops(trials, mode, radius, rng_seed)
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
@@ -278,7 +268,7 @@ def check_perp_diff(
     not alter their ranking: for d orthogonal to x - y, x vs y ranks like
     x + d vs y + d.
     """
-    n, rel = oracle.dim, _tie_rel(tie_rel)
+    n, rel = oracle.dim, finite_param("tie_rel", tie_rel, default=TIE_REL)
     rng, draw, plus, perp, scaled, point = _trial_ops(trials, mode, radius, rng_seed)
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
@@ -308,7 +298,7 @@ def check_soioi(
     strictly when either antecedent is strict. In float mode an antecedent
     only counts as strict when its margin clears STRICT_REL.
     """
-    n, rel = oracle.dim, _tie_rel(tie_rel)
+    n, rel = oracle.dim, finite_param("tie_rel", tie_rel, default=TIE_REL)
     rng, draw, plus, perp, _, point = _trial_ops(trials, mode, radius, rng_seed)
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
@@ -387,7 +377,7 @@ def check_homotheticity(
     scale beta in (0, 10], and require w+x vs w+y to rank like
     w+beta*x vs w+beta*y.
     """
-    n, rel = oracle.dim, _tie_rel(tie_rel)
+    n, rel = oracle.dim, finite_param("tie_rel", tie_rel, default=TIE_REL)
     rng, draw, plus, _, scaled, point = _trial_ops(trials, mode, radius, rng_seed)
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
@@ -481,8 +471,9 @@ def antipodal_indifference(params: SphericalParams, w: Vec, r: float, plane: tup
     n.(x - y) with n = sphere_normal(params, w), so the gap between point(t)
     and its antipode is 2r(a cos t + b sin t) with a = n.e1 and b = n.e2,
     and t = atan2(-a, b) makes it zero. No tolerance is involved. Float
-    arithmetic only; a radius r that is not finite and > 0, or a point that
-    is not finite (NaN parameters, an overflow), is a ValueError.
+    arithmetic only; a radius r that is not finite and > 0, an entry of
+    params, w or the plane beyond the float range, or a point that is not
+    finite (NaN parameters, an overflow), is a ValueError.
     """
     finite_param("r", r, positive=True)
     e1, e2 = (to_float(e) for e in plane)
@@ -491,8 +482,8 @@ def antipodal_indifference(params: SphericalParams, w: Vec, r: float, plane: tup
             raise ValueError("plane vectors must be unit length")
     if abs(float(dot(e1, e2))) > 1e-9:
         raise ValueError("plane vectors must be orthogonal")
-    wf = to_float(w)
-    normal = sphere_normal(SphericalParams(float(params.c), to_float(params.d)), wf)
+    wf, (c, *d) = to_float(w), to_float((params.c, *params.d))
+    normal = sphere_normal(SphericalParams(c, tuple(d)), wf)
     t = math.atan2(-dot(normal, e1), dot(normal, e2))
     ct, st = r * math.cos(t), r * math.sin(t)
     v = tuple(ct * a + st * b for a, b in zip(e1, e2))

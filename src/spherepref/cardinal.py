@@ -30,11 +30,13 @@ from .axioms import AxiomReport, _run_trials, _trial_ops, cubic_function
 from .formats import scalar_to_json, vec_parser, vec_to_json
 from .geometry import (EXACT, FLOAT, DimensionMismatch, Scalar, Vec, _rational, _same_dim, add, basis_vector,
                        box_draw, clear_denominators, count_param, dot, finite_param, grid_point, neg, scale, sub,
-                       zeros)
+                       to_float, zeros)
 from .preference import _not_finite, tie_cuts
 
 # Reconstruction residual above RESIDUAL_REL*(1 + max |U|) rejects the oracle.
 RESIDUAL_REL = 1e-6
+# The default tol of check_status_quo_independence, LineSearch and u_orthogonal.
+TOL = 1e-9
 _PROBE_SEED = 20230 * 2 + 1  # fixed; decompose must be deterministic
 _N_RANDOM_PROBES = 32
 
@@ -72,16 +74,11 @@ def utility_oracle(fn: Callable[[Vec], Scalar], dim: int, auto_shift: bool = Fal
     error either way.
     """
     v0 = fn(zeros(dim))
-    if isinstance(v0, float) and not math.isfinite(v0):
+    is_float = isinstance(v0, float)
+    if is_float and not math.isfinite(v0) or not (auto_shift or v0 == 0 or is_float and abs(v0) <= 1e-12):
         raise ValueError(f"utility at the origin is {v0}, not 0")
     if auto_shift and v0 != 0:
-        base = fn
-        return UtilityOracle(dim, lambda x: base(x) - v0, name=name)
-    if isinstance(v0, float):
-        if abs(v0) > 1e-12:
-            raise ValueError(f"utility at the origin is {v0}, not 0")
-    elif v0 != 0:
-        raise ValueError(f"utility at the origin is {v0}, not 0")
+        return UtilityOracle(dim, lambda x: fn(x) - v0, name=name)
     return UtilityOracle(dim, fn, name=name)
 
 
@@ -239,7 +236,7 @@ def _probe_grid(dim: int, probe_z: Sequence[Vec]) -> list:
 def decompose(
     u: UtilityOracle,
     probe_z: Optional[Sequence[Vec]] = None,
-    residual_rel: float = RESIDUAL_REL,
+    residual_rel: Optional[float] = None,
 ) -> QuadLinDecomposition:
     """Recover (S, g) from the oracle, or reject it as NotQuadraticLinear.
 
@@ -247,12 +244,13 @@ def decompose(
     from polarization on the coordinate axes, S[i][j] = (f(e_i + e_j) -
     f(e_i - e_j))/4, and g[i] = U(e_i) - f(e_i). The residual is the largest
     reconstruction error |U(x) - (x^T S x + g.x)| over the probe grid and
-    must stay within residual_rel*(1 + max |U|) for the oracle to be inside
-    the family. Probe points are rational, so exact oracles decompose with
-    residual exactly zero. A float S entry, g entry, probed value or residual
-    that is not finite (the utility overflowed) is a ValueError naming it.
+    must stay within residual_rel*(1 + max |U|), RESIDUAL_REL by default, for
+    the oracle to be inside the family. Probe points are rational, so exact
+    oracles decompose with residual exactly zero. A float S entry, g entry,
+    probed value or residual that is not finite (the utility overflowed) is a
+    ValueError naming it.
     """
-    finite_param("residual_rel", residual_rel)
+    residual_rel = finite_param("residual_rel", residual_rel, default=RESIDUAL_REL)
     n = u.dim
     if probe_z is None or len(probe_z) == 0:
         probe_z = [zeros(n)]
@@ -302,19 +300,19 @@ def check_status_quo_independence(
     u: UtilityOracle,
     trials: int,
     rng_seed: int = 0,
-    tol: float = 1e-9,
+    tol: Optional[float] = None,
     mode: str = FLOAT,
     radius: float = 1.0,
 ) -> AxiomReport:
     """Verify that the even part does not depend on the status quo.
 
     Per trial: one direction x and several status quos; the spread of
-    extract_f across the status quos must stay within tol relative to the
-    largest value (exactly zero in exact mode). A float trial whose values,
-    spread or cut are not finite is a ValueError.
+    extract_f across the status quos must stay within tol (TOL by default)
+    relative to the largest value (exactly zero in exact mode). A float
+    trial whose values, spread or cut are not finite is a ValueError.
     """
     count_param("trials", trials, 2)
-    finite_param("tol", tol)
+    tol = finite_param("tol", tol, default=TOL)
     rng, draw, *_, point = _trial_ops(trials, mode, radius, rng_seed)
 
     def trial(rng: random.Random, t: int) -> Optional[dict]:
@@ -337,12 +335,12 @@ def check_status_quo_independence(
 
 @dataclass(frozen=True)
 class LineSearch:
-    """Budget for the eventual-linearity root search."""
+    """Budget for the eventual-linearity root search; tol None is TOL."""
 
     directions: int = 16
     max_radius: float = 1024.0
     bisect_steps: int = 80
-    tol: float = 1e-9
+    tol: Optional[float] = None
     seed: int = 0
 
 
@@ -359,10 +357,14 @@ def check_eventual_linearity(
     with doubling radii; a sign change is refined by bisection. Returns a
     root within tolerance, or None when the budget is exhausted (which is
     a report of failure to find one, not a proof of absence). The budget's
-    tol must be a finite number >= 0 and its max_radius a finite number > 0.
+    tol must be a finite number >= 0, its max_radius a finite number > 0,
+    its directions an int >= 1 and its bisect_steps an int >= 0; a value
+    of U beyond the float range is a ValueError.
     """
-    finite_param("tol", search.tol)
+    tol = finite_param("tol", search.tol, default=TOL)
     finite_param("max_radius", search.max_radius, positive=True)
+    count_param("directions", search.directions)
+    count_param("bisect_steps", search.bisect_steps, 0)
     n = u.dim
     sx, sy, sxy = tuple(x), tuple(y), add(x, y)
 
@@ -376,14 +378,15 @@ def check_eventual_linearity(
             u(sub(w, sy)),
         )
         h = (values[0] - values[1]) - (values[2] - values[3]) - (values[4] - values[5])
+        h, *values = to_float((h, *values))
         # the relative term only absorbs float cancellation noise; it must
         # never grow fast enough to wave through a genuinely nonzero defect
-        cut = search.tol + 1e-12 * max(abs(float(v)) for v in values)
+        cut = tol + 1e-12 * max(map(abs, values))
         return h, cut
 
     origin = zeros(n)
     h0, cut = defect(origin)
-    if abs(float(h0)) <= cut:
+    if abs(h0) <= cut:
         return origin
 
     rng = random.Random(search.seed)
@@ -395,10 +398,10 @@ def check_eventual_linearity(
             while t <= search.max_radius:
                 w = scale(sign * t, direction)
                 h, cut = defect(w)
-                if abs(float(h)) <= cut:
+                if abs(h) <= cut:
                     return w
-                if float(prev_h) * float(h) < 0:
-                    root = _bisect_defect(defect, direction, sign, prev_t, float(prev_h), t, search.bisect_steps)
+                if prev_h * h < 0:
+                    root = _bisect_defect(defect, direction, sign, prev_t, prev_h, t, search.bisect_steps)
                     if root is not None:
                         return root
                 prev_t, prev_h = t, h
@@ -412,15 +415,15 @@ def _bisect_defect(defect, direction: Vec, sign: float, lo: float, h_lo: float, 
         mid = 0.5 * (lo + hi)
         w = scale(sign * mid, direction)
         h, cut = defect(w)
-        if abs(float(h)) <= cut:
+        if abs(h) <= cut:
             return w
-        if h_lo * float(h) < 0:
+        if h_lo * h < 0:
             hi = mid
         else:
-            lo, h_lo = mid, float(h)
+            lo, h_lo = mid, h
     return None
 
 
-def u_orthogonal(dec: QuadLinDecomposition, x: Vec, z: Vec, tol: float = 1e-9) -> bool:
-    """Endogenous orthogonality: |x^T S z| within tol, a finite number >= 0."""
-    return abs(dec.quadratic_form(x, z)) <= finite_param("tol", tol)
+def u_orthogonal(dec: QuadLinDecomposition, x: Vec, z: Vec, tol: Optional[float] = None) -> bool:
+    """Endogenous orthogonality: |x^T S z| within tol, a finite number >= 0, TOL by default."""
+    return abs(dec.quadratic_form(x, z)) <= finite_param("tol", tol, default=TOL)

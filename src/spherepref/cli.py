@@ -16,7 +16,7 @@ import spherepref.rationalize as rat
 
 from . import axioms, cardinal
 from .formats import dumps, load_document
-from .geometry import EXACT, FLOAT, finite_param, to_exact
+from .geometry import EXACT, FLOAT, dim_param, finite_param
 from .preference import SphericalParams, classify
 
 _RESTRICT_CHOICES = {
@@ -26,23 +26,15 @@ _RESTRICT_CHOICES = {
 }
 
 
-def _finite(flag: str, positive: bool = False):
-    """argparse type: a float that geometry.finite_param accepts for ``flag``."""
-    def number(text: str) -> float:
-        value = float(text)  # argparse reports a ValueError here as an invalid number
+def _checked(parse, rule, name: str, *args):
+    """argparse type: the text parsed by ``parse`` (float or int), then checked by rule(name, value, *args)."""
+    def number(text: str):
+        value = parse(text)  # argparse reports a ValueError here as an invalid number
         try:
-            return finite_param(flag, value, positive)
+            return rule(name, value, *args)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return number
-
-
-def _dimension(text: str) -> int:
-    """argparse type: an integer from 1 to sys.maxsize, as a dataset's "dimension"."""
-    value = int(text)
-    if not 1 <= value <= sys.maxsize:
-        raise argparse.ArgumentTypeError(f"the dimension must be an integer from 1 to {sys.maxsize}, not {text!r}")
-    return value
 
 
 def _add_mode_flags(parser: argparse.ArgumentParser, default: str) -> None:
@@ -61,6 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "rationalizability, property-check axioms, decompose utilities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol, dim = _checked(float, finite_param, "--tol"), _checked(int, dim_param, "the dimension")
 
     p = sub.add_parser("classify", help="classify a parameter file")
     p.add_argument("params", help="JSON file with {\"c\": ..., \"d\": [...]}")
@@ -69,30 +62,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="dataset JSON file")
     p.add_argument("--restrict", choices=sorted(_RESTRICT_CHOICES),
                    help="require the witness to lie in one class")
-    p.add_argument("--tol", type=_finite("--tol"), help="tolerance override (float mode only)")
+    p.add_argument("--tol", type=tol, help="tolerance override (float mode only)")
     _add_mode_flags(p, EXACT)
 
     p = sub.add_parser("check-axioms", help="run the axiom checkers on an oracle")
     p.add_argument("oracle", help="parameter JSON file, or a built-in oracle name "
                                   f"({', '.join(sorted(axioms.BUILTIN_ORACLES))})")
-    p.add_argument("--dim", type=_dimension, default=3, help="dimension for built-in oracles")
+    p.add_argument("--dim", type=dim, default=3, help="dimension for built-in oracles")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_finite("--tol"), help="tolerance override (float mode only)")
+    p.add_argument("--tol", type=tol, help="tolerance override (float mode only)")
     _add_mode_flags(p, FLOAT)
 
     p = sub.add_parser("decompose", help="split a utility into quadratic + linear parts")
     p.add_argument("oracle", help="JSON file with {\"A\": [[...]], \"b\": [...]}, or a "
                                   f"built-in name ({', '.join(sorted(cardinal.BUILTIN_UTILITIES))})")
-    p.add_argument("--dim", type=_dimension, default=3, help="dimension for built-in oracles")
-    p.add_argument("--tol", type=_finite("--tol"), default=cardinal.RESIDUAL_REL,
-                   help="relative residual acceptance threshold")
+    p.add_argument("--dim", type=dim, default=3, help="dimension for built-in oracles")
+    p.add_argument("--tol", type=tol, help="relative residual acceptance threshold")
 
     p = sub.add_parser("generate", help="sample a dataset consistent with parameters")
     p.add_argument("params", help="parameter JSON file")
     p.add_argument("--count", type=int, default=50, help="number of sampled pairs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius", type=_finite("--radius", positive=True), default=2.0,
+    p.add_argument("--radius", type=_checked(float, finite_param, "--radius", True), default=2.0,
                    help="sampling box radius; coordinates lie on the 1/8 grid, "
                         "and a radius under 1/16 still samples -1/8, 0 and 1/8")
 
@@ -112,8 +104,7 @@ def _cmd_classify(args) -> int:
 def _cmd_rationalize(args) -> int:
     data = rat.ObservationSet.from_dict(load_document(args.dataset))
     restriction = _RESTRICT_CHOICES[args.restrict] if args.restrict else None
-    kwargs = {} if args.tol is None else {"float_margin": args.tol}
-    verdict = rat.rationalize(data, restriction=restriction, mode=args.mode, **kwargs)
+    verdict = rat.rationalize(data, restriction=restriction, mode=args.mode, float_margin=args.tol)
     if verdict.note is not None:
         print("note:", verdict.note, file=sys.stderr)
     print(dumps(verdict.to_dict()))
@@ -126,9 +117,7 @@ def _resolve_comparison_oracle(args) -> axioms.ComparisonOracle:
     if args.oracle in axioms.BUILTIN_ORACLES:
         return axioms.BUILTIN_ORACLES[args.oracle](args.dim)
     params = _load_params(args.oracle)
-    if args.mode == EXACT:
-        params = SphericalParams(*to_exact((params.c,)), to_exact(params.d))
-    return axioms.params_oracle(params)
+    return axioms.params_oracle(params.to_exact() if args.mode == EXACT else params)
 
 
 def _cmd_check_axioms(args) -> int:

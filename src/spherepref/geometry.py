@@ -18,17 +18,18 @@ the one kernel for the sign of c*(x.x - y.y) + d.(x - y):
 ``preference.compare``, the LP rows of ``rationalize`` and both of its
 verifiers read it. The values and result types are those of plain
 entry-by-entry arithmetic; floats keep that arithmetic, in the same order.
-The rules for arguments (finite_param, count_param, mode_param, box_radius)
-and the one seeded draw (box_draw, grid_point) live here too.
+The rules for arguments (finite_param, count_param, dim_param, mode_param,
+box_radius) and the one seeded draw (box_draw, grid_point) live here too.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction, float]
 Vec = tuple
@@ -55,10 +56,12 @@ def _same_dim(a: Sequence, b: Sequence) -> None:
         raise DimensionMismatch(f"dimension mismatch: {len(a)} vs {len(b)}")
 
 
-def finite_param(name: str, value: Scalar, positive: bool = False) -> Scalar:
+def finite_param(name: str, value: Optional[Scalar], positive: bool = False, default: Optional[float] = None) -> Scalar:
     """``value`` if it is a finite number >= 0 (> 0 when ``positive``), else a
     ValueError naming the parameter: the rule for every tolerance (>= 0) and
-    radius (> 0) a caller passes in."""
+    radius (> 0) a caller passes in. None gives a tolerance its ``default``."""
+    if value is None and default is not None:
+        return default
     if not ((0 < value if positive else 0 <= value) and value < math.inf):
         raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, not {value!r}")
     return value
@@ -71,6 +74,13 @@ def count_param(name: str, value: int, least: int = 1) -> int:
         raise ValueError(f"{name} must be an int, not {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}")
+    return value
+
+
+def dim_param(name: str, value: int) -> int:
+    """``value`` if it is an int (not a bool) from 1 to sys.maxsize, else a ValueError naming it."""
+    if type(value) is not int or not 1 <= value <= sys.maxsize:
+        raise ValueError(f"{name} must be an integer from 1 to {sys.maxsize}, not {value!r}")
     return value
 
 
@@ -188,7 +198,11 @@ def to_exact(a: Vec) -> Vec:
 
 
 def to_float(a: Vec) -> Vec:
-    return tuple(float(x) for x in a)
+    """Convert entries to floats; one beyond the float range is a ValueError."""
+    try:
+        return tuple(float(x) for x in a)
+    except OverflowError as exc:  # a huge int or Fraction
+        raise ValueError(f"an entry overflows a float: {exc}") from None
 
 
 def norm(a: Sequence) -> float:

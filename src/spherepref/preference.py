@@ -37,8 +37,8 @@ from operator import mul
 from typing import Optional
 
 from .formats import required, scalar_from_json, scalar_to_json, vec_parser, vec_to_json
-from .geometry import (EXACT, FLOAT, Scalar, Vec, _rational, _same_dim, box_draw, clear_denominators, dot, is_exact,
-                       mode_param, pair_ints, scale, to_float)
+from .geometry import (EXACT, FLOAT, Scalar, Vec, _rational, _same_dim, box_draw, clear_denominators, count_param, dot,
+                       is_exact, mode_param, pair_ints, scale, to_float)
 
 # Relative tie tolerance for float-mode comparisons.
 TIE_REL = 1e-9
@@ -47,6 +47,8 @@ LINEAR = "linear"
 EUCLIDEAN = "euclidean"
 ANTI_EUCLIDEAN = "anti_euclidean"
 INDIFFERENCE = "indifference"
+# The payload fields of each class, as PreferenceClass.to_dict writes them.
+_PAYLOAD = {LINEAR: ["u"], EUCLIDEAN: ["center"], ANTI_EUCLIDEAN: ["center"], INDIFFERENCE: []}
 
 
 class Ordering(IntEnum):
@@ -88,6 +90,13 @@ class SphericalParams:
         L, ints = clear_denominators(v)
         return L, ints[0], tuple(ints[1:])
 
+    def to_exact(self) -> "SphericalParams":
+        """The same preference, every entry a ``Fraction`` (floats verbatim); an infinity or a NaN is a ValueError."""
+        try:
+            return SphericalParams(Fraction(self.c), tuple(map(Fraction, self.d)))
+        except (OverflowError, ValueError):  # an infinity or a NaN has no integer ratio
+            raise ValueError(f"exact parameters must be finite, not {[self.c, *self.d]}") from None
+
     def to_dict(self) -> dict:
         return {"c": scalar_to_json(self.c), "d": vec_to_json(self.d)}
 
@@ -121,12 +130,12 @@ class PreferenceClass:
 
     @staticmethod
     def from_dict(doc: dict) -> "PreferenceClass":
+        """The class to_dict wrote: one of the four tags with exactly its payload, else a ValueError."""
+        tag, fields = required(doc, "class"), [k for k in ("u", "center") if k in doc]
+        if not isinstance(tag, str) or fields != _PAYLOAD.get(tag):
+            raise ValueError(f"class {tag!r} with the fields {fields}; the classes and their fields are {_PAYLOAD}")
         vec = vec_parser()
-        return PreferenceClass(
-            required(doc, "class"),
-            u=vec(doc["u"]) if "u" in doc else None,
-            center=vec(doc["center"]) if "center" in doc else None,
-        )
+        return PreferenceClass(tag, **{k: vec(doc[k]) for k in fields})
 
 
 def utility(p: SphericalParams, x: Vec) -> Scalar:
@@ -249,16 +258,10 @@ def canonicalize(p: SphericalParams, mode: str | None = None) -> SphericalParams
     if mode is None:
         mode = EXACT if p.is_exact else FLOAT
     if mode_param(mode) == EXACT:
-        try:
-            c, d = Fraction(p.c), tuple(map(Fraction, p.d))
-        except (OverflowError, ValueError):  # an infinity or a NaN has no integer ratio
-            raise ValueError(f"exact parameters must be finite, not {[p.c, *p.d]}") from None
-        m = max(abs(c), *(abs(x) for x in d)) if d else abs(c)
-        return SphericalParams(c / m, tuple(x / m for x in d))
-    try:
-        c, d = float(p.c), to_float(p.d)
-    except OverflowError as exc:
-        raise ValueError(f"a parameter overflows a float: {exc}") from None
+        q = p.to_exact()
+        m = max(abs(q.c), *(abs(x) for x in q.d)) if q.d else abs(q.c)
+        return SphericalParams(q.c / m, tuple(x / m for x in q.d))
+    c, *d = to_float((p.c, *p.d))
     length = math.sqrt(c * c + dot(d, d))  # left to right: the same bits on every Python
     if not 0 < length < math.inf:
         m = max(map(abs, (c, *d)))  # NaN in c makes m NaN
@@ -301,6 +304,7 @@ def distinguishing_pair(
     Float draws from geometry.box_draw; returns the first pair on which the
     two comparisons disagree, or None when the probe budget is exhausted.
     """
+    count_param("probes", probes)
     n, draw = p1.dim, box_draw(FLOAT, radius, 16)
     for _ in range(probes):
         x, y = draw(rng, n), draw(rng, n)

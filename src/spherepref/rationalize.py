@@ -31,7 +31,6 @@ mode rounds each entry once. The verifiers read the same rows.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite
@@ -40,8 +39,8 @@ from typing import Optional
 
 from . import lp
 from .formats import required, scalar_to_json, vec_parser, vec_to_json
-from .geometry import (EXACT, DimensionMismatch, Scalar, Vec, box_draw, clear_denominators, count_param, dot,
-                       finite_param, grid_point, mode_param, pair_ints, sub, to_exact)
+from .geometry import (EXACT, DimensionMismatch, Scalar, Vec, box_draw, clear_denominators, count_param, dim_param,
+                       dot, finite_param, grid_point, mode_param, pair_ints, sub, to_exact)
 from .preference import Ordering, SphericalParams, compare
 
 RESTRICT_LINEAR = "linear"
@@ -130,10 +129,7 @@ class ObservationSet:
                 raise ValueError(f'"{key}" must be a list of {{"better": ..., "worse": ...}} objects')
             return tuple((vec(required(p, "better")), vec(required(p, "worse"))) for p in items)
 
-        n = required(doc, "dimension")
-        if type(n) is not int or not 1 <= n <= sys.maxsize:
-            raise ValueError(f'"dimension" must be an integer from 1 to {sys.maxsize}, not {n!r}')
-        return ObservationSet(n, pairs("weak"), pairs("strict"))
+        return ObservationSet(dim_param('"dimension"', required(doc, "dimension")), pairs("weak"), pairs("strict"))
 
 
 @dataclass(frozen=True)
@@ -241,7 +237,7 @@ def rationalize(
     data: ObservationSet,
     restriction: Optional[str] = None,
     mode: str = EXACT,
-    float_margin: float = _FLOAT_MARGIN,
+    float_margin: Optional[float] = None,
 ) -> RationalizabilityVerdict:
     """Decide rationalizability, returning a witness or a certificate.
 
@@ -252,12 +248,13 @@ def rationalize(
     optimal (c, u) is returned as a witness. Otherwise the certificate
     search runs and its optimizer is attached. Both LPs cover only the
     coordinates some pair moves; the others are zero in the witness. In
-    float mode an optimum below ``float_margin`` counts as zero; exact mode
-    ignores it, but a ``float_margin`` that is negative or not finite raises
-    ValueError in both modes. Float mode raises :class:`FloatUndecided` when
-    rounding or overflow leaves neither a witness nor a certificate.
+    float mode an optimum below ``float_margin`` (1e-9 by default) counts as
+    zero; exact mode ignores it, but a ``float_margin`` that is negative or
+    not finite raises ValueError in both modes. Float mode raises
+    :class:`FloatUndecided` when rounding or overflow leaves neither a
+    witness nor a certificate.
     """
-    finite_param("float_margin", float_margin)
+    float_margin = finite_param("float_margin", float_margin, default=_FLOAT_MARGIN)
     sign = _sign(restriction)
     exact = mode_param(mode) == EXACT
     rows, used = _moved_rows(data, mode)
@@ -384,10 +381,9 @@ def verify_witness(data: ObservationSet, params: SphericalParams) -> bool:
     witness's integer form (C, D). A NaN or infinite coefficient fails.
     """
     try:
-        c, *d = to_exact((params.c, *params.d))
-    except (ValueError, OverflowError):  # Fraction of a NaN or an infinity
+        p = params.to_exact()
+    except ValueError:  # a NaN or an infinity
         return False
-    p = SphericalParams(c, d)
     if not all(compare(p, to_exact(x), to_exact(y)) >= Ordering.INDIFFERENT for x, y in data.weak):
         return False
     return all(compare(p, to_exact(x), to_exact(y)) is Ordering.BETTER for x, y in data.strict)
@@ -447,7 +443,7 @@ def generate_dataset(
     draw = box_draw(EXACT, radius, 8)
     rng = random.Random(rng_seed)
     n = params.dim
-    p = SphericalParams(Fraction(params.c), tuple(Fraction(v) for v in params.d))
+    p = params.to_exact()
     weak = []
     strict = []
     for _ in range(count):

@@ -357,6 +357,32 @@ def test_antipodal_indifference_generic_params():
         assert abs(dot(sphere_normal(p, w), sub(x, y))) <= 1e-8
 
 
+def test_antipodal_indifference_refuses_numbers_beyond_the_float_range():
+    # float() of c, or of w's entry, raised a bare OverflowError
+    plane = ((1.0, 0.0), (0.0, 1.0))
+    for p, w in ((SphericalParams(10**400, (1, 2)), (0.0, 0.0)), (SphericalParams(-1, (1, 2)), (10**400, 0))):
+        with pytest.raises(ValueError, match="overflows a float"):
+            antipodal_indifference(p, w, 1.0, plane)
+
+
+@pytest.mark.parametrize("p", [
+    SphericalParams(-1, (2, 0, 1)),
+    SphericalParams(F(1, 3), (F(-1, 2), 1, 0)),
+    SphericalParams(-0.75, (0.5, 0.0, 1.25)),
+    SphericalParams(0, (1, F(1, 7), 0)),
+    SphericalParams(0, (0, 0, 0)),
+])
+def test_params_oracle_ranks_as_compare(p):
+    # the oracle ranks by its utility, compare by its integer shortcut: the same order
+    rng = random.Random(5)
+    points = [(1, 0, 0), (0, 1, 0), (0, 0, -1), (0.5, F(1, 2), 0), (1.0, 0.0, 0.0)]
+    points += [sample_vector(rng, 3, mode) for mode in (EXACT, FLOAT, EXACT, FLOAT)]
+    oracle = params_oracle(p)
+    for x in points:
+        for y in points:
+            assert oracle.compare(x, y) is compare(p, x, y)
+
+
 def test_antipodal_indifference_is_exact_up_to_rounding_far_from_the_origin():
     # the pair is judged in exact arithmetic, floats taken verbatim as rationals
     def exact_gap(pe, centre, v):

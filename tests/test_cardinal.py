@@ -10,6 +10,7 @@ from spherepref.cardinal import (
     LineSearch,
     NotQuadraticLinear,
     QuadLinDecomposition,
+    UtilityOracle,
     _bilinear,
     _QuadLin,
     check_eventual_linearity,
@@ -266,6 +267,37 @@ def test_eventual_linearity_moves_on_when_bisection_runs_out():
     w = check_eventual_linearity(u, (1, 0, 0), (1, 0, 0), LineSearch(directions=1, bisect_steps=5))
     assert w == tuple(4.0 * v for v in direction)
     assert len(calls) == (3 + 5 + 1) * 6  # the origin, radii 1 and 2, 5 bisection steps, radius 4
+
+
+@pytest.mark.parametrize("budget, message", [
+    ({"directions": 2.5}, "directions must be an int"),
+    ({"directions": True}, "directions must be an int"),
+    ({"directions": 0}, "directions must be at least 1"),
+    ({"bisect_steps": 1.5}, "bisect_steps must be an int"),
+    ({"bisect_steps": -1}, "bisect_steps must be at least 0"),
+])
+def test_eventual_linearity_rejects_counts_that_are_not_ints_in_range(budget, message):
+    # the budget went unchecked: here the origin answers first; later, directions=2.5 raised a bare TypeError
+    with pytest.raises(ValueError, match=message):
+        check_eventual_linearity(cubic_utility(3), (1, 0, 0), (0, 1, 0), LineSearch(**budget))
+
+
+def test_eventual_linearity_without_bisection():
+    # bisect_steps=0 skips the jump between radii 1 and 2 and goes on to the root at radius 4
+    direction = first_direction()
+    d1 = abs(direction[1])
+    calls = []
+    u = banded_cubic(lambda a: 1 if a < 1.5 * d1 else -1 if a < 3 * d1 else 0, calls)
+    calls.clear()
+    w = check_eventual_linearity(u, (1, 0, 0), (1, 0, 0), LineSearch(directions=1, bisect_steps=0))
+    assert w == tuple(4.0 * v for v in direction)
+    assert len(calls) == (3 + 1) * 6
+
+
+def test_eventual_linearity_refuses_values_beyond_the_float_range():
+    # the cut took float() of each value: a bare OverflowError
+    with pytest.raises(ValueError, match="overflows a float"):
+        check_eventual_linearity(UtilityOracle(2, lambda x: 10**400 * x[0] ** 3), (1, 0), (0, 1))
 
 
 @pytest.mark.parametrize("residual_rel", [-1, math.nan, math.inf])

@@ -674,3 +674,15 @@ def test_fuzzed_invocations_keep_the_exit_contract(tmp_path_factory, invocation)
         mu = result.get("restriction_weight")
         assert verify_certificate(data, weights, result.get("restriction"),
                                   None if mu is None else scalar_from_json(mu)), (argv, doc)
+
+
+def test_spelled_out_tolerance_defaults_keep_stdout(capsys, euclid_params, bliss_dataset):
+    # the library owns every --tol default: naming it changes no byte
+    for argv, spelled in (
+        (["decompose", "cubic1"], ["--tol", "1e-06"]),
+        (["rationalize", bliss_dataset, "--float"], ["--tol", "1e-09"]),
+        (["check-axioms", euclid_params, "--float", "--trials", "200"], ["--tol", "1e-09"]),
+        (["check-axioms", "cubic1", "--float", "--trials", "200"], ["--tol", "1e-09"]),
+    ):
+        default = run(capsys, *argv)
+        assert default[1] and run(capsys, *argv, *spelled) == default

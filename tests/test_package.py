@@ -7,13 +7,17 @@ from pathlib import Path
 import pytest
 
 import spherepref
-from spherepref.axioms import (antipodal_indifference, check_oioi, cubic_function, cubic_oracle,
-                               random_orthonormal_plane, utility_comparison_oracle)
-from spherepref.cardinal import QuadLinDecomposition, cubic_utility, utility_oracle
+from spherepref.axioms import (antipodal_indifference, check_homotheticity, check_oioi, check_perp_diff, check_soioi,
+                               cubic_function, cubic_oracle, params_oracle, random_orthonormal_plane,
+                               utility_comparison_oracle)
+from spherepref.cardinal import (LineSearch, QuadLinDecomposition, check_eventual_linearity,
+                                 check_status_quo_independence, coefficient_oracle, cubic_utility, decompose,
+                                 u_orthogonal, utility_oracle)
 from spherepref.formats import scalar_to_json
-from spherepref.geometry import project_out
+from spherepref.geometry import FLOAT, project_out
 from spherepref.lp import Constraint, LinearProgram, solve
 from spherepref.preference import SphericalParams, canonicalize, preference_distance, sphere_normal
+from spherepref.rationalize import ObservationSet, rationalize
 
 # the public names the package has always listed in __all__
 PUBLIC = """
@@ -112,3 +116,22 @@ def test_each_error_branch_names_its_cause(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+_SPHERE = params_oracle(SphericalParams(-1.0, (0.5, 0.0, 0.25)))
+_QUAD = coefficient_oracle(((1.0, 0.5), (0.5, 2.0)), (1.0, -1.0))
+_DATA = ObservationSet(2, [((1.0, 0.0), (0.0, 1.0))], [((0.0, 0.0), (2.0, 0.5)), ((1.0, 1.0), (1.0, -1.5))])
+
+
+@pytest.mark.parametrize("name, call", [
+    ("tie_rel", lambda **kw: [check(_SPHERE, 40, **kw) for check in (check_oioi, check_perp_diff, check_soioi,
+                                                                        check_homotheticity)]),
+    ("float_margin", lambda **kw: rationalize(_DATA, mode=FLOAT, **kw)),
+    ("residual_rel", lambda **kw: decompose(_QUAD, **kw)),
+    ("tol", lambda **kw: check_status_quo_independence(_QUAD, 20, **kw)),
+    ("tol", lambda **kw: u_orthogonal(_QUADLIN, (1, 0), (1e-10, 1), **kw)),
+    ("tol", lambda **kw: check_eventual_linearity(_QUAD, (1.0, 0.0), (0.0, 1.0), LineSearch(**kw))),
+], ids=["tie_rel", "float_margin", "residual_rel", "status_quo_tol", "u_orthogonal_tol", "line_search_tol"])
+def test_a_tolerance_of_none_keeps_the_default(name, call):
+    # all but tie_rel raised a bare TypeError on None
+    assert call(**{name: None}) == call()

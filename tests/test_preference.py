@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spherepref.axioms import antipodal_indifference
 from spherepref.geometry import EXACT, FLOAT, DimensionMismatch, dot, sq_norm, sub
 from spherepref.preference import (
     ANTI_EUCLIDEAN,
@@ -264,6 +265,15 @@ def test_distinguishing_pairs_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DISTINGUISHING_PAIRS_DIGEST
 
 
+@pytest.mark.parametrize("probes, message", [(2.5, "must be an int"), (True, "must be an int"),
+                                             (0, "must be at least 1"), (-3, "must be at least 1")])
+def test_distinguishing_pair_rejects_a_probe_count_that_is_not_an_int_from_one(probes, message):
+    # 2.5 raised a bare TypeError, True ran one probe, -3 returned None as a spent budget
+    p1, p2 = SphericalParams(-1, (0, 0)), SphericalParams(1, (0, 0))
+    with pytest.raises(ValueError, match=f"probes {message}"):
+        distinguishing_pair(p1, p2, random.Random(0), probes=probes)
+
+
 @pytest.mark.parametrize("radius", [math.inf, math.nan, 0, -1.0])
 def test_distinguishing_pair_rejects_a_radius_that_is_not_finite_and_positive(radius):
     # inf drew nan coordinates and nan drew nan: both ranked everything indifferent
@@ -308,6 +318,7 @@ def test_float_calls_refuse_parameters_too_large_for_a_float(p):
         lambda: preference_distance(p, other),
         lambda: preference_distance(other, p),
         lambda: distinguishing_pair(p, other, random.Random(0)),
+        lambda: antipodal_indifference(p, x, 1.0, ((1.0, 0.0), (0.0, 1.0))),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="overflows a float"):
@@ -336,6 +347,35 @@ def test_class_json_round_trip():
     assert doc == {"class": "euclidean", "center": [1, 0, 0]}
     assert PreferenceClass.from_dict(doc) == cls
     assert classify(SphericalParams(0, (0, 0))).to_dict() == {"class": "indifference"}
+    for p in (SphericalParams(0, (1, F(-1, 2))), SphericalParams(0.5, (1.0, -2.0)), SphericalParams(0, (0, 0))):
+        assert PreferenceClass.from_dict(classify(p).to_dict()) == classify(p)
+
+
+@pytest.mark.parametrize("doc", [
+    {"class": "bogus", "u": [1]},
+    {"class": "bogus"},
+    {"class": ["linear"], "u": [1]},
+    {"class": "linear"},
+    {"class": "linear", "center": [1]},
+    {"class": "linear", "u": [1], "center": [1]},
+    {"class": "euclidean", "u": [1]},
+    {"class": "anti_euclidean"},
+    {"class": "indifference", "u": [0]},
+])
+def test_class_from_dict_refuses_what_to_dict_never_writes(doc):
+    # {"class": "bogus", "u": [1]} was PreferenceClass(tag='bogus', u=(1,), center=None)
+    with pytest.raises(ValueError, match="class .* with the fields"):
+        PreferenceClass.from_dict(doc)
+
+
+def test_to_exact_makes_every_entry_a_fraction():
+    p = SphericalParams(-1, (0.1, F(1, 3), True))
+    q = p.to_exact()
+    assert q == SphericalParams(F(-1), (F(0.1), F(1, 3), F(1)))
+    assert {type(v) for v in (q.c, *q.d)} == {F}
+    for bad in (SphericalParams(math.nan, (1.0,)), SphericalParams(1, (2, -math.inf))):
+        with pytest.raises(ValueError, match=r"exact parameters must be finite, not \["):
+            bad.to_exact()
 
 
 @given(

@@ -239,6 +239,13 @@ def test_generate_dataset_rejects_a_radius_that_is_not_finite_and_positive(radiu
         generate_dataset(SphericalParams(0, (1, 0, 0)), 5, rng_seed=1, radius=radius)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_generate_dataset_refuses_parameters_that_are_not_finite(c):
+    # NaN raised Fraction's "cannot convert NaN to integer ratio", an infinity a bare OverflowError
+    with pytest.raises(ValueError, match=r"exact parameters must be finite, not \["):
+        generate_dataset(SphericalParams(c, (1.0, 2.0)), 3, 0)
+
+
 def test_generate_dataset_round_trip():
     rng = random.Random(17)
     for trial in range(15):
