@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .formats import scalar_to_json, vec_to_json
+from .formats import to_json
 from .geometry import (EXACT, FLOAT, Scalar, Vec, _sixteenths, add, box_draw, count_param, dot, finite_param,
                        grid_point, is_zero, mode_param, normalize, project_floats, project_ints, project_out, scale,
                        sub, to_float)
@@ -106,18 +106,8 @@ class AxiomReport:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        ce = None
-        if self.counterexample is not None:
-            ce = {
-                k: (vec_to_json(v) if isinstance(v, tuple) else scalar_to_json(v))
-                for k, v in self.counterexample.items()
-            }
-        return {
-            "axiom": self.axiom,
-            "trials": self.trials,
-            "violations": self.violations,
-            "counterexample": ce,
-        }
+        return {"axiom": self.axiom, "trials": self.trials, "violations": self.violations,
+                "counterexample": to_json(self.counterexample)}
 
 
 # A trial returns this when it is skipped before it reaches the oracle.

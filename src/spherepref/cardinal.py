@@ -27,7 +27,7 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .axioms import AxiomReport, _run_trials, _trial_ops, cubic_function
-from .formats import scalar_to_json, vec_parser, vec_to_json
+from .formats import to_json, vec_parser
 from .geometry import (EXACT, FLOAT, DimensionMismatch, Scalar, Vec, _rational, _same_dim, add, basis_vector,
                        box_draw, clear_denominators, count_param, dot, finite_param, grid_point, neg, scale, sub,
                        to_float, zeros)
@@ -199,11 +199,7 @@ class QuadLinDecomposition:
         return self._value(x)
 
     def to_dict(self) -> dict:
-        return {
-            "S": [vec_to_json(row) for row in self.bilinear],
-            "g": vec_to_json(self.linear),
-            "residual": scalar_to_json(self.residual),
-        }
+        return to_json({"S": self.bilinear, "g": self.linear, "residual": self.residual})
 
 
 def _div(v: Scalar, k: int) -> Scalar:

@@ -1,9 +1,11 @@
 """JSON conventions shared by the file formats and the CLI.
 
-Rationals serialize as ``"p/q"`` strings (integers as plain JSON numbers),
-floats as their shortest round-trip decimal. Parsing is the inverse: JSON
-integers stay exact, ``"p/q"`` strings (``-?digits/digits``, ASCII) become
-fractions, other numbers are floats. Other strings, non-finite floats, zero
+Results render through :func:`to_json`, which each ``to_dict`` hands its
+fields: rationals serialize as ``"p/q"`` strings (integers as plain JSON
+numbers), floats as their shortest round-trip decimal, and booleans and
+other non-numbers are refused. Parsing is the inverse: JSON integers stay
+exact, ``"p/q"`` strings (``-?digits/digits``, ASCII) become fractions,
+other numbers are floats. Other strings, non-finite floats, zero
 denominators, non-object documents and documents nested beyond the parser's
 recursion limit are rejected.
 
@@ -29,12 +31,28 @@ def scalar_to_json(s: Scalar):
     if isinstance(s, int):
         return s
     if isinstance(s, Fraction):
-        if s.denominator == 1:
-            return int(s)
-        return f"{s.numerator}/{s.denominator}"
+        n, d = s.as_integer_ratio()
+        return n if d == 1 else f"{n}/{d}"
     if isinstance(s, float):
         return s
     raise ValueError(f"unsupported scalar type: {type(s).__name__}")
+
+
+_SCALARS = {int, Fraction, float}  # by exact type: isinstance(v, Fraction) is a slow ABC check
+
+
+def to_json(v):
+    """JSON for a result: None as None, a tuple, list or dict entry by entry
+    (keys as they are), an object through its ``to_dict``, else a scalar."""
+    if type(v) in _SCALARS:  # first: most values are scalars
+        return scalar_to_json(v)
+    if v is None:
+        return None
+    if isinstance(v, (tuple, list)):
+        return [to_json(x) for x in v]
+    if isinstance(v, dict):
+        return {k: to_json(x) for k, x in v.items()}
+    return v.to_dict() if hasattr(v, "to_dict") else scalar_to_json(v)
 
 
 def scalar_from_json(v) -> Scalar:
@@ -56,10 +74,6 @@ def scalar_from_json(v) -> Scalar:
             raise ValueError(f"not a finite number: {v!r}")
         return v
     raise ValueError(f"not a scalar: {v!r}")
-
-
-def vec_to_json(v: Vec) -> list:
-    return [scalar_to_json(x) for x in v]
 
 
 class _Strings(dict):

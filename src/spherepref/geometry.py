@@ -7,12 +7,13 @@ set of functions serves both modes. Comparisons that feed yes/no decisions
 
 :func:`dot` is the plain left-to-right loop for every entry type. Two kernels
 clear denominators once (:func:`clear_denominators`) and work in ``int``.
-:func:`project_out` on rational vectors runs :func:`project_ints`, integer
-Gram-Schmidt without division, and builds one ``Fraction`` per entry; on a
-basis with a float entry it runs :func:`project_floats`, the one float
-Gram-Schmidt kernel, two passes with each u.u computed once, which drops a
-basis vector only when its part left by the earlier ones is at most 1e-13
-of its own length. The trials of ``axioms`` call both kernels directly.
+:func:`project_out` runs :func:`project_ints`, integer Gram-Schmidt without
+division, on exact vectors, and :func:`project_floats`, the one float
+Gram-Schmidt kernel (two passes, each u.u computed once, a basis vector
+dropped when at most 1e-13 of its length is left), on a basis with a float
+entry; a float vector against an exact basis is swept twice in floats over
+the basis's exact orthogonal vectors. The trials of ``axioms`` call both
+kernels directly.
 :func:`pair_ints` gives the integer row (L, Q, V) of an observation (x, y),
 the one kernel for the sign of c*(x.x - y.y) + d.(x - y):
 ``preference.compare``, the LP rows of ``rationalize`` and both of its
@@ -62,9 +63,12 @@ def finite_param(name: str, value: Optional[Scalar], positive: bool = False, def
     radius (> 0) a caller passes in. None gives a tolerance its ``default``."""
     if value is None and default is not None:
         return default
-    if not ((0 < value if positive else 0 <= value) and value < math.inf):
-        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, not {value!r}")
-    return value
+    try:
+        if (0 < value if positive else 0 <= value) and value < math.inf:
+            return value
+    except TypeError:  # None, a str, a complex: no order with 0
+        pass
+    raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, not {value!r}")
 
 
 def count_param(name: str, value: int, least: int = 1) -> int:
@@ -277,16 +281,6 @@ def project_ints(V: Sequence[int], basis: Sequence[Sequence[int]]) -> tuple:
     return V, S
 
 
-def _reduce(w: Vec, ortho: Sequence[Vec]) -> Vec:
-    """w minus its component along each u in turn; an int-by-int coefficient
-    is a ``Fraction``."""
-    for u in ortho:
-        coeff, uu = dot(w, u), dot(u, u)
-        coeff = Fraction(coeff, uu) if type(coeff) is int and type(uu) is int else coeff / uu
-        w = tuple(w[i] - coeff * u[i] for i in range(len(w)))
-    return w
-
-
 def _sum_sq(w: Sequence) -> Scalar:
     """dot(w, w) without its checks."""
     s = 0
@@ -333,29 +327,21 @@ def project_floats(v: Vec, basis: Sequence[Vec]) -> Vec:
 def project_out(v: Vec, basis: Sequence[Vec]) -> Vec:
     """Remove from v its orthogonal projection onto span(basis).
 
-    Gram-Schmidt drops zero and dependent basis vectors. For an exact basis
-    it is classical and unnormalized, so entries stay rational: for
-    all-``int``/``Fraction`` input one ``Fraction`` per entry, through
-    project_ints. A basis with a float entry runs project_floats, where a
-    basis vector is dependent when at most 1e-13 of its length is left.
-    The result is orthogonal to every basis vector: exactly in exact mode,
-    within PROJ_TOL*|v||b| in float mode.
+    Gram-Schmidt drops zero and dependent basis vectors. Exact v and basis
+    run project_ints, one ``Fraction`` per entry; a basis with a float entry
+    runs project_floats; a float v against an exact basis is swept twice, in
+    floats, over the basis's exact orthogonal vectors. The result is
+    orthogonal to every basis vector: exactly in exact mode, within
+    PROJ_TOL*|v||b| in float mode.
     """
     for b in basis:
         _same_dim(v, b)
     basis = [b for b in basis if not is_zero(b)]
     if not all(map(is_exact, basis)):
         return project_floats(v, basis)
-    if basis and _rational(v) and all(map(_rational, basis)):
+    if basis and is_exact(v):
         L, V = clear_denominators(v)
         R, S = project_ints(V, [clear_denominators(b)[1] for b in basis])
         return tuple(Fraction(r, L * S) for r in R)
-    ortho: list[Vec] = []
-    for b in basis:
-        w = _reduce(b, ortho)
-        if not is_zero(w):
-            ortho.append(w)
-    r = _reduce(v, ortho)
-    if not is_exact(v):
-        r = _reduce(r, ortho)
-    return r
+    ortho = [(u, _sum_sq(u)) for u in (project_out(b, basis[:k]) for k, b in enumerate(basis)) if not is_zero(u)]
+    return tuple(_sweep(v, ortho + ortho))  # v itself for an empty basis

@@ -36,7 +36,7 @@ from functools import cached_property
 from operator import mul
 from typing import Optional
 
-from .formats import required, scalar_from_json, scalar_to_json, vec_parser, vec_to_json
+from .formats import required, scalar_from_json, to_json, vec_parser
 from .geometry import (EXACT, FLOAT, Scalar, Vec, _rational, _same_dim, box_draw, clear_denominators, count_param, dot,
                        is_exact, mode_param, pair_ints, scale, to_float)
 
@@ -98,7 +98,7 @@ class SphericalParams:
             raise ValueError(f"exact parameters must be finite, not {[self.c, *self.d]}") from None
 
     def to_dict(self) -> dict:
-        return {"c": scalar_to_json(self.c), "d": vec_to_json(self.d)}
+        return {"c": to_json(self.c), "d": to_json(self.d)}
 
     @staticmethod
     def from_dict(doc: dict) -> "SphericalParams":
@@ -121,12 +121,8 @@ class PreferenceClass:
     center: Optional[Vec] = None
 
     def to_dict(self) -> dict:
-        doc = {"class": self.tag}
-        if self.u is not None:
-            doc["u"] = vec_to_json(self.u)
-        if self.center is not None:
-            doc["center"] = vec_to_json(self.center)
-        return doc
+        payload = {"u": self.u, "center": self.center}
+        return {"class": self.tag, **{k: to_json(v) for k, v in payload.items() if v is not None}}
 
     @staticmethod
     def from_dict(doc: dict) -> "PreferenceClass":

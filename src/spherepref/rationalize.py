@@ -38,7 +38,7 @@ from operator import truediv
 from typing import Optional
 
 from . import lp
-from .formats import required, scalar_to_json, vec_parser, vec_to_json
+from .formats import required, to_json, vec_parser
 from .geometry import (EXACT, DimensionMismatch, Scalar, Vec, box_draw, clear_denominators, count_param, dim_param,
                        dot, finite_param, grid_point, mode_param, pair_ints, sub, to_exact)
 from .preference import Ordering, SphericalParams, compare
@@ -115,8 +115,8 @@ class ObservationSet:
     def to_dict(self) -> dict:
         return {
             "dimension": self.dimension,
-            "weak": [{"better": vec_to_json(x), "worse": vec_to_json(y)} for x, y in self.weak],
-            "strict": [{"better": vec_to_json(x), "worse": vec_to_json(y)} for x, y in self.strict],
+            "weak": [{"better": to_json(x), "worse": to_json(y)} for x, y in self.weak],
+            "strict": [{"better": to_json(x), "worse": to_json(y)} for x, y in self.strict],
         }
 
     @staticmethod
@@ -158,22 +158,9 @@ class RationalizabilityVerdict:
     note: Optional[str] = None
 
     def to_dict(self) -> dict:
-        doc = {"rationalizable": self.rationalizable}
-        if self.witness is not None:
-            doc["witness"] = self.witness.to_dict()
-        if self.epsilon is not None:
-            doc["epsilon"] = scalar_to_json(self.epsilon)
-        if self.certificate is not None:
-            doc["certificate"] = {k: scalar_to_json(v) for k, v in self.certificate.items()}
-        if self.p_mass is not None:
-            doc["p_mass"] = scalar_to_json(self.p_mass)
-        if self.restriction is not None:
-            doc["restriction"] = self.restriction
-        if self.restriction_weight is not None:
-            doc["restriction_weight"] = scalar_to_json(self.restriction_weight)
-        if self.note is not None:
-            doc["note"] = self.note
-        return doc
+        """Every field that is set, under its own name; the numbers through to_json."""
+        return {k: v if k in ("rationalizable", "restriction", "note") else to_json(v)
+                for k, v in vars(self).items() if v is not None}
 
 
 def _pair_row(x: Vec, y: Vec):

@@ -10,9 +10,12 @@ test_golden_verdicts in both modes and prints a second; each dataset is
 first rendered to JSON and parsed back, and must come back equal, so the
 second line covers the parse as the CLI runs it. A third line gives the
 digests of the reports of test_golden_float_reports and
-test_golden_exact_reports. With --check, each line is compared with the
-one the pins of test_lp.py, test_rationalize.py and test_axioms.py give
-(their module constants, which the tests assert too): every line that
+test_golden_exact_reports. A fourth line gives the digests of the CLI
+documents of test_classify_and_decompose_documents_are_pinned: classify on
+each class and decompose on an exact and a float coefficient file. With
+--check, each line is compared with the one the pins of test_lp.py,
+test_rationalize.py, test_axioms.py and test_cli.py give (their module
+constants, which the tests assert too): every line that
 differs is named on stderr and the exit status is 1. This runs under
 Python versions that have no pytest or hypothesis installed. The
 spherepref sources are taken from this checkout's src/.
@@ -22,6 +25,7 @@ import hashlib
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +52,7 @@ for _name in ("pytest", "hypothesis"):
     sys.modules.setdefault(_name, _Stub())
 sys.path.insert(0, str(ROOT / "tests"))
 import test_axioms  # noqa: E402
+import test_cli  # noqa: E402
 import test_lp  # noqa: E402
 import test_rationalize  # noqa: E402
 
@@ -58,7 +63,7 @@ from spherepref.rationalize import ObservationSet, rationalize  # noqa: E402
 
 
 def digest_lines(version: str) -> list:
-    """The three lines, computed."""
+    """The four lines, computed."""
     rng = random.Random(5)
     golden = [test_lp._golden_lp(rng) for _ in range(400)]
     rng = random.Random(11)
@@ -82,11 +87,14 @@ def digest_lines(version: str) -> list:
     floats = test_axioms.reports_digest(test_axioms.golden_float_reports())
     exact = test_axioms.reports_digest(test_axioms.golden_exact_reports())
     lines.append(f"{version} | checkers/float {floats} | checkers/exact {exact}")
+    with tempfile.TemporaryDirectory() as tmp:
+        docs = test_cli.pinned_documents(Path(tmp))
+    lines.append(" | ".join([version] + [f"cli/{k} {hashlib.sha256(v.encode()).hexdigest()}" for k, v in docs.items()]))
     return lines
 
 
 def pinned_lines(version: str) -> list:
-    """The three lines the pins give."""
+    """The four lines the pins give."""
     fields = [version]
     for name, digests, pivots in (("golden", test_lp.GOLDEN_DIGESTS, test_lp.GOLDEN_PIVOTS),
                                   ("tall", test_lp.TALL_DIGESTS, test_lp.TALL_PIVOTS)):
@@ -97,6 +105,7 @@ def pinned_lines(version: str) -> list:
         " | ".join(fields),
         " | ".join([version] + [f"verdicts/{mode} {verdicts[mode]}" for mode in (EXACT, FLOAT)]),
         f"{version} | checkers/float {reports[FLOAT]} | checkers/exact {reports[EXACT]}",
+        " | ".join([version] + [f"cli/{k} {v}" for k, v in test_cli.PINNED_DIGESTS.items()]),
     ]
 
 
@@ -106,7 +115,7 @@ def main(argv: list) -> int:
     print("\n".join(lines))
     if "--check" not in argv:
         return 0
-    names = ("LP outcomes (line 1)", "verdicts (line 2)", "checker reports (line 3)")
+    names = ("LP outcomes (line 1)", "verdicts (line 2)", "checker reports (line 3)", "CLI documents (line 4)")
     differ = [(name, want) for name, got, want in zip(names, lines, pinned_lines(version)) if got != want]
     for name, want in differ:
         print(f"{name} differs from the pins, which give:\n{want}", file=sys.stderr)

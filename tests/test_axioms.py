@@ -221,7 +221,7 @@ def test_trial_checkers_reject_an_unknown_mode(checker, mode):
         checker(trial_subject(checker), 20, rng_seed=1, mode=mode)
 
 
-@pytest.mark.parametrize("radius", [0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("radius", [0, -1.0, math.nan, math.inf, None, "1"])
 @pytest.mark.parametrize("mode", [FLOAT, EXACT])
 @pytest.mark.parametrize("checker", TRIAL_CHECKERS)
 def test_trial_checkers_reject_a_radius_that_is_not_finite_and_positive(checker, mode, radius):
@@ -230,7 +230,7 @@ def test_trial_checkers_reject_a_radius_that_is_not_finite_and_positive(checker,
         checker(trial_subject(checker), 20, rng_seed=1, mode=mode, radius=radius)
 
 
-@pytest.mark.parametrize("tie_rel", [-1e-9, math.nan, math.inf])
+@pytest.mark.parametrize("tie_rel", [-1e-9, math.nan, math.inf, "x"])
 @pytest.mark.parametrize("checker", NECESSITY_CHECKERS)
 def test_necessity_checkers_reject_a_tie_rel_that_is_not_finite_and_nonnegative(checker, tie_rel):
     # nan once made finite utilities "not finite"; inf once gave soioi 224 violations

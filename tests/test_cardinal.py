@@ -319,7 +319,8 @@ def test_status_quo_independence_rejects_a_tol_that_is_not_finite_and_nonnegativ
 
 
 @pytest.mark.parametrize("budget", [{"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
-                                    {"max_radius": 0.0}, {"max_radius": math.nan}, {"max_radius": math.inf}])
+                                    {"max_radius": 0.0}, {"max_radius": math.nan}, {"max_radius": math.inf},
+                                    {"max_radius": None}, {"tol": "x"}])
 def test_eventual_linearity_rejects_a_budget_that_is_not_finite(budget):
     # a nan or negative tol once reported no root for x.x + (1, 2, 3).x, whose defect is 0 everywhere
     u = coefficient_oracle(IDENTITY3, (1, 2, 3))

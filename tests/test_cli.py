@@ -151,6 +151,51 @@ def test_generate_documents_are_pinned(capsys, tmp_path):
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == GENERATE_DIGEST
 
 
+# Pinned documents of classify (each class, for int, Fraction and float
+# parameters) and of decompose on an exact and a float coefficient file;
+# tests/lp_golden_digests.py computes them too.
+PINNED_RUNS = {
+    "classify": [{"c": c, "d": d} for c, d in (
+        (0, [1, -2, 0]), (-1, [2, 0, -3]), (2, [2, 0, -3]), (0, [0, 0, 0]),
+        (0, ["1/3", 0, "-5/2"]), ("-2/3", ["1/2", -1, "7/5"]), ("3/4", [1, "-1/6", 0, "2/9"]),
+        ("0/5", [0, "0/3"]),
+        (0.0, [0.1, -2.5, 0.0]), (-0.6, [0.3, -0.5, 0.55]), (0.7, [1e-300, 3.0, -0.1]), (0.0, [0.0, -0.0, 0.0]),
+    )],
+    "decompose": [
+        {"A": [[1, "1/2", 0], ["1/2", -2, "1/3"], [0, "1/3", "7/4"]], "b": ["1/7", 2, -1]},
+        {"A": [[0.5, 0.25, 0.0], [0.25, -1.5, 0.1], [0.0, 0.1, 2.0]], "b": [0.1, 3.3, -0.7]},
+    ],
+}
+PINNED_DIGESTS = {
+    "classify": "fdc2fcc150abdb00fc219b3841196d93b1cf3ffea1b2d2d9fd0dbd9bdc252dbc",
+    "decompose": "9329d6573b9bd6d391d97d738874e08dade50bdd77c9b41fe3ae04e840a665fd",
+}
+
+
+def pinned_documents(directory) -> dict:
+    """Subcommand -> the stdout of its PINNED_RUNS, concatenated, each input
+    document written to a file under directory first; each run must exit 0."""
+    docs = {}
+    for command, inputs in PINNED_RUNS.items():
+        outs = []
+        for i, doc in enumerate(inputs):
+            path = directory / f"{command}{i}.json"
+            path.write_text(json.dumps(doc))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command, str(path)])
+            if code != 0:
+                raise AssertionError(f"{command} {doc} exited {code}")
+            outs.append(out.getvalue())
+        docs[command] = "".join(outs)
+    return docs
+
+
+def test_classify_and_decompose_documents_are_pinned(tmp_path):
+    docs = pinned_documents(tmp_path)
+    assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in docs.items()} == PINNED_DIGESTS
+
+
 def test_generate_indifference_dataset_weak_only(capsys, tmp_path):
     path = write(tmp_path, "ind.json", {"c": 0, "d": [0, 0, 0]})
     code, out, _ = run(capsys, "generate", path, "--count", "10", "--seed", "0")

@@ -272,6 +272,10 @@ def _outcome(fn, v, basis):
 @example(((1.0, 2.0, 3.0), [(1.0, 0.0, 0.0), (1e-200, 1e-170, 0.0)]))
 @example(((1.0, 2.0, 3.0), [(0.0, 1.0, 0.0), (1e200, 1e200, -1e190)]))
 @example(((1, 2), [(F(1, 3), 0), (0.0, 1e-300)]))
+# a float vector against an exact basis, whose second vector is a multiple of the first
+@example(((0.1, -2.5, 3.0), [(1, F(1, 3), 0), (3, 1, 0)]))
+# bool entries are exact, not int or Fraction
+@example(((True, False, 1), [(1, 1, 0), (False, True, True)]))
 def test_project_out_matches_two_pass_reference_bit_for_bit(case):
     # repr tells 0.0 from -0.0 and an int from an equal Fraction or float
     v, basis = case

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import spherepref
-from spherepref.axioms import (antipodal_indifference, check_homotheticity, check_oioi, check_perp_diff, check_soioi,
-                               cubic_function, cubic_oracle, params_oracle, random_orthonormal_plane,
+from spherepref.axioms import (AxiomReport, antipodal_indifference, check_homotheticity, check_oioi, check_perp_diff,
+                               check_soioi, cubic_function, cubic_oracle, params_oracle, random_orthonormal_plane,
                                utility_comparison_oracle)
 from spherepref.cardinal import (LineSearch, QuadLinDecomposition, check_eventual_linearity,
                                  check_status_quo_independence, coefficient_oracle, cubic_utility, decompose,
@@ -105,6 +105,8 @@ _QUADLIN = QuadLinDecomposition(((1, 0), (0, 1)), (0, 0), 0)
     (lambda: utility_oracle(lambda x: 1, 2), "utility at the origin is 1, not 0"),
     (lambda: scalar_to_json(True), "booleans are not scalars"),
     (lambda: scalar_to_json("1/2"), "unsupported scalar type: str"),
+    (lambda: SphericalParams(True, (1,)).to_dict(), "booleans are not scalars"),
+    (lambda: AxiomReport("oioi", 1, 1, {"x": (1, 0), "t": "1/2"}).to_dict(), "unsupported scalar type: str"),
     (lambda: Constraint((1,), "<", 0), "unknown relation '<'"),
     (lambda: LinearProgram((1, 1), (), ((0, 1),)), "1 bounds for 2 variables"),
     (lambda: solve(LinearProgram((1,), ()), "Exact"), "unknown arithmetic mode: 'Exact'"),

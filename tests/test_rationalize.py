@@ -233,7 +233,7 @@ def test_generate_dataset_refuses_a_count_that_is_not_an_int(count):
         generate_dataset(SphericalParams(0, (1, 0, 0)), count, rng_seed=1)
 
 
-@pytest.mark.parametrize("radius", [0, -1, math.nan, math.inf])
+@pytest.mark.parametrize("radius", [0, -1, math.nan, math.inf, None, "1"])
 def test_generate_dataset_rejects_a_radius_that_is_not_finite_and_positive(radius):
     with pytest.raises(ValueError, match="radius must be a finite number > 0"):
         generate_dataset(SphericalParams(0, (1, 0, 0)), 5, rng_seed=1, radius=radius)
